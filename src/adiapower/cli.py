@@ -48,19 +48,18 @@ from .families import (
     example1_family,
     example2_family,
 )
-from .linalg import BipartiteSplit
+from .linalg import DEFAULT_CLUSTER_TOL, BipartiteSplit
 from .power import (
-    DEFAULT_CLUSTER_TOL,
-    HamiltonianFamily,
-    IsoSpectralForm,
     adiabatic_entangling_power,
-    entropy_sweep,
+    entropy_sweep,  # unused here; perfbench traces this binding
     family_unitaries,
     grid_points,
+    iso_spectral_family,
 )
 from .simulate import (
     ParameterPath,
     circle_loop,
+    line_path,
     propagate,
     synthesize_controlled_phase,
 )
@@ -71,7 +70,6 @@ from .spectral import (
 )
 
 VERSION = "0.1.0"
-DEFAULT_JOBS_ENV = "ADIAPOWER_JOBS"
 
 
 # ---------------------------------------------------------------------------
@@ -203,20 +201,13 @@ def _load_custom_spec(spec: dict):
         raise ValueError("bounds must be finite")
     base_point = np.asarray(spec.get("base_point", np.zeros(len(gens))), dtype=float)
 
-    energies, vectors = linalg.eig_hermitian(h_base)
-
     def unitary(lam):
         k = np.zeros_like(h_base)
         for c, g in zip(lam, gens):
             k = k + c * g
         return linalg.expm_skew(k)
 
-    def evaluate(lam):
-        u = unitary(lam)
-        return u @ h_base @ u.conj().T
-
-    iso = IsoSpectralForm(energies, vectors, unitary, base_point)
-    fam = HamiltonianFamily(len(gens), bounds, evaluate, split, iso)
+    fam = iso_spectral_family(h_base, unitary, bounds, split, base_point)
     config = dict(spec)
     config["bounds"] = bounds.tolist()
     config["cluster_tol"] = cluster_tol
@@ -292,18 +283,16 @@ def cmd_power(args) -> int:
     print(f"product-state baseline certified: {est.product_base}")
     if args.level != "all":
         level = int(args.level)
-        sweep = entropy_sweep(fam, args.grid)
-        col = sweep.entropies[:, level]
+        col = est.sweep.entropies[:, level]
         print(f"level {level}: max entropy {fmt(col.max())}, "
               f"min entropy {fmt(col.min())}")
     if args.out:
         config = {"spec_file": args.spec_file, "spec": spec_config,
                   "grid": args.grid, "refine": args.refine, "level": args.level}
         manifest = make_manifest("power", config, args.seed)
-        sweep = entropy_sweep(fam, args.grid)
         header = [f"lam{j + 1}" for j in range(fam.parameter_dim)] + ["level", "entropy"]
         rows = []
-        for pt, ents in zip(sweep.points, sweep.entropies):
+        for pt, ents in zip(est.sweep.points, est.sweep.entropies):
             for level, e in enumerate(ents):
                 rows.append(list(pt) + [level, e])
         _write_csv(args.out, manifest, header, rows)
@@ -345,15 +334,12 @@ def _waypoint_path(waypoints, duration: float, schedule: str) -> ParameterPath:
         return ParameterPath(duration, lambda s: pts[0],
                              closed=True)
     nseg = len(pts) - 1
-
-    def ramp(s):
-        return s * s * s * (10.0 + s * (-15.0 + 6.0 * s)) if schedule == "smoothstep" else s
+    segments = [line_path(a, b, duration, schedule) for a, b in zip(pts, pts[1:])]
 
     def gamma(s):
         x = min(max(float(s), 0.0), 1.0) * nseg
         seg = min(int(x), nseg - 1)
-        f = ramp(x - seg)
-        return pts[seg] + f * (pts[seg + 1] - pts[seg])
+        return segments[seg].gamma(x - seg)
 
     closed = bool(np.allclose(pts[0], pts[-1]))
     return ParameterPath(duration, gamma, closed=closed)
@@ -396,16 +382,8 @@ def cmd_evolve(args) -> int:
 def _retrace_circle_loop(theta0: float, field_norm: float,
                          duration: float) -> ParameterPath:
     """Zero-area loop on the constraint sphere: half the azimuth circle and back."""
-    rho = field_norm * np.sin(theta0) / 4.0
-    mu_z = field_norm * np.cos(theta0) / 2.0
-
-    def gamma(s):
-        s = float(s)
-        f = 2.0 * s if s <= 0.5 else 2.0 * (1.0 - s)
-        phi = np.pi * f
-        return np.array([rho * np.cos(phi), rho * np.sin(phi), mu_z])
-
-    return ParameterPath(duration, gamma, closed=True)
+    circle = circle_loop(theta0, field_norm, duration, schedule="linear")
+    return ParameterPath(duration, lambda s: circle.gamma(min(s, 1.0 - s)), closed=True)
 
 
 def cmd_gate(args) -> int:
@@ -456,10 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0,
                         help="seed for any randomized refinement (default 0)")
-    common.add_argument("--jobs", type=int,
-                        default=int(os.environ.get(DEFAULT_JOBS_ENV, "1")),
-                        help="worker count hint; outputs are identical for "
-                             f"any value (default ${DEFAULT_JOBS_ENV} or 1)")
 
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -26,7 +26,7 @@ from .linalg import (
     BipartiteSplit,
     tensor,
 )
-from .power import HamiltonianFamily, IsoSpectralForm
+from .power import HamiltonianFamily, iso_spectral_family
 
 SPLIT_2Q = BipartiteSplit(2, 2)
 
@@ -113,24 +113,13 @@ def example1_closed_form(mu: complex, mu_z: float) -> Example1ClosedForm:
 def example1_family(p: Example1Params = Example1Params(),
                     bounds=EXAMPLE1_BOUNDS) -> HamiltonianFamily:
     """Iso-spectral family U(mu, mu_z) H_base U^dag, parameters (Re mu, Im mu, mu_z)."""
-    h_base = p.base_hamiltonian()
-    energies, vectors = linalg.eig_hermitian(h_base)
 
     def unitary(lam):
         mu = complex(lam[0], lam[1])
         return example1_unitary(mu, lam[2])
 
-    def evaluate(lam):
-        u = unitary(lam)
-        return u @ h_base @ u.conj().T
-
-    iso = IsoSpectralForm(
-        base_energies=energies,
-        base_vectors=vectors,
-        unitary=unitary,
-        base_point=np.zeros(3),
-    )
-    return HamiltonianFamily(3, np.asarray(bounds, dtype=float), evaluate, SPLIT_2Q, iso)
+    return iso_spectral_family(p.base_hamiltonian(), unitary, bounds, SPLIT_2Q,
+                               base_point=np.zeros(3))
 
 
 @dataclass(frozen=True)
@@ -210,23 +199,12 @@ def example2_family(lam1_fixed: float = 1.0,
     eigenbasis; the designated base point (pi/4, pi/4) is where the family
     unitary maps the product basis to product states.
     """
-    h_base = base.base_hamiltonian()
-    energies, vectors = linalg.eig_hermitian(h_base)
 
     def unitary(lam):
         return example2_unitary(Example2Params(lam1_fixed, lam[0], lam[1]))
 
-    def evaluate(lam):
-        u = unitary(lam)
-        return u @ h_base @ u.conj().T
-
-    iso = IsoSpectralForm(
-        base_energies=energies,
-        base_vectors=vectors,
-        unitary=unitary,
-        base_point=np.array([np.pi / 4.0, np.pi / 4.0]),
-    )
-    return HamiltonianFamily(2, np.asarray(bounds, dtype=float), evaluate, SPLIT_2Q, iso)
+    return iso_spectral_family(base.base_hamiltonian(), unitary, bounds, SPLIT_2Q,
+                               base_point=np.array([np.pi / 4.0, np.pi / 4.0]))
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,8 @@ from .errors import (
 )
 
 DEFAULT_TOL = 1e-10
+# Eigenvalue gaps below DEFAULT_CLUSTER_TOL * max(1, max|E|) count as degenerate.
+DEFAULT_CLUSTER_TOL = 1e-8
 
 # Pauli matrices and ladder operators.  Note sigma_plus/minus here are
 # sigma_x +/- i*sigma_y, i.e. twice the usual raising/lowering operators;

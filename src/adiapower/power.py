@@ -14,10 +14,9 @@ import numpy as np
 from scipy.optimize import minimize
 
 from . import entanglement, linalg
-from .errors import DegeneracyError, DimensionMismatchError, NotUnitaryError
-from .linalg import BipartiteSplit
+from .errors import DegeneracyError, NotUnitaryError
+from .linalg import DEFAULT_CLUSTER_TOL, BipartiteSplit
 
-DEFAULT_CLUSTER_TOL = 1e-8
 DEFAULT_GRID = 41
 DEFAULT_STARTS = 8
 
@@ -65,6 +64,25 @@ def _check_gaps(vals, cluster_tol, point):
     scale = max(1.0, float(np.max(np.abs(vals))))
     if len(vals) > 1 and np.min(np.diff(vals)) < cluster_tol * scale:
         raise DegeneracyError(f"eigenvalue gap collapsed at {point}", point=point)
+
+
+def iso_spectral_family(h_base, unitary: Callable[[np.ndarray], np.ndarray],
+                        bounds, split: BipartiteSplit, base_point) -> HamiltonianFamily:
+    """Family H(lam) = U(lam) H_base U(lam)^dag over a parameter box.
+
+    H_base is diagonalized once; ``eigensystem`` then returns the exact pair
+    (E0, U(lam) V0) and ``evaluate`` rebuilds H(lam) from U(lam).  base_point
+    is the parameter point whose eigenvectors are products.
+    """
+    energies, vectors = linalg.eig_hermitian(h_base)
+
+    def evaluate(lam):
+        u = unitary(lam)
+        return u @ h_base @ u.conj().T
+
+    bounds = np.asarray(bounds, dtype=float)
+    iso = IsoSpectralForm(energies, vectors, unitary, base_point)
+    return HamiltonianFamily(len(bounds), bounds, evaluate, split, iso)
 
 
 def grid_points(bounds, per_axis: int) -> np.ndarray:
@@ -147,6 +165,7 @@ class PowerEstimate:
     method: str                          # "grid" or "grid+refine"
     grid_resolution: int
     product_base: bool                   # True when the baseline has certified product eigenvectors
+    sweep: SweepResult = field(repr=False)  # the grid sweep the estimate started from
 
 
 def _level_entropy_objective(fam, level, cluster_tol, sign=1.0):
@@ -212,7 +231,7 @@ def adiabatic_entangling_power(fam: HamiltonianFamily,
                 if -f > value:
                     value, point_hi = -f, x
         return PowerEstimate(float(value), level, point_hi, point_lo,
-                             method, grid_per_axis, True)
+                             method, grid_per_axis, True, sweep)
 
     spans = sweep.entropies.max(axis=0) - sweep.entropies.min(axis=0)
     level = int(np.argmax(spans))
@@ -232,7 +251,7 @@ def adiabatic_entangling_power(fam: HamiltonianFamily,
             if f < lo_val:
                 lo_val, point_lo = f, x
     return PowerEstimate(float(hi_val - lo_val), level, point_hi, point_lo,
-                         method, grid_per_axis, False)
+                         method, grid_per_axis, False, sweep)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,8 @@ from .errors import (
     NotClosedError,
 )
 from .families import Example1Params, example1_family
-from .power import DEFAULT_CLUSTER_TOL, HamiltonianFamily
+from .linalg import DEFAULT_CLUSTER_TOL
+from .power import HamiltonianFamily
 
 
 @dataclass(frozen=True)
@@ -118,8 +119,8 @@ class AdiabaticRunRecord:
     norm_drift: float
 
 
-def _step_unitary(h: np.ndarray, dt: float) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(h)
+def _step_unitary(vals: np.ndarray, vecs: np.ndarray, dt: float) -> np.ndarray:
+    """exp(-i H dt) for H = V diag(E) V^dag given as its eigensystem (E, V)."""
     return (vecs * np.exp(-1j * vals * dt)) @ vecs.conj().T
 
 
@@ -131,7 +132,9 @@ def propagate(fam: HamiltonianFamily, path: ParameterPath, psi0,
 
     The initial state must be (within eigstate_tol) an eigenvector of the
     Hamiltonian at the start of the path; the run tracks the matching
-    instantaneous eigenstate for the fidelity series.
+    instantaneous eigenstate for the fidelity series.  Every Hamiltonian
+    the run needs (midpoint steps, the adiabaticity diagnostic) is built
+    from the family's eigensystem at that point.
     """
     if steps < 100:
         raise ValueError("use at least 100 steps")
@@ -139,7 +142,6 @@ def propagate(fam: HamiltonianFamily, path: ParameterPath, psi0,
     psi = psi / np.linalg.norm(psi)
     t_total = path.duration
     dt = t_total / steps
-    iso = fam.iso_spectral_form is not None
 
     vals0, vecs0 = fam.eigensystem(path.gamma(0.0), cluster_tol)
     overlaps = np.abs(vecs0.conj().T @ psi)
@@ -158,13 +160,12 @@ def propagate(fam: HamiltonianFamily, path: ParameterPath, psi0,
     eig_chain = [vecs0[:, level]]
     dynamical = 0.0
     adiabaticity = 0.0
-    h_prev = fam.evaluate(path.gamma(0.0))
+    h_prev = (vecs0 * vals0) @ vecs0.conj().T
     gap0 = float(np.min(np.diff(vals0))) if len(vals0) > 1 else np.inf
 
     for k in range(steps):
         s_mid = (k + 0.5) / steps
-        h_mid = fam.evaluate(path.gamma(s_mid))
-        psi = _step_unitary(h_mid, dt) @ psi
+        psi = _step_unitary(*fam.eigensystem(path.gamma(s_mid), cluster_tol), dt) @ psi
         states[k + 1] = psi
         s_next = (k + 1.0) / steps
         vals, vecs = fam.eigensystem(path.gamma(s_next), cluster_tol)
@@ -172,16 +173,14 @@ def propagate(fam: HamiltonianFamily, path: ParameterPath, psi0,
         eig_chain.append(v)
         fidelity[k + 1] = abs(np.vdot(v, psi)) ** 2
         dynamical -= float(vals[level]) * dt
-        h_next = fam.evaluate(path.gamma(s_next))
+        h_next = (vecs * vals) @ vecs.conj().T
         gap = float(np.min(np.diff(vals))) if len(vals) > 1 else np.inf
         hdot = np.linalg.norm(h_next - h_prev, 2) / dt
         adiabaticity = max(adiabaticity, hdot / min(gap, gap0) ** 2)
         h_prev = h_next
         gap0 = gap
 
-    if iso:
-        geometric = pancharatnam_phase(eig_chain, closed=False)
-    elif path.closed:
+    if fam.iso_spectral_form is not None or path.closed:
         geometric = pancharatnam_phase(eig_chain, closed=False)
     else:
         geometric = 0.0
@@ -196,8 +195,7 @@ def propagate_unitary(fam: HamiltonianFamily, path: ParameterPath,
     dt = path.duration / steps
     u = np.eye(fam.dim, dtype=complex)
     for k in range(steps):
-        h_mid = fam.evaluate(path.gamma((k + 0.5) / steps))
-        u = _step_unitary(h_mid, dt) @ u
+        u = _step_unitary(*fam.eigensystem(path.gamma((k + 0.5) / steps)), dt) @ u
     return u
 
 

@@ -19,8 +19,7 @@ from .errors import (
     DimensionMismatchError,
     NotConnectibleError,
 )
-
-DEFAULT_CLUSTER_TOL = 1e-8
+from .linalg import DEFAULT_CLUSTER_TOL
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+import adiapower.cli as cli
+import adiapower.power as power
 from adiapower.cli import main
 
 
@@ -76,6 +78,26 @@ def test_power_csv_output(specs, tmp_path):
     assert lines[0].startswith("# manifest ")
     assert lines[1] == "lam1,lam2,level,entropy"
     assert len(lines) == 2 + 5 * 5 * 4
+
+
+def test_power_runs_one_sweep(specs, tmp_path, monkeypatch, capsys):
+    calls = []
+    sweep = power.entropy_sweep
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return sweep(*args, **kwargs)
+
+    monkeypatch.setattr(power, "entropy_sweep", counted)
+    monkeypatch.setattr(cli, "entropy_sweep", counted)
+    out_file = tmp_path / "power.csv"
+    assert main(["power", specs["example2"], "--grid", "5", "--refine",
+                 "--level", "0", "--out", str(out_file)]) == 0
+    assert len(calls) == 1
+    level_line = capsys.readouterr().out.splitlines()[-1]
+    rows = [line.split(",") for line in out_file.read_text().splitlines()[2:]]
+    col = [float(r[3]) for r in rows if float(r[2]) == 0]
+    assert level_line == f"level 0: max entropy {max(col)!r}, min entropy {min(col)!r}"
 
 
 def test_sweep_example1_max_at_quarter_angle(tmp_path, capsys):

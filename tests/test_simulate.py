@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
+from adiapower.cli import _retrace_circle_loop
 from adiapower.errors import (
     ConstraintViolatedError,
     NotAnEigenstateError,
@@ -16,6 +18,7 @@ from adiapower.simulate import (
     line_path,
     pancharatnam_phase,
     propagate,
+    propagate_unitary,
     retrace_loop,
     synthesize_controlled_phase,
 )
@@ -61,6 +64,31 @@ def test_propagate_diabatic_run_loses_fidelity():
     path = line_path([0, 0, 0], [np.pi / 16, 0, 0], duration=0.6)
     rec = propagate(fam, path, ket("01"), steps=200)
     assert rec.instantaneous_fidelity[-1] < 0.99
+
+
+def test_propagate_generic_family_constant_path_matches_expm():
+    fam = spin_half_field_family()
+    b = [0.3, -0.4, 0.8]
+    path = line_path(b, b, duration=5.0)
+    _, vecs = fam.eigensystem(b)
+    psi0 = vecs[:, 0]
+    rec = propagate(fam, path, psi0, steps=200)
+    exact = scipy.linalg.expm(-1j * fam.evaluate(b) * 5.0) @ psi0
+    assert np.max(np.abs(rec.final_state - exact)) < 1e-10
+
+
+def test_propagate_unitary_matches_expm_midpoint_steps():
+    fam = example1_family()
+    path = line_path([0.0, 0.0, 0.0], [0.4, 0.1, 0.3], duration=6.0,
+                     schedule="smoothstep")
+    steps = 150
+    dt = path.duration / steps
+    expected = np.eye(4, dtype=complex)
+    for k in range(steps):
+        h = fam.evaluate(path.gamma((k + 0.5) / steps))
+        expected = scipy.linalg.expm(-1j * h * dt) @ expected
+    u = propagate_unitary(fam, path, steps)
+    assert np.max(np.abs(u - expected)) < 1e-12
 
 
 def test_propagate_input_checks():
@@ -149,16 +177,24 @@ def test_gate_constraint_check():
         synthesize_controlled_phase(loop, steps=200)
 
 
-def test_gate_zero_area_loop_has_no_geometric_phase():
+def retrace_half_circle(s):
+    """Half the theta0 = pi/3, |B| = 1 constraint circle and straight back."""
     rho, mu_z = np.sin(np.pi / 3) / 4, np.cos(np.pi / 3) / 2
+    s = float(s)
+    f = 2 * s if s <= 0.5 else 2 * (1 - s)
+    phi = np.pi * f
+    return np.array([rho * np.cos(phi), rho * np.sin(phi), mu_z])
 
-    def gamma(s):
-        s = float(s)
-        f = 2 * s if s <= 0.5 else 2 * (1 - s)
-        phi = np.pi * f
-        return np.array([rho * np.cos(phi), rho * np.sin(phi), mu_z])
 
-    loop = ParameterPath(40.0, gamma, closed=True)
+def test_cli_retrace_loop_matches_half_circle_bit_for_bit():
+    loop = _retrace_circle_loop(np.pi / 3, 1.0, 40.0)
+    assert loop.closed
+    for s in np.linspace(0.0, 1.0, 4001):
+        assert np.array_equal(loop.gamma(s), retrace_half_circle(s)), s
+
+
+def test_gate_zero_area_loop_has_no_geometric_phase():
+    loop = ParameterPath(40.0, retrace_half_circle, closed=True)
     res = synthesize_controlled_phase(loop, steps=1600)
     for label in ("00", "01", "10", "11"):
         assert abs(res.geometric[label]) < 1e-6
