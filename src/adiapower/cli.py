@@ -70,6 +70,9 @@ from .spectral import (
 )
 
 VERSION = "0.1.0"
+# Grid points per stacked unitary/entropy evaluation in ``sweep``; bounds the
+# size of the (chunk, D, D) arrays, so peak memory does not grow with the grid.
+SWEEP_CHUNK = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -202,12 +205,13 @@ def _load_custom_spec(spec: dict):
     base_point = np.asarray(spec.get("base_point", np.zeros(len(gens))), dtype=float)
 
     def unitary(lam):
-        k = np.zeros_like(h_base)
-        for c, g in zip(lam, gens):
-            k = k + c * g
+        lam = np.asarray(lam, dtype=float)
+        k = np.zeros(lam.shape[:-1] + h_base.shape, dtype=complex)
+        for j, g in enumerate(gens):
+            k = k + lam[..., j, None, None] * g
         return linalg.expm_skew(k)
 
-    fam = iso_spectral_family(h_base, unitary, bounds, split, base_point)
+    fam = iso_spectral_family(h_base, unitary, bounds, split, base_point, cluster_tol)
     config = dict(spec)
     config["bounds"] = bounds.tolist()
     config["cluster_tol"] = cluster_tol
@@ -273,6 +277,9 @@ def cmd_connectible(args) -> int:
 
 def cmd_power(args) -> int:
     fam, spec_config = load_family_spec(args.spec_file)
+    level = None if args.level == "all" else int(args.level)
+    if level is not None and not 0 <= level < fam.dim:
+        raise ValueError(f"--level {level} is out of range 0..{fam.dim - 1}")
     est = adiabatic_entangling_power(fam, grid_per_axis=args.grid,
                                      refine=args.refine)
     print(f"adiabatic entangling power: {fmt(est.value)}")
@@ -281,8 +288,7 @@ def cmd_power(args) -> int:
     print(f"baseline point: {[fmt(x) for x in est.point_lo]}")
     print(f"method: {est.method} (grid {est.grid_resolution} per axis)")
     print(f"product-state baseline certified: {est.product_base}")
-    if args.level != "all":
-        level = int(args.level)
+    if level is not None:
         col = est.sweep.entropies[:, level]
         print(f"level {level}: max entropy {fmt(col.max())}, "
               f"min entropy {fmt(col.min())}")
@@ -303,9 +309,9 @@ def cmd_sweep(args) -> int:
     fam, spec_config = load_family_spec(args.spec_file)
     psi = parse_state(args.input_state, fam.split)
     pts = grid_points(fam.bounds, args.grid)
-    values = np.empty(len(pts))
-    for k, (lam, u) in enumerate(family_unitaries(fam, pts)):
-        values[k] = entanglement.entropy(u @ psi, fam.split)
+    values = np.concatenate([
+        entanglement.entropy(family_unitaries(fam, pts[i:i + SWEEP_CHUNK]) @ psi, fam.split)
+        for i in range(0, len(pts), SWEEP_CHUNK)])
     config = {"spec_file": args.spec_file, "spec": spec_config,
               "input_state": args.input_state, "grid": args.grid,
               "format": args.out_format}
@@ -354,7 +360,7 @@ def cmd_evolve(args) -> int:
     _, vecs = fam.eigensystem(path.gamma(0.0))
     psi0 = vecs[:, args.level]
     rec = propagate(fam, path, psi0, steps=args.steps)
-    entropies = np.array([entanglement.entropy(s, fam.split) for s in rec.states])
+    entropies = entanglement.entropy(rec.states, fam.split)
     print(f"final entropy: {fmt(entropies[-1])}")
     print(f"final fidelity with tracked eigenstate: {fmt(rec.instantaneous_fidelity[-1])}")
     print(f"dynamical phase: {fmt(rec.dynamical_phase)}")

@@ -17,27 +17,40 @@ _SPIN_FLIP = tensor(SIGMA_Y, SIGMA_Y)
 
 
 def schmidt_spectrum(psi, split: BipartiteSplit) -> np.ndarray:
-    """Eigenvalues of the reduced density matrix, descending, clamped to [0, 1]."""
+    """Eigenvalues of the reduced density matrix, descending, clamped to [0, 1].
+
+    A (..., D) stack of states gives a (..., min(dim_a, dim_b)) stack of
+    spectra from one batched SVD.
+    """
     psi = np.asarray(psi, dtype=complex)
-    split.check(psi.shape[0])
-    m = psi.reshape(split.dim_a, split.dim_b)
-    s = np.linalg.svd(m, compute_uv=False)
-    lam = np.sort(s ** 2)[::-1]
-    if np.any(lam < _CLAMP):
+    split.check(psi.shape[-1])
+    m = psi.reshape(psi.shape[:-1] + (split.dim_a, split.dim_b))
+    lam = np.linalg.svd(m, compute_uv=False) ** 2
+    lam.sort(axis=-1)
+    lam = lam[..., ::-1]
+    if (lam < _CLAMP).any():
         raise ValueError("reduced density eigenvalue significantly negative")
-    lam = np.clip(lam, 0.0, 1.0)
-    return lam / lam.sum()
+    lam = lam.clip(0.0, 1.0)
+    return lam / lam.sum(axis=-1, keepdims=True)
 
 
-def entropy_of_spectrum(lam) -> float:
-    """Shannon entropy in bits with 0*log(0) := 0."""
+def entropy_of_spectrum(lam):
+    """Shannon entropy in bits with 0*log(0) := 0, over the last axis.
+
+    A 1-D spectrum gives a float, a stack of spectra an array.
+    """
     lam = np.asarray(lam, dtype=float)
-    nz = lam[lam > 0]
-    return float(-np.sum(nz * np.log2(nz)) + 0.0)
+    logs = np.log2(lam, out=np.zeros(lam.shape), where=lam > 0)
+    h = -(lam * logs).sum(axis=-1) + 0.0
+    return float(h) if lam.ndim == 1 else h
 
 
-def entropy(psi, split: BipartiteSplit) -> float:
-    """Entanglement entropy (base 2) of a normalized pure state."""
+def entropy(psi, split: BipartiteSplit):
+    """Entanglement entropy (base 2) of a normalized pure state.
+
+    A 1-D state gives a float; a (..., D) stack of states gives an array of
+    shape (...), each entry equal to the entropy of that state alone.
+    """
     return entropy_of_spectrum(schmidt_spectrum(psi, split))
 
 

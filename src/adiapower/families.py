@@ -39,7 +39,19 @@ EXAMPLE1_BOUNDS = np.array([[0.0, 1.2], [0.0, 0.0], [0.0, 2.4]])
 FIG1_BOUNDS = np.array([[0.01, 1.2], [0.0, 0.0], [0.0, 2.4]])
 EXAMPLE2_BOUNDS = np.array([[0.0, np.pi], [0.0, np.pi]])
 
-PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
+# Constant two-qubit operators of the family Hamiltonians and generators,
+# built once.
+_PM = tensor(SIGMA_PLUS, SIGMA_MINUS)
+_MP = tensor(SIGMA_MINUS, SIGMA_PLUS)
+_ZI_MINUS_IZ = tensor(SIGMA_Z, ID2) - tensor(ID2, SIGMA_Z)
+_XX = tensor(SIGMA_X, SIGMA_X)
+_YY = tensor(SIGMA_Y, SIGMA_Y)
+_ZZ = tensor(SIGMA_Z, SIGMA_Z)
+
+
+def _stack(x) -> np.ndarray:
+    """Scalar or array parameter as an array broadcastable against (..., 4, 4)."""
+    return np.asarray(x)[..., None, None]
 
 
 def example0_family(bounds=EXAMPLE0_BOUNDS) -> HamiltonianFamily:
@@ -48,8 +60,8 @@ def example0_family(bounds=EXAMPLE0_BOUNDS) -> HamiltonianFamily:
     def evaluate(lam):
         lam = np.asarray(lam, dtype=float)
         h = np.zeros((4, 4), dtype=complex)
-        for c, s in zip(lam, PAULIS):
-            h += c * tensor(s, s)
+        for c, t in zip(lam, (_XX, _YY, _ZZ)):
+            h += c * t
         return h
 
     return HamiltonianFamily(3, np.asarray(bounds, dtype=float), evaluate, SPLIT_2Q)
@@ -73,14 +85,18 @@ class Example1Params:
         return self.lam1 * tensor(SIGMA_Z, ID2) + self.lam2 * tensor(ID2, SIGMA_Z)
 
 
-def example1_generator(mu: complex, mu_z: float) -> np.ndarray:
-    """Hermitian generator K(mu, mu_z) of the coupling unitary exp(iK)."""
-    k = mu * tensor(SIGMA_PLUS, SIGMA_MINUS) + np.conj(mu) * tensor(SIGMA_MINUS, SIGMA_PLUS)
-    k += mu_z * (tensor(SIGMA_Z, ID2) - tensor(ID2, SIGMA_Z))
-    return k
+def example1_generator(mu, mu_z) -> np.ndarray:
+    """Hermitian generator K(mu, mu_z) of the coupling unitary exp(iK).
+
+    Broadcasts over array parameters: mu and mu_z of shape (...) give a
+    (..., 4, 4) stack.
+    """
+    mu, mu_z = _stack(mu), _stack(mu_z)
+    return mu * _PM + np.conj(mu) * _MP + mu_z * _ZI_MINUS_IZ
 
 
-def example1_unitary(mu: complex, mu_z: float) -> np.ndarray:
+def example1_unitary(mu, mu_z) -> np.ndarray:
+    """exp(iK(mu, mu_z)); broadcasts like example1_generator."""
     return linalg.expm_skew(example1_generator(mu, mu_z))
 
 
@@ -115,8 +131,10 @@ def example1_family(p: Example1Params = Example1Params(),
     """Iso-spectral family U(mu, mu_z) H_base U^dag, parameters (Re mu, Im mu, mu_z)."""
 
     def unitary(lam):
-        mu = complex(lam[0], lam[1])
-        return example1_unitary(mu, lam[2])
+        lam = np.asarray(lam, dtype=float)
+        mu = np.empty(lam.shape[:-1], dtype=complex)
+        mu.real, mu.imag = lam[..., 0], lam[..., 1]
+        return example1_unitary(mu, lam[..., 2])
 
     return iso_spectral_family(p.base_hamiltonian(), unitary, bounds, SPLIT_2Q,
                                base_point=np.zeros(3))
@@ -184,10 +202,13 @@ class Example2Params:
         return h[[0, 1, 3, 2]]
 
 
+def example2_generator(lam1, lam2, lam3) -> np.ndarray:
+    """lam1 sz x sz + lam2 sy x sy + lam3 sx x sx; broadcasts to (..., 4, 4)."""
+    return _stack(lam1) * _ZZ + _stack(lam2) * _YY + _stack(lam3) * _XX
+
+
 def example2_unitary(p: Example2Params) -> np.ndarray:
-    k = p.lam1 * tensor(SIGMA_Z, SIGMA_Z) + p.lam2 * tensor(SIGMA_Y, SIGMA_Y) \
-        + p.lam3 * tensor(SIGMA_X, SIGMA_X)
-    return linalg.expm_skew(k)
+    return linalg.expm_skew(example2_generator(p.lam1, p.lam2, p.lam3))
 
 
 def example2_family(lam1_fixed: float = 1.0,
@@ -201,7 +222,8 @@ def example2_family(lam1_fixed: float = 1.0,
     """
 
     def unitary(lam):
-        return example2_unitary(Example2Params(lam1_fixed, lam[0], lam[1]))
+        lam = np.asarray(lam, dtype=float)
+        return linalg.expm_skew(example2_generator(lam1_fixed, lam[..., 0], lam[..., 1]))
 
     return iso_spectral_family(base.base_hamiltonian(), unitary, bounds, SPLIT_2Q,
                                base_point=np.array([np.pi / 4.0, np.pi / 4.0]))

@@ -59,14 +59,21 @@ class BipartiteSplit:
 
 def _as_complex(a) -> np.ndarray:
     arr = np.asarray(a, dtype=complex)
-    if not np.all(np.isfinite(arr.view(float))):
+    if not np.all(np.isfinite(arr)):
         raise ValueError("non-finite entries")
     return arr
 
 
+def _dagger(m) -> np.ndarray:
+    """Conjugate transpose of a matrix or of each matrix in a (..., D, D) stack."""
+    return m.conj().swapaxes(-1, -2)
+
+
 def is_hermitian(h, tol: float = DEFAULT_TOL) -> bool:
+    """True iff h, or every matrix of a (..., D, D) stack h, is Hermitian within tol."""
     h = np.asarray(h)
-    return h.ndim == 2 and h.shape[0] == h.shape[1] and np.max(np.abs(h - h.conj().T)) <= tol
+    return (h.ndim >= 2 and h.shape[-1] == h.shape[-2]
+            and np.max(np.abs(h - _dagger(h))) <= tol)
 
 
 def is_unitary(u, tol: float = DEFAULT_TOL) -> bool:
@@ -98,7 +105,11 @@ def normalize(psi) -> np.ndarray:
 
 
 def eig_hermitian(h, tol: float = DEFAULT_TOL):
-    """Eigenvalues (ascending) and orthonormal eigenvector columns of a Hermitian h."""
+    """Eigenvalues (ascending) and orthonormal eigenvector columns of a Hermitian h.
+
+    A (..., D, D) stack gives (..., D) eigenvalues and (..., D, D) eigenvectors
+    from one batched LAPACK call; the Hermiticity check covers every matrix.
+    """
     h = _as_complex(h)
     if not is_hermitian(h, tol):
         raise NotHermitianError("matrix is not Hermitian within tolerance")
@@ -107,9 +118,13 @@ def eig_hermitian(h, tol: float = DEFAULT_TOL):
 
 
 def expm_skew(k, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """exp(i*k) for Hermitian k, computed through the eigendecomposition."""
+    """exp(i*k) for Hermitian k, computed through the eigendecomposition.
+
+    Broadcasts over a (..., D, D) stack; each matrix of the result equals
+    expm_skew of the matching matrix alone, bit for bit.
+    """
     vals, vecs = eig_hermitian(k, tol)
-    return (vecs * np.exp(1j * vals)) @ vecs.conj().T
+    return (vecs * np.exp(1j * vals)[..., None, :]) @ _dagger(vecs)
 
 
 def logm_unitary(u, tol: float = DEFAULT_TOL, branch_tol: float = 1e-12) -> np.ndarray:

@@ -23,7 +23,12 @@ DEFAULT_STARTS = 8
 
 @dataclass(frozen=True)
 class IsoSpectralForm:
-    """Realization H(lam) = U(lam) H0 U(lam)^dag of an iso-spectral family."""
+    """Realization H(lam) = U(lam) H0 U(lam)^dag of an iso-spectral family.
+
+    ``unitary`` broadcasts over leading axes: points of shape (..., p) give
+    unitaries of shape (..., D, D), each equal to the unitary of that point
+    alone, so a whole grid is evaluated in one call.
+    """
 
     base_energies: np.ndarray            # ascending, distinct
     base_vectors: np.ndarray             # orthonormal columns, one per level
@@ -67,14 +72,18 @@ def _check_gaps(vals, cluster_tol, point):
 
 
 def iso_spectral_family(h_base, unitary: Callable[[np.ndarray], np.ndarray],
-                        bounds, split: BipartiteSplit, base_point) -> HamiltonianFamily:
+                        bounds, split: BipartiteSplit, base_point,
+                        cluster_tol: float = DEFAULT_CLUSTER_TOL) -> HamiltonianFamily:
     """Family H(lam) = U(lam) H_base U(lam)^dag over a parameter box.
 
-    H_base is diagonalized once; ``eigensystem`` then returns the exact pair
-    (E0, U(lam) V0) and ``evaluate`` rebuilds H(lam) from U(lam).  base_point
+    H_base is diagonalized once and must be nondegenerate (DegeneracyError
+    otherwise, gaps judged by cluster_tol); ``eigensystem`` then returns the
+    exact pair (E0, U(lam) V0) and ``evaluate`` rebuilds H(lam) from U(lam).
+    ``unitary`` maps points (..., p) to unitaries (..., D, D).  base_point
     is the parameter point whose eigenvectors are products.
     """
     energies, vectors = linalg.eig_hermitian(h_base)
+    _check_gaps(energies, cluster_tol, np.asarray(base_point, dtype=float))
 
     def evaluate(lam):
         u = unitary(lam)
@@ -108,7 +117,7 @@ def _entropies_many(states: np.ndarray, split: BipartiteSplit) -> np.ndarray:
         l1, l2 = lam[mask], 1.0 - lam[mask]
         out[mask] = -(l1 * np.log2(l1) + l2 * np.log2(l2))
         return out
-    return np.array([entanglement.entropy(s, split) for s in states])
+    return entanglement.entropy(states, split)
 
 
 def eigenstate_track(fam: HamiltonianFamily, level: int, path,
@@ -344,7 +353,7 @@ def unitary_entangling_power(u, split: BipartiteSplit,
         out = u @ p
         if two_qubit:
             return -entanglement.concurrence_coefficients(out)
-        return -float(_entropies_many(out[None, :], split)[0])
+        return -entanglement.entropy(out, split)
 
     seeds = []
     for i in np.argsort(scores)[::-1][:starts]:
@@ -384,23 +393,25 @@ class BoundReport:
 
 
 def family_unitaries(fam: HamiltonianFamily, points,
-                     cluster_tol: float = DEFAULT_CLUSTER_TOL):
-    """Unitaries U(lam) mapping the base-point eigenbasis to the one at lam.
+                     cluster_tol: float = DEFAULT_CLUSTER_TOL) -> np.ndarray:
+    """(n, D, D) unitaries U(lam) mapping the base-point eigenbasis to the one at lam.
 
-    Iso-spectral families supply U(lam) directly; for generic families the
-    eigenbasis-alignment unitary V(lam) V(lam0)^dag relative to the first
-    point is used.
+    Iso-spectral families supply the whole stack with one call of their
+    unitary; for generic families the eigenbasis-alignment unitary
+    V(lam) V(lam0)^dag relative to the first point is used.
     """
     points = np.asarray(points, dtype=float)
-    if fam.iso_spectral_form is not None:
-        for lam in points:
-            yield lam, fam.iso_spectral_form.unitary(lam)
-        return
+    iso = fam.iso_spectral_form
+    if iso is not None:
+        us = np.asarray(iso.unitary(points))
+        expected = (len(points), fam.dim, fam.dim)
+        if us.shape != expected:
+            raise ValueError(f"family unitary returned shape {us.shape} for "
+                             f"{len(points)} points, expected {expected}")
+        return us
     _, v0 = fam.eigensystem(points[0], cluster_tol)
     v0d = v0.conj().T
-    for lam in points:
-        _, v = fam.eigensystem(lam, cluster_tol)
-        yield lam, v @ v0d
+    return np.array([fam.eigensystem(lam, cluster_tol)[1] @ v0d for lam in points])
 
 
 def bound_check(fam: HamiltonianFamily,
@@ -422,14 +433,12 @@ def bound_check(fam: HamiltonianFamily,
     rng = np.random.default_rng(seed)
     bank, _, _ = _random_product_bank(rng, fam.split, coarse)
     pts = grid_points(fam.bounds, grid_per_axis)
-    quick = np.empty(len(pts))
-    for k, (lam, u) in enumerate(family_unitaries(fam, pts, cluster_tol)):
-        quick[k] = float(np.max(_entropies_many(bank @ u.T, fam.split)))
+    us = family_unitaries(fam, pts, cluster_tol)
+    quick = np.array([np.max(_entropies_many(bank @ u.T, fam.split)) for u in us])
     rhs = float(np.max(quick))
     rhs_point = pts[int(np.argmax(quick))]
     top = np.argsort(quick)[::-1][:polish_top]
-    pts_arr = np.asarray(pts, dtype=float)
-    for k, (lam, u) in enumerate(family_unitaries(fam, pts_arr[top], cluster_tol)):
+    for lam, u in zip(pts[top], us[top]):
         res = unitary_entangling_power(u, fam.split, starts=starts, seed=seed,
                                        coarse=coarse)
         if res.value > rhs:

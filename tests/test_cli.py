@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ import pytest
 import adiapower.cli as cli
 import adiapower.power as power
 from adiapower.cli import main
+from adiapower.entanglement import entropy
+from adiapower.linalg import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, ket, tensor
 
 
 def pairs(m):
@@ -100,6 +103,52 @@ def test_power_runs_one_sweep(specs, tmp_path, monkeypatch, capsys):
     assert level_line == f"level 0: max entropy {max(col)!r}, min entropy {min(col)!r}"
 
 
+def test_power_level_out_of_range_is_input_error(specs, capsys):
+    for level in ("7", "4", "-1"):
+        assert main(["power", specs["example2"], "--grid", "3", "--level", level]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"input error: --level {int(level)} is out of range 0..3" in captured.err
+    assert main(["power", specs["example2"], "--grid", "3", "--level", "3"]) == 0
+    assert "level 3: max entropy" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("kind, bounds, label", [
+    ("builtin:example1", [[0.01, 1.2], [0.0, 0.0], [0.0, 2.4]], "01"),
+    ("builtin:example2", [[0.0, np.pi], [0.0, np.pi]], "00"),
+])
+def test_sweep_e_column_matches_per_point_entropy(tmp_path, kind, bounds, label):
+    spec = write_json(tmp_path / "spec.json", {"kind": kind, "bounds": bounds})
+    out_file = tmp_path / "sweep.csv"
+    assert main(["sweep", spec, "--input-state", label, "--grid", "9",
+                 "--out", str(out_file)]) == 0
+    fam, _ = cli.load_family_spec(spec)
+    pts = power.grid_points(fam.bounds, 9)
+    expected = [repr(entropy(fam.iso_spectral_form.unitary(p) @ ket(label), fam.split))
+                for p in pts]
+    rows = [line.split(",") for line in out_file.read_text().splitlines()[2:]]
+    assert [r[-1] for r in rows] == expected
+
+
+def test_sweep_diagonalizes_one_stack_per_chunk(tmp_path, monkeypatch):
+    spec = write_json(tmp_path / "fig1.json", {
+        "kind": "builtin:example1", "bounds": [[0.01, 1.2], [0.0, 0.0], [0.0, 2.4]]})
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    assert main(["sweep", spec, "--input-state", "01", "--grid", "41",
+                 "--out", str(tmp_path / "sweep.csv")]) == 0
+    npoints = 41 * 41
+    # one diagonalization of the base Hamiltonian, then one per chunk of grid points
+    assert len(shapes) <= 1 + math.ceil(npoints / cli.SWEEP_CHUNK)
+    assert sum(math.prod(s[:-2]) for s in shapes) == 1 + npoints
+
+
 def test_sweep_example1_max_at_quarter_angle(tmp_path, capsys):
     spec = write_json(tmp_path / "slice.json", {
         "kind": "builtin:example1",
@@ -191,7 +240,6 @@ def test_gate_circle_and_retrace(tmp_path):
 
 
 def test_custom_spec_power(tmp_path, capsys):
-    from adiapower.linalg import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, tensor
     h = 2 * tensor(SIGMA_Z, ID2) + tensor(ID2, SIGMA_Z)
     spec = write_json(tmp_path / "custom.json", {
         "kind": "custom",
@@ -217,6 +265,22 @@ def test_invalid_specs_are_input_errors(tmp_path):
         "split": [1, 2],
     })
     assert main(["power", bad_matrix]) == 1
+
+
+def test_custom_spec_degenerate_base_aborts(tmp_path, capsys):
+    spec = {
+        "kind": "custom",
+        "base_hamiltonian": pairs(tensor(SIGMA_Z, ID2)),
+        "generators": [pairs(tensor(SIGMA_X, SIGMA_X))],
+        "bounds": [[0.0, 1.0]],
+        "split": [2, 2],
+    }
+    assert main(["power", write_json(tmp_path / "deg.json", spec), "--grid", "3"]) == 3
+    assert "degeneracy abort" in capsys.readouterr().err
+    spec["base_hamiltonian"] = pairs(np.diag([0.0, 1e-3, 1.0, 2.0]))
+    assert main(["power", write_json(tmp_path / "close.json", spec), "--grid", "3"]) == 0
+    spec["cluster_tol"] = 1e-2
+    assert main(["power", write_json(tmp_path / "tol.json", spec), "--grid", "3"]) == 3
 
 
 def test_degeneracy_abort_exit_code(tmp_path):

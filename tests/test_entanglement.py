@@ -41,6 +41,23 @@ def test_entropy_values():
     assert abs(entropy(TILTED, SPLIT) - expected) < 1e-12
 
 
+@pytest.mark.parametrize("split", [BipartiteSplit(2, 2), BipartiteSplit(2, 3)])
+def test_entropy_of_a_stack_equals_entropy_of_each_state(split):
+    rng = np.random.default_rng(6)
+    states = [random_state(rng, split.dim) for _ in range(40)]
+    states += [np.kron(random_state(rng, split.dim_a), random_state(rng, split.dim_b))
+               for _ in range(10)]
+    states += [ket("01") if split.dim == 4 else np.eye(split.dim)[4]]
+    stack = np.array(states)
+    each = [entropy(psi, split) for psi in states]
+    assert all(isinstance(e, float) for e in each)
+    assert np.array_equal(entropy(stack, split), each)
+    assert np.array_equal(entropy(stack.reshape(3, 17, split.dim), split),
+                          np.reshape(each, (3, 17)))
+    assert np.array_equal(schmidt_spectrum(stack, split),
+                          [schmidt_spectrum(psi, split) for psi in states])
+
+
 def test_concurrence_values():
     assert concurrence_2q(ket("00")) == 0.0
     assert abs(concurrence_2q(BELL) - 1.0) < 1e-12

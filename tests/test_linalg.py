@@ -84,6 +84,33 @@ def test_expm_skew_unitary():
         assert np.linalg.norm(u @ u.conj().T - np.eye(5)) < 1e-10
 
 
+def test_expm_skew_stack_matches_each_matrix():
+    rng = np.random.default_rng(4)
+    ks = np.stack([random_hermitian(rng, 4) for _ in range(6)]).reshape(2, 3, 4, 4)
+    us = expm_skew(ks)
+    assert us.shape == (2, 3, 4, 4)
+    for k, u in zip(ks.reshape(-1, 4, 4), us.reshape(-1, 4, 4)):
+        assert np.array_equal(u, expm_skew(k))
+    vals, vecs = eig_hermitian(ks)
+    assert vals.shape == (2, 3, 4) and vecs.shape == (2, 3, 4, 4)
+
+
+def test_expm_skew_stack_checks_every_matrix():
+    rng = np.random.default_rng(5)
+    ks = np.stack([random_hermitian(rng, 4) for _ in range(5)])
+    bad = ks.copy()
+    bad[3, 0, 1] += 1e-6
+    with pytest.raises(NotHermitianError):
+        expm_skew(bad)
+    bad = ks.copy()
+    bad[2, 1, 1] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        expm_skew(bad)
+    bad[2, 1, 1] = complex(0.0, np.inf)
+    with pytest.raises(ValueError, match="non-finite"):
+        expm_skew(bad)
+
+
 def test_logm_unitary_roundtrip():
     assert np.allclose(logm_unitary(np.eye(3)), np.zeros((3, 3)), atol=1e-12)
     assert np.allclose(logm_unitary(1j * SIGMA_X), (np.pi / 2) * SIGMA_X, atol=1e-12)

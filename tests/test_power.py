@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from adiapower import cli
 from adiapower.entanglement import entropy
 from adiapower.errors import DegeneracyError, NotUnitaryError
 from adiapower.families import (
@@ -12,7 +13,16 @@ from adiapower.families import (
     example2_family,
     example2_unitary,
 )
-from adiapower.linalg import ID2, SIGMA_Z, BipartiteSplit, expm_skew, ket, tensor
+from adiapower.linalg import (
+    ID2,
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    BipartiteSplit,
+    expm_skew,
+    ket,
+    tensor,
+)
 from adiapower.power import (
     HamiltonianFamily,
     IsoSpectralForm,
@@ -20,9 +30,26 @@ from adiapower.power import (
     bound_check,
     eigenstate_track,
     entropy_sweep,
+    family_unitaries,
     has_product_base,
+    iso_spectral_family,
     unitary_entangling_power,
 )
+
+
+def pairs(m):
+    return [[[z.real, z.imag] for z in row] for row in np.asarray(m, dtype=complex)]
+
+
+def custom_family():
+    fam, _ = cli._load_custom_spec({
+        "base_hamiltonian": pairs(2 * tensor(SIGMA_Z, ID2) + tensor(ID2, SIGMA_Z)),
+        "generators": [pairs(tensor(SIGMA_X, SIGMA_X)), pairs(tensor(SIGMA_Y, SIGMA_Y)),
+                       pairs(tensor(SIGMA_Z, SIGMA_X))],
+        "bounds": [[0.0, np.pi], [-1.0, 1.0], [0.0, 0.5]],
+        "split": [2, 2],
+    })
+    return fam
 
 
 def test_eigenstate_track_constant_family():
@@ -128,6 +155,43 @@ def test_degenerate_family_aborts():
     with pytest.raises(DegeneracyError) as exc:
         entropy_sweep(fam, 5)
     assert exc.value.point is not None
+
+
+@pytest.mark.parametrize("make_family", [example1_family, example2_family, custom_family])
+def test_family_unitaries_stack_equals_per_point_unitaries(make_family):
+    fam = make_family()
+    rng = np.random.default_rng(7)
+    lo, hi = fam.bounds[:, 0], fam.bounds[:, 1]
+    pts = lo + (hi - lo) * rng.random((cli.SWEEP_CHUNK + 5, fam.parameter_dim))
+    pts[0] = fam.iso_spectral_form.base_point
+    us = family_unitaries(fam, pts)
+    assert us.shape == (len(pts), 4, 4)
+    assert np.array_equal(us, [fam.iso_spectral_form.unitary(p) for p in pts])
+    chunked = np.concatenate([family_unitaries(fam, pts[i:i + cli.SWEEP_CHUNK])
+                              for i in range(0, len(pts), cli.SWEEP_CHUNK)])
+    assert np.array_equal(chunked, us)
+
+
+def test_family_unitaries_rejects_a_unitary_of_the_wrong_shape():
+    fam = iso_spectral_family(tensor(SIGMA_Z, ID2) + 0.5 * tensor(ID2, SIGMA_Z),
+                              lambda lam: np.eye(4, dtype=complex), [[0.0, 1.0]],
+                              SPLIT_2Q, [0.0])
+    with pytest.raises(ValueError, match="shape"):
+        family_unitaries(fam, [[0.0], [0.5], [1.0]])
+
+
+def test_iso_spectral_family_rejects_a_degenerate_base():
+    def unitary(lam):
+        return expm_skew(np.asarray(lam)[..., :1, None] * tensor(SIGMA_X, SIGMA_X))
+
+    with pytest.raises(DegeneracyError) as exc:
+        iso_spectral_family(tensor(SIGMA_Z, ID2), unitary, [[0.0, 1.0]], SPLIT_2Q, [0.0])
+    assert np.array_equal(exc.value.point, [0.0])
+    close = np.diag([0.0, 1e-3, 1.0, 2.0]).astype(complex)
+    iso_spectral_family(close, unitary, [[0.0, 1.0]], SPLIT_2Q, [0.0])
+    with pytest.raises(DegeneracyError):
+        iso_spectral_family(close, unitary, [[0.0, 1.0]], SPLIT_2Q, [0.0],
+                            cluster_tol=1e-2)
 
 
 def test_unitary_power_identity_and_witnesses():
