@@ -37,7 +37,7 @@ import sys
 
 import numpy as np
 
-from . import entanglement, linalg
+from . import __version__, entanglement, linalg
 from .errors import AdiapowerError, DegeneracyError, NotHermitianError
 from .families import (
     EXAMPLE0_BOUNDS,
@@ -50,6 +50,7 @@ from .families import (
 )
 from .linalg import DEFAULT_CLUSTER_TOL, BipartiteSplit
 from .power import (
+    DEFAULT_GRID,
     adiabatic_entangling_power,
     entropy_sweep,  # unused here; perfbench traces this binding
     family_unitaries,
@@ -66,10 +67,9 @@ from .simulate import (
 from .spectral import (
     build_connecting_family,
     is_adiabatically_connectible,
-    min_gap_along,
+    spectra_along,
 )
 
-VERSION = "0.1.0"
 # Grid points per stacked unitary/entropy evaluation in ``sweep``; bounds the
 # size of the (chunk, D, D) arrays, so peak memory does not grow with the grid.
 SWEEP_CHUNK = 1024
@@ -92,7 +92,7 @@ def make_manifest(command: str, config: dict, seed: int) -> dict:
         "command": command,
         "config": config,
         "seed": seed,
-        "version": VERSION,
+        "version": __version__,
         "timestamp": _timestamp(),
     }
 
@@ -102,17 +102,10 @@ def fmt(x) -> str:
     return repr(float(x))
 
 
-def complex_to_pair(z) -> list:
-    z = complex(z)
-    return [z.real, z.imag]
-
-
-def matrix_to_pairs(m) -> list:
-    return [[complex_to_pair(z) for z in row] for row in np.asarray(m, dtype=complex)]
-
-
-def vector_to_pairs(v) -> list:
-    return [complex_to_pair(z) for z in np.asarray(v, dtype=complex)]
+def to_pairs(a) -> list:
+    """Complex vector or matrix as nested lists with [re, im] pairs for entries."""
+    a = np.asarray(a, dtype=complex)
+    return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
 def parse_complex_matrix(nested) -> np.ndarray:
@@ -221,26 +214,24 @@ def _load_custom_spec(spec: dict):
 # ---------------------------------------------------------------------------
 # Output writers.
 
-def _write_json(path, payload):
-    text = json.dumps(payload, sort_keys=True, indent=1)
-    if path is None or path == "-":
-        sys.stdout.write(text + "\n")
-    else:
-        with open(path, "w") as f:
-            f.write(text + "\n")
-
-
-def _write_csv(path, manifest, header, rows):
-    lines = ["# manifest " + json.dumps(manifest, sort_keys=True)]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(fmt(x) for x in row))
-    text = "\n".join(lines) + "\n"
+def _write_text(path, text):
+    """Write text to the file at path, or to stdout when path is None or '-'."""
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
         with open(path, "w") as f:
             f.write(text)
+
+
+def _write_json(path, payload):
+    _write_text(path, json.dumps(payload, sort_keys=True, indent=1) + "\n")
+
+
+def _write_csv(path, manifest, header, table):
+    """Manifest comment, header line, then one line per row of a 2-D float array."""
+    lines = ["# manifest " + json.dumps(manifest, sort_keys=True), ",".join(header)]
+    lines += [",".join(map(repr, row)) for row in table.tolist()]
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -256,9 +247,7 @@ def cmd_connectible(args) -> int:
         print(f"decision: not connectible ({decision.reason})")
         return 2
     fam = build_connecting_family(h0, h1, args.cluster_tol)
-    gap = min_gap_along(fam, args.samples)
-    ts = np.linspace(0.0, 1.0, args.samples)
-    spectra = [np.linalg.eigvalsh(fam.sample(t)).tolist() for t in ts]
+    ts, spectra, gap = spectra_along(fam, args.samples)
     print("decision: connectible")
     print(f"min gap along connecting family: {fmt(gap)}")
     if args.out:
@@ -270,7 +259,7 @@ def cmd_connectible(args) -> int:
             "degeneracy_vectors": [list(decision.d0), list(decision.d1)],
             "min_gap": gap,
             "t": ts.tolist(),
-            "spectra": spectra,
+            "spectra": spectra.tolist(),
         })
     return 0
 
@@ -297,11 +286,11 @@ def cmd_power(args) -> int:
                   "grid": args.grid, "refine": args.refine, "level": args.level}
         manifest = make_manifest("power", config, args.seed)
         header = [f"lam{j + 1}" for j in range(fam.parameter_dim)] + ["level", "entropy"]
-        rows = []
-        for pt, ents in zip(est.sweep.points, est.sweep.entropies):
-            for level, e in enumerate(ents):
-                rows.append(list(pt) + [level, e])
-        _write_csv(args.out, manifest, header, rows)
+        pts, ents = est.sweep.points, est.sweep.entropies
+        _write_csv(args.out, manifest, header, np.column_stack([
+            np.repeat(pts, fam.dim, axis=0),
+            np.tile(np.arange(fam.dim, dtype=float), len(pts)),
+            ents.ravel()]))
     return 0
 
 
@@ -320,16 +309,12 @@ def cmd_sweep(args) -> int:
     best = int(np.argmax(values))
     print(f"sweep points: {len(pts)}")
     print(f"max E: {fmt(values[best])} at {[fmt(x) for x in pts[best]]}")
+    table = np.column_stack([pts, values])
     if args.out_format == "csv":
-        rows = [list(pt) + [v] for pt, v in zip(pts, values)]
-        _write_csv(args.out, manifest, header, rows)
+        _write_csv(args.out, manifest, header, table)
     else:
-        _write_json(args.out, {
-            "manifest": manifest,
-            "columns": header,
-            "rows": [list(map(float, pt)) + [float(v)]
-                     for pt, v in zip(pts, values)],
-        })
+        _write_json(args.out, {"manifest": manifest, "columns": header,
+                               "rows": table.tolist()})
     return 0
 
 
@@ -380,7 +365,7 @@ def cmd_evolve(args) -> int:
             "geometric_phase": rec.geometric_phase,
             "adiabaticity": rec.adiabaticity,
             "norm_drift": rec.norm_drift,
-            "final_state": vector_to_pairs(rec.final_state),
+            "final_state": to_pairs(rec.final_state),
         })
     return 0
 
@@ -422,7 +407,7 @@ def cmd_gate(args) -> int:
             "nontriviality": res.nontriviality,
             "diagonal_residual": res.diagonal_residual,
             "entangling": res.is_entangling(),
-            "gate": matrix_to_pairs(res.gate),
+            "gate": to_pairs(res.gate),
         })
     return 0
 
@@ -435,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="adiapower",
         description="Adiabatic connectibility and entangling power of "
                     "parametric Hamiltonian families.")
-    parser.add_argument("--version", action="version", version=VERSION)
+    parser.add_argument("--version", action="version", version=__version__)
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0,
@@ -455,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("power", parents=[common],
                        help="adiabatic entangling power of a family")
     p.add_argument("spec_file")
-    p.add_argument("--grid", type=int, default=41)
+    p.add_argument("--grid", type=int, default=DEFAULT_GRID)
     p.add_argument("--refine", action="store_true")
     p.add_argument("--level", default="all",
                    help="'all' or a level index to report separately")

@@ -63,23 +63,35 @@ def concurrence_2q(psi) -> float:
     return float(min(c, 1.0))
 
 
-def concurrence_coefficients(psi) -> float:
+def concurrence_coefficients(psi):
     """Two-qubit concurrence from amplitudes: 2|a00*a11 - a01*a10|.
 
     Equivalent to concurrence_2q under the row-major A-then-B ordering; kept
-    as an independent cross-check of the basis convention.
+    as an independent cross-check of the basis convention.  A 1-D state
+    gives a float; a (..., 4) stack of states gives an array of shape (...).
     """
     psi = np.asarray(psi, dtype=complex)
-    if psi.shape != (4,):
+    if psi.shape[-1:] != (4,):
         raise DimensionMismatchError("needs a 4-dimensional state")
-    return float(min(2.0 * abs(psi[0] * psi[3] - psi[1] * psi[2]), 1.0))
+    # psi.T puts amplitudes first (c.T restores the leading axes); one state gives scalars.
+    a00, a01, a10, a11 = psi.T
+    c = 2.0 * abs(a00 * a11 - a01 * a10)
+    return float(min(c, 1.0)) if psi.ndim == 1 else np.minimum(c, 1.0).T
 
 
-def entropy_from_concurrence(c: float) -> float:
-    """Two-qubit entanglement entropy as a function of the concurrence."""
-    c = min(max(float(c), 0.0), 1.0)
-    lam = 0.5 * (1.0 + np.sqrt(max(0.0, 1.0 - c * c)))
-    return entropy_of_spectrum(np.array([lam, 1.0 - lam]))
+def entropy_from_concurrence(c):
+    """Two-qubit entanglement entropy as a function of the concurrence.
+
+    c is clamped to [0, 1] (above 1 through the square root's argument).  A
+    scalar gives a float; an array gives an array of the same shape.
+    """
+    c = np.maximum(c, 0.0)
+    lam = 0.5 * (1.0 + np.sqrt(np.maximum(0.0, 1.0 - c * c)))
+    h = np.zeros(lam.shape)
+    mixed = lam < 1.0                    # lam >= 1/2, so 0 < 1 - lam < 1/2 here
+    l1, l2 = lam[mixed], 1.0 - lam[mixed]
+    h[mixed] = -(l1 * np.log2(l1) + l2 * np.log2(l2))
+    return float(h) if h.ndim == 0 else h
 
 
 def max_entangled_check(psi, split: BipartiteSplit, tol: float = 1e-9) -> bool:

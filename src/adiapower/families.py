@@ -59,9 +59,9 @@ def example0_family(bounds=EXAMPLE0_BOUNDS) -> HamiltonianFamily:
 
     def evaluate(lam):
         lam = np.asarray(lam, dtype=float)
-        h = np.zeros((4, 4), dtype=complex)
-        for c, t in zip(lam, (_XX, _YY, _ZZ)):
-            h += c * t
+        h = np.zeros(lam.shape[:-1] + (4, 4), dtype=complex)
+        for j, t in enumerate((_XX, _YY, _ZZ)):
+            h = h + lam[..., j, None, None] * t
         return h
 
     return HamiltonianFamily(3, np.asarray(bounds, dtype=float), evaluate, SPLIT_2Q)
@@ -321,7 +321,8 @@ def spin_half_field_family(bounds=None) -> HamiltonianFamily:
 
     def evaluate(lam):
         lam = np.asarray(lam, dtype=float)
-        return lam[0] * SIGMA_X + lam[1] * SIGMA_Y + lam[2] * SIGMA_Z
+        return (lam[..., 0, None, None] * SIGMA_X + lam[..., 1, None, None] * SIGMA_Y
+                + lam[..., 2, None, None] * SIGMA_Z)
 
     return HamiltonianFamily(3, np.asarray(bounds, dtype=float), evaluate,
                              BipartiteSplit(1, 2))

@@ -64,7 +64,7 @@ def _as_complex(a) -> np.ndarray:
     return arr
 
 
-def _dagger(m) -> np.ndarray:
+def dagger(m) -> np.ndarray:
     """Conjugate transpose of a matrix or of each matrix in a (..., D, D) stack."""
     return m.conj().swapaxes(-1, -2)
 
@@ -73,7 +73,7 @@ def is_hermitian(h, tol: float = DEFAULT_TOL) -> bool:
     """True iff h, or every matrix of a (..., D, D) stack h, is Hermitian within tol."""
     h = np.asarray(h)
     return (h.ndim >= 2 and h.shape[-1] == h.shape[-2]
-            and np.max(np.abs(h - _dagger(h))) <= tol)
+            and np.max(np.abs(h - dagger(h))) <= tol)
 
 
 def is_unitary(u, tol: float = DEFAULT_TOL) -> bool:
@@ -124,7 +124,9 @@ def expm_skew(k, tol: float = DEFAULT_TOL) -> np.ndarray:
     expm_skew of the matching matrix alone, bit for bit.
     """
     vals, vecs = eig_hermitian(k, tol)
-    return (vecs * np.exp(1j * vals)[..., None, :]) @ _dagger(vecs)
+    vd = dagger(vecs)                    # conj() copies, so vecs may be scaled in place
+    vecs *= np.exp(1j * vals)[..., None, :]
+    return vecs @ vd
 
 
 def logm_unitary(u, tol: float = DEFAULT_TOL, branch_tol: float = 1e-12) -> np.ndarray:

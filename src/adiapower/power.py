@@ -38,7 +38,13 @@ class IsoSpectralForm:
 
 @dataclass(frozen=True)
 class HamiltonianFamily:
-    """Parametric family of Hermitian operators on a bipartite space."""
+    """Parametric family of Hermitian operators on a bipartite space.
+
+    ``evaluate`` and ``eigensystem`` broadcast over leading axes: points of
+    shape (..., p) give Hamiltonians (..., D, D), or energies (..., D) with
+    eigenvector columns (..., D, D), each equal to the result for that
+    point alone, so a whole path or grid is diagonalized in one call.
+    """
 
     parameter_dim: int
     bounds: np.ndarray                   # (n, 2) box, bounds[:,0] <= bounds[:,1]
@@ -51,23 +57,29 @@ class HamiltonianFamily:
         return self.split.dim
 
     def eigensystem(self, lam, cluster_tol: float = DEFAULT_CLUSTER_TOL):
-        """(energies ascending, eigenvector columns) at a parameter point.
+        """(energies ascending, eigenvector columns) at a point or a stack of points.
 
         Iso-spectral families use the exact form U(lam) V0; generic families
-        diagonalize evaluate(lam) and enforce nondegeneracy.
+        diagonalize evaluate(lam) and enforce nondegeneracy at every point.
         """
         lam = np.asarray(lam, dtype=float)
         if self.iso_spectral_form is not None:
             iso = self.iso_spectral_form
-            return iso.base_energies, iso.unitary(lam) @ iso.base_vectors
+            vecs = iso.unitary(lam) @ iso.base_vectors
+            energies = np.empty(vecs.shape[:-1])
+            energies[...] = iso.base_energies
+            return energies, vecs
         vals, vecs = linalg.eig_hermitian(self.evaluate(lam))
         _check_gaps(vals, cluster_tol, lam)
         return vals, vecs
 
 
-def _check_gaps(vals, cluster_tol, point):
-    scale = max(1.0, float(np.max(np.abs(vals))))
-    if len(vals) > 1 and np.min(np.diff(vals)) < cluster_tol * scale:
+def _check_gaps(vals, cluster_tol, points):
+    """DegeneracyError at the first point (..., p) whose energies (..., D) nearly cross."""
+    gaps = (vals[..., 1:] - vals[..., :-1]).min(axis=-1, initial=np.inf)
+    collapsed = gaps < cluster_tol * np.maximum(1.0, np.abs(vals).max(axis=-1))
+    if collapsed.any():
+        point = points[np.unravel_index(np.argmax(collapsed), collapsed.shape)]
         raise DegeneracyError(f"eigenvalue gap collapsed at {point}", point=point)
 
 
@@ -87,7 +99,7 @@ def iso_spectral_family(h_base, unitary: Callable[[np.ndarray], np.ndarray],
 
     def evaluate(lam):
         u = unitary(lam)
-        return u @ h_base @ u.conj().T
+        return u @ h_base @ linalg.dagger(u)
 
     bounds = np.asarray(bounds, dtype=float)
     iso = IsoSpectralForm(energies, vectors, unitary, base_point)
@@ -109,14 +121,8 @@ def grid_points(bounds, per_axis: int) -> np.ndarray:
 def _entropies_many(states: np.ndarray, split: BipartiteSplit) -> np.ndarray:
     """Entanglement entropy of each row of a (n, D) array of pure states."""
     if split.dim_a == 2 and split.dim_b == 2:
-        c = 2.0 * np.abs(states[:, 0] * states[:, 3] - states[:, 1] * states[:, 2])
-        c = np.minimum(c, 1.0)
-        lam = 0.5 * (1.0 + np.sqrt(np.maximum(0.0, 1.0 - c * c)))
-        out = np.zeros(len(states))
-        mask = (lam > 0) & (lam < 1)
-        l1, l2 = lam[mask], 1.0 - lam[mask]
-        out[mask] = -(l1 * np.log2(l1) + l2 * np.log2(l2))
-        return out
+        return entanglement.entropy_from_concurrence(
+            entanglement.concurrence_coefficients(states))
     return entanglement.entropy(states, split)
 
 
@@ -124,20 +130,14 @@ def eigenstate_track(fam: HamiltonianFamily, level: int, path,
                      cluster_tol: float = DEFAULT_CLUSTER_TOL) -> list:
     """Gauge-aligned eigenvectors of one energy level along a parameter path.
 
-    Each vector's global phase is fixed so its overlap with the previous one
-    is real positive.
+    The path's points are diagonalized in one call.  Each vector's global
+    phase is fixed so its overlap with the previous one is real positive.
     """
-    out = []
-    prev = None
-    for lam in path:
-        _, vecs = fam.eigensystem(lam, cluster_tol)
-        v = vecs[:, level]
-        if prev is not None:
-            ov = np.vdot(prev, v)
-            if abs(ov) > 0:
-                v = v * (ov.conjugate() / abs(ov))
-        out.append(v)
-        prev = v
+    _, vecs = fam.eigensystem(np.asarray(path, dtype=float), cluster_tol)
+    out = list(vecs[:1, :, level])
+    for v in vecs[1:, :, level]:
+        ov = np.vdot(out[-1], v)
+        out.append(v * (ov.conjugate() / abs(ov)) if abs(ov) > 0 else v)
     return out
 
 
@@ -398,7 +398,8 @@ def family_unitaries(fam: HamiltonianFamily, points,
 
     Iso-spectral families supply the whole stack with one call of their
     unitary; for generic families the eigenbasis-alignment unitary
-    V(lam) V(lam0)^dag relative to the first point is used.
+    V(lam) V(lam0)^dag relative to the first point is used, from one
+    eigensystem call over all points.
     """
     points = np.asarray(points, dtype=float)
     iso = fam.iso_spectral_form
@@ -409,9 +410,8 @@ def family_unitaries(fam: HamiltonianFamily, points,
             raise ValueError(f"family unitary returned shape {us.shape} for "
                              f"{len(points)} points, expected {expected}")
         return us
-    _, v0 = fam.eigensystem(points[0], cluster_tol)
-    v0d = v0.conj().T
-    return np.array([fam.eigensystem(lam, cluster_tol)[1] @ v0d for lam in points])
+    _, vecs = fam.eigensystem(points, cluster_tol)
+    return vecs @ linalg.dagger(vecs[0])
 
 
 def bound_check(fam: HamiltonianFamily,

@@ -19,7 +19,7 @@ from .errors import (
     NotClosedError,
 )
 from .families import Example1Params, example1_family
-from .linalg import DEFAULT_CLUSTER_TOL
+from .linalg import DEFAULT_CLUSTER_TOL, dagger
 from .power import HamiltonianFamily
 
 
@@ -38,8 +38,15 @@ class ParameterPath:
             raise NotClosedError("endpoints do not coincide")
 
 
-def _smoothstep(s: float) -> float:
-    return s * s * s * (10.0 + s * (-15.0 + 6.0 * s))
+_RAMPS = {"linear": lambda s: s,
+          "smoothstep": lambda s: s * s * s * (10.0 + s * (-15.0 + 6.0 * s))}
+
+
+def _ramp(schedule: str) -> Callable[[float], float]:
+    """Time reparametrization s -> ramp(s) of [0, 1] named by a schedule."""
+    if schedule not in _RAMPS:
+        raise ValueError(f"unknown schedule {schedule!r}; use linear or smoothstep")
+    return _RAMPS[schedule]
 
 
 def line_path(start, end, duration: float, schedule: str = "linear") -> ParameterPath:
@@ -50,7 +57,7 @@ def line_path(start, end, duration: float, schedule: str = "linear") -> Paramete
     """
     start = np.asarray(start, dtype=float)
     end = np.asarray(end, dtype=float)
-    ramp = _smoothstep if schedule == "smoothstep" else (lambda s: s)
+    ramp = _ramp(schedule)
 
     def gamma(s):
         return start + ramp(float(s)) * (end - start)
@@ -82,7 +89,7 @@ def circle_loop(theta0: float, field_norm: float, duration: float,
     """
     rho = field_norm * np.sin(theta0) / 4.0
     mu_z = field_norm * np.cos(theta0) / 2.0
-    ramp = _smoothstep if schedule == "smoothstep" else (lambda s: s)
+    ramp = _ramp(schedule)
 
     def gamma(s):
         phi = 2.0 * np.pi * ramp(float(s))
@@ -119,9 +126,23 @@ class AdiabaticRunRecord:
     norm_drift: float
 
 
-def _step_unitary(vals: np.ndarray, vecs: np.ndarray, dt: float) -> np.ndarray:
-    """exp(-i H dt) for H = V diag(E) V^dag given as its eigensystem (E, V)."""
-    return (vecs * np.exp(-1j * vals * dt)) @ vecs.conj().T
+def _points(path: ParameterPath, s: np.ndarray) -> np.ndarray:
+    """(n, p) stack of the path's parameter points at the times s."""
+    return np.array([path.gamma(x) for x in s.tolist()], dtype=float)
+
+
+def _step_unitaries(fam: HamiltonianFamily, path: ParameterPath, steps: int,
+                    cluster_tol: float) -> np.ndarray:
+    """(steps, D, D) steps V e^{-iE dt} V^dag, (E, V) = eigensystem at s = (k + 1/2) / steps.
+
+    All midpoints are diagonalized in one call.
+    """
+    dt = path.duration / steps
+    s = (np.arange(steps) + 0.5) / steps
+    vals, vecs = fam.eigensystem(_points(path, s), cluster_tol)
+    vd = dagger(vecs)                    # conj() copies, so vecs may be scaled in place
+    vecs *= np.exp(-1j * vals * dt)[..., None, :]
+    return vecs @ vd
 
 
 def propagate(fam: HamiltonianFamily, path: ParameterPath, psi0,
@@ -134,7 +155,8 @@ def propagate(fam: HamiltonianFamily, path: ParameterPath, psi0,
     Hamiltonian at the start of the path; the run tracks the matching
     instantaneous eigenstate for the fidelity series.  Every Hamiltonian
     the run needs (midpoint steps, the adiabaticity diagnostic) is built
-    from the family's eigensystem at that point.
+    from the family's eigensystem, taken in one call for the steps + 1
+    time nodes and one for the midpoints.
     """
     if steps < 100:
         raise ValueError("use at least 100 steps")
@@ -143,45 +165,34 @@ def propagate(fam: HamiltonianFamily, path: ParameterPath, psi0,
     t_total = path.duration
     dt = t_total / steps
 
-    vals0, vecs0 = fam.eigensystem(path.gamma(0.0), cluster_tol)
-    overlaps = np.abs(vecs0.conj().T @ psi)
+    vals, vecs = fam.eigensystem(_points(path, np.arange(steps + 1) / steps), cluster_tol)
+    overlaps = np.abs(dagger(vecs[0]) @ psi)
     level = int(np.argmax(overlaps))
     if overlaps[level] < 1.0 - eigstate_tol:
         raise NotAnEigenstateError(
             f"initial state overlaps the closest eigenstate by only {overlaps[level]:.6f}"
         )
+    track = vecs[..., level]
 
     times = np.linspace(0.0, t_total, steps + 1)
     states = np.empty((steps + 1, fam.dim), dtype=complex)
     fidelity = np.empty(steps + 1)
     states[0] = psi
     fidelity[0] = overlaps[level] ** 2
+    for k, step in enumerate(_step_unitaries(fam, path, steps, cluster_tol), 1):
+        psi = step @ psi
+        states[k] = psi
+        fidelity[k] = abs(np.vdot(track[k], psi)) ** 2
 
-    eig_chain = [vecs0[:, level]]
-    dynamical = 0.0
-    adiabaticity = 0.0
-    h_prev = (vecs0 * vals0) @ vecs0.conj().T
-    gap0 = float(np.min(np.diff(vals0))) if len(vals0) > 1 else np.inf
-
-    for k in range(steps):
-        s_mid = (k + 0.5) / steps
-        psi = _step_unitary(*fam.eigensystem(path.gamma(s_mid), cluster_tol), dt) @ psi
-        states[k + 1] = psi
-        s_next = (k + 1.0) / steps
-        vals, vecs = fam.eigensystem(path.gamma(s_next), cluster_tol)
-        v = vecs[:, level]
-        eig_chain.append(v)
-        fidelity[k + 1] = abs(np.vdot(v, psi)) ** 2
-        dynamical -= float(vals[level]) * dt
-        h_next = (vecs * vals) @ vecs.conj().T
-        gap = float(np.min(np.diff(vals))) if len(vals) > 1 else np.inf
-        hdot = np.linalg.norm(h_next - h_prev, 2) / dt
-        adiabaticity = max(adiabaticity, hdot / min(gap, gap0) ** 2)
-        h_prev = h_next
-        gap0 = gap
+    # Sequential sum, so the phase does not depend on a pairwise summation order.
+    dynamical = float(0.0 - np.cumsum(vals[1:, level] * dt)[-1])
+    hams = (vecs * vals[..., None, :]) @ dagger(vecs)
+    gaps = (vals[:, 1:] - vals[:, :-1]).min(axis=-1, initial=np.inf)
+    hdot = np.linalg.norm(hams[1:] - hams[:-1], 2, axis=(-2, -1)) / dt
+    adiabaticity = float(np.max(hdot / np.minimum(gaps[1:], gaps[:-1]) ** 2))
 
     if fam.iso_spectral_form is not None or path.closed:
-        geometric = pancharatnam_phase(eig_chain, closed=False)
+        geometric = pancharatnam_phase(track, closed=False)
     else:
         geometric = 0.0
     norm_drift = float(np.max(np.abs(np.linalg.norm(states, axis=1) - 1.0)))
@@ -192,10 +203,9 @@ def propagate(fam: HamiltonianFamily, path: ParameterPath, psi0,
 def propagate_unitary(fam: HamiltonianFamily, path: ParameterPath,
                       steps: int = 1000) -> np.ndarray:
     """Full evolution operator of the run (product of midpoint step unitaries)."""
-    dt = path.duration / steps
     u = np.eye(fam.dim, dtype=complex)
-    for k in range(steps):
-        u = _step_unitary(*fam.eigensystem(path.gamma((k + 0.5) / steps)), dt) @ u
+    for step in _step_unitaries(fam, path, steps, DEFAULT_CLUSTER_TOL):
+        u = step @ u
     return u
 
 
@@ -205,14 +215,12 @@ def berry_phase(fam: HamiltonianFamily, level: int, loop: ParameterPath,
     """Geometric phase of one level around a closed parameter loop.
 
     Computed as the closed-chain Pancharatnam product of instantaneous
-    eigenvectors, reduced to (-pi, pi].
+    eigenvectors, reduced to (-pi, pi]; the loop's samples are
+    diagonalized in one call.
     """
     loop.check_closed()
-    chain = []
-    for k in range(samples):
-        _, vecs = fam.eigensystem(loop.gamma(k / samples), cluster_tol)
-        chain.append(vecs[:, level])
-    return pancharatnam_phase(chain, closed=True)
+    _, vecs = fam.eigensystem(_points(loop, np.arange(samples) / samples), cluster_tol)
+    return pancharatnam_phase(vecs[..., level], closed=True)
 
 
 @dataclass(frozen=True)
@@ -232,8 +240,7 @@ def decompose_uad(fam: HamiltonianFamily, path: ParameterPath,
     if iso is None:
         raise ValueError("decompose_uad needs an iso-spectral family")
     reports = []
-    _, v_start = fam.eigensystem(path.gamma(0.0), cluster_tol)
-    _, v_end = fam.eigensystem(path.gamma(1.0), cluster_tol)
+    _, (v_start, v_end) = fam.eigensystem(_points(path, np.array([0.0, 1.0])), cluster_tol)
     for level in range(fam.dim):
         rec = propagate(fam, path, v_start[:, level], steps, cluster_tol)
         predicted = v_end[:, level] * np.exp(1j * (rec.dynamical_phase + rec.geometric_phase))
@@ -280,26 +287,18 @@ def synthesize_controlled_phase(loop: ParameterPath,
     points, which converges independently of the run duration.
     """
     loop.check_closed()
-    radii = []
-    for s in np.linspace(0.0, 1.0, constraint_samples):
-        p = np.asarray(loop.gamma(s), dtype=float)
-        radii.append(p[0] ** 2 + p[1] ** 2 + p[2] ** 2)
-    if max(radii) - min(radii) > constraint_tol:
+    radii = np.sum(_points(loop, np.linspace(0.0, 1.0, constraint_samples)) ** 2, axis=1)
+    if radii.max() - radii.min() > constraint_tol:
         raise ConstraintViolatedError("|mu|^2 + mu_z^2 varies along the loop")
 
     fam = example1_family(base)
-    energies, v_start = fam.eigensystem(loop.gamma(0.0))
+    # The loop's samples start at s = 0, so they give the starting eigenbasis too.
+    energies, chain = fam.eigensystem(_points(loop, np.arange(phase_samples) / phase_samples))
+    energies, v_start = energies[0], chain[0]
     u_full = propagate_unitary(fam, loop, steps)
 
     base_vecs = fam.iso_spectral_form.base_vectors
-    labels = []
-    for j in range(4):
-        idx = int(np.argmax(np.abs(base_vecs[:, j])))
-        labels.append(format(idx, "02b"))
-    labels = tuple(labels)
-
-    chain = [fam.eigensystem(loop.gamma(k / phase_samples))[1]
-             for k in range(phase_samples)]
+    labels = tuple(format(int(i), "02b") for i in np.argmax(np.abs(base_vecs), axis=0))
 
     phases, dynamical, geometric = {}, {}, {}
     residual = 0.0
@@ -310,7 +309,7 @@ def synthesize_controlled_phase(loop: ParameterPath,
         phi = float(np.angle(amp))
         phases[label] = phi
         dynamical[label] = _wrap(-energies[j] * t_total)
-        geometric[label] = pancharatnam_phase([v[:, j] for v in chain], closed=True)
+        geometric[label] = pancharatnam_phase(chain[..., j], closed=True)
         residual = max(residual, float(np.linalg.norm(u_full @ e - amp * e)))
 
     nontriv = _wrap(phases["01"] + phases["10"] - phases["00"] - phases["11"])

@@ -183,28 +183,27 @@ def build_connecting_family(h0, h1,
     )
 
 
-def min_gap_along(fam, samples: int = 101) -> float:
-    """Minimum gap between consecutive distinct levels of H(t) over a t grid.
+def spectra_along(fam, samples: int = 101):
+    """(t, (samples, D) ascending eigenvalues of H(t), min gap) over t = linspace(0, 1).
 
-    ``fam`` is a ConnectingFamily or any callable t -> Hermitian matrix.
-    For a ConnectingFamily the eigenvalues of each sample are grouped by the
-    family's level multiplicities, so degenerate levels do not report a
-    spurious zero gap.
+    ``fam`` is a ConnectingFamily or a callable t -> Hermitian matrix; one eigvalsh
+    call.  A ConnectingFamily's eigenvalues are grouped by its level multiplicities
+    for the gap, so degenerate levels do not report a spurious zero gap.
     """
     if samples < 2:
         raise ValueError("need at least 2 samples")
-    if isinstance(fam, ConnectingFamily):
-        sample = fam.sample
-        mults = fam.base.multiplicities
-    else:
-        sample = fam
-        mults = None
-    gap = np.inf
-    for t in np.linspace(0.0, 1.0, samples):
-        vals = np.linalg.eigvalsh(sample(t))
-        if mults is not None:
-            edges = np.cumsum((0,) + mults)
-            vals = np.array([np.mean(vals[a:b]) for a, b in zip(edges[:-1], edges[1:])])
-        if len(vals) > 1:
-            gap = min(gap, float(np.min(np.diff(vals))))
-    return gap
+    connecting = isinstance(fam, ConnectingFamily)
+    sample, mults = (fam.sample, fam.base.multiplicities) if connecting else (fam, None)
+    ts = np.linspace(0.0, 1.0, samples)
+    spectra = np.linalg.eigvalsh(np.array([sample(t) for t in ts]))
+    levels = spectra
+    if mults is not None:
+        edges = np.cumsum((0,) + mults)
+        levels = np.stack([np.mean(spectra[:, a:b], axis=-1)
+                           for a, b in zip(edges[:-1], edges[1:])], axis=-1)
+    return ts, spectra, float((levels[:, 1:] - levels[:, :-1]).min(initial=np.inf))
+
+
+def min_gap_along(fam, samples: int = 101) -> float:
+    """Minimum gap between consecutive distinct levels of H(t); see spectra_along."""
+    return spectra_along(fam, samples)[2]

@@ -9,6 +9,7 @@ import adiapower.power as power
 from adiapower.cli import main
 from adiapower.entanglement import entropy
 from adiapower.linalg import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, ket, tensor
+from adiapower.spectral import build_connecting_family, min_gap_along
 
 
 def pairs(m):
@@ -61,6 +62,53 @@ def test_connectible_random_pair_report(tmp_path, capsys):
     assert report["manifest"]["command"] == "connectible"
 
 
+def test_connectible_diagonalizes_its_samples_in_one_pass(tmp_path, monkeypatch):
+    rng = np.random.default_rng(4)
+    files = []
+    for name in ("h0", "h1"):
+        q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+        files.append(write_json(tmp_path / f"{name}.json",
+                                pairs((q * [0.0, 1.0, 1.0, 2.5]) @ q.conj().T)))
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    out_file = tmp_path / "conn.json"
+    assert main(["connectible", *files, "--samples", "57", "--out", str(out_file)]) == 0
+    assert shapes == [(57, 4, 4)]
+    payload = json.loads(out_file.read_text())
+    assert len(payload["spectra"]) == 57
+    h0, h1 = (cli.load_hermitian(f) for f in files)
+    assert payload["min_gap"] == min_gap_along(build_connecting_family(h0, h1), 57)
+
+
+@pytest.mark.parametrize("argv", [
+    ["evolve", "SPEC", "--path", "[[0,0,0],[0.19634954,0,0]]", "--T", "60", "--steps"],
+    ["gate", "--loop", "circle", "1.0471975511965976", "1.0", "--steps"],
+    ["gate", "--loop", "retrace", "1.0471975511965976", "1.0", "--steps"],
+])
+def test_path_commands_diagonalize_a_fixed_number_of_stacks(specs, monkeypatch, capsys, argv):
+    argv = [specs["example1"] if a == "SPEC" else a for a in argv]
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    per_run = []
+    for steps in ("200", "2000"):
+        calls.clear()
+        assert main(argv + [steps]) == 0
+        per_run.append(len(calls))
+    assert per_run[0] == per_run[1] <= 4
+
+
 def test_power_builtins(specs, capsys):
     assert main(["power", specs["example1"], "--grid", "15", "--refine"]) == 0
     out = capsys.readouterr().out
@@ -81,6 +129,7 @@ def test_power_csv_output(specs, tmp_path):
     assert lines[0].startswith("# manifest ")
     assert lines[1] == "lam1,lam2,level,entropy"
     assert len(lines) == 2 + 5 * 5 * 4
+    assert [line.split(",")[2] for line in lines[2:6]] == ["0.0", "1.0", "2.0", "3.0"]
 
 
 def test_power_runs_one_sweep(specs, tmp_path, monkeypatch, capsys):

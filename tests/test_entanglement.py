@@ -83,6 +83,27 @@ def test_entropy_from_concurrence_matches_schmidt():
         assert abs(e1 - e2) < 1e-9
 
 
+def test_concurrence_closed_form_broadcasts():
+    rng = np.random.default_rng(3)
+    states = rng.standard_normal((2, 50, 4)) + 1j * rng.standard_normal((2, 50, 4))
+    states /= np.linalg.norm(states, axis=-1, keepdims=True)
+    states[0, :4] = [ket("00"), ket("01"), BELL, TILTED]
+    conc = concurrence_coefficients(states)
+    ents = entropy_from_concurrence(conc)
+    assert conc.shape == ents.shape == (2, 50)
+    for idx in np.ndindex(2, 50):
+        c = concurrence_coefficients(states[idx])
+        assert type(c) is float
+        # scalar and vectorized complex products may round differently
+        assert abs(conc[idx] - c) <= 4 * np.finfo(float).eps
+        e = entropy_from_concurrence(conc[idx].item())
+        assert type(e) is float and repr(e) == repr(ents[idx].item())
+    assert entropy_from_concurrence(0.0) == 0.0
+    assert entropy_from_concurrence(1.0) == 1.0
+    with pytest.raises(DimensionMismatchError):
+        concurrence_coefficients(np.zeros((3, 2)))
+
+
 def test_entropy_local_unitary_invariance():
     rng = np.random.default_rng(2)
     for _ in range(50):

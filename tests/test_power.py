@@ -12,6 +12,7 @@ from adiapower.families import (
     example1_unitary,
     example2_family,
     example2_unitary,
+    spin_half_field_family,
 )
 from adiapower.linalg import (
     ID2,
@@ -50,6 +51,31 @@ def custom_family():
         "split": [2, 2],
     })
     return fam
+
+
+@pytest.mark.parametrize("make_family", [example0_family, example1_family, example2_family,
+                                         spin_half_field_family, custom_family])
+def test_stacked_eigensystem_and_evaluate_equal_per_point_bit_for_bit(make_family):
+    fam = make_family()
+    lo, hi = fam.bounds[:, 0], fam.bounds[:, 1]
+    pts = lo + (hi - lo) * np.random.default_rng(5).random((2, 3, fam.parameter_dim))
+    vals, vecs = fam.eigensystem(pts)
+    hams = fam.evaluate(pts)
+    assert vals.shape == (2, 3, fam.dim)
+    assert vecs.shape == hams.shape == (2, 3, fam.dim, fam.dim)
+    for idx in np.ndindex(2, 3):
+        v, w = fam.eigensystem(pts[idx])
+        assert vals[idx].tobytes() == v.tobytes()
+        assert vecs[idx].tobytes() == w.tobytes()
+        assert hams[idx].tobytes() == fam.evaluate(pts[idx]).tobytes()
+
+
+def test_stacked_eigensystem_names_the_first_degenerate_point():
+    # sum_a lam_a sigma_a x sigma_a is degenerate wherever lam_x = lam_y
+    pts = np.array([[1.1, 0.2, 2.1], [1.2, 1.2, 2.2], [1.3, 1.3, 2.3], [1.0, 0.1, 2.0]])
+    with pytest.raises(DegeneracyError, match=r"\[1\.2 1\.2 2\.2\]") as exc:
+        example0_family().eigensystem(pts)
+    assert np.array_equal(exc.value.point, pts[1])
 
 
 def test_eigenstate_track_constant_family():

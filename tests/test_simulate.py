@@ -100,6 +100,13 @@ def test_propagate_input_checks():
         propagate(fam, path, ket("01"), steps=50)
 
 
+def test_unknown_schedule_is_rejected():
+    with pytest.raises(ValueError, match="smoothstp"):
+        line_path([0, 0, 0], [1, 0, 0], 1.0, schedule="smoothstp")
+    with pytest.raises(ValueError, match="smoothstp"):
+        circle_loop(np.pi / 3, 1.0, 1.0, schedule="smoothstp")
+
+
 def test_pancharatnam_gauge_invariance():
     rng = np.random.default_rng(0)
     chain = [v / np.linalg.norm(v)
