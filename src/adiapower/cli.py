@@ -338,9 +338,13 @@ def _waypoint_path(waypoints, duration: float, schedule: str) -> ParameterPath:
 
 def cmd_evolve(args) -> int:
     fam, spec_config = load_family_spec(args.spec_file)
+    if not 0 <= args.level < fam.dim:
+        raise ValueError(f"--level {args.level} is out of range 0..{fam.dim - 1}")
     waypoints = json.loads(args.path)
-    if not waypoints or np.asarray(waypoints, dtype=float).ndim != 2:
-        raise ValueError("--path must be a JSON list of parameter points")
+    if not (waypoints and isinstance(waypoints, list) and all(
+            isinstance(w, list) and len(w) == fam.parameter_dim for w in waypoints)):
+        raise ValueError(f"--path must be a JSON list of points with "
+                         f"{fam.parameter_dim} parameters each")
     path = _waypoint_path(waypoints, args.T, args.schedule)
     _, vecs = fam.eigensystem(path.gamma(0.0))
     psi0 = vecs[:, args.level]

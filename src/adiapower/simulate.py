@@ -135,8 +135,11 @@ def _step_unitaries(fam: HamiltonianFamily, path: ParameterPath, steps: int,
                     cluster_tol: float) -> np.ndarray:
     """(steps, D, D) steps V e^{-iE dt} V^dag, (E, V) = eigensystem at s = (k + 1/2) / steps.
 
-    All midpoints are diagonalized in one call.
+    All midpoints are diagonalized in one call; callers take this stack before
+    any other diagonalization, so too few steps fail first.
     """
+    if steps < 100:
+        raise ValueError("use at least 100 steps")
     dt = path.duration / steps
     s = (np.arange(steps) + 0.5) / steps
     vals, vecs = fam.eigensystem(_points(path, s), cluster_tol)
@@ -158,8 +161,7 @@ def propagate(fam: HamiltonianFamily, path: ParameterPath, psi0,
     from the family's eigensystem, taken in one call for the steps + 1
     time nodes and one for the midpoints.
     """
-    if steps < 100:
-        raise ValueError("use at least 100 steps")
+    step_unitaries = _step_unitaries(fam, path, steps, cluster_tol)
     psi = np.asarray(psi0, dtype=complex)
     psi = psi / np.linalg.norm(psi)
     t_total = path.duration
@@ -179,7 +181,7 @@ def propagate(fam: HamiltonianFamily, path: ParameterPath, psi0,
     fidelity = np.empty(steps + 1)
     states[0] = psi
     fidelity[0] = overlaps[level] ** 2
-    for k, step in enumerate(_step_unitaries(fam, path, steps, cluster_tol), 1):
+    for k, step in enumerate(step_unitaries, 1):
         psi = step @ psi
         states[k] = psi
         fidelity[k] = abs(np.vdot(track[k], psi)) ** 2
@@ -235,19 +237,20 @@ def decompose_uad(fam: HamiltonianFamily, path: ParameterPath,
                   steps: int = 1000,
                   cluster_tol: float = DEFAULT_CLUSTER_TOL) -> list:
     """Split each level's adiabatic evolution into end-point rotation,
-    dynamical phase and geometric phase; residual measures the mismatch."""
-    iso = fam.iso_spectral_form
-    if iso is None:
+    dynamical phase and geometric phase; residual measures the mismatch.
+    All levels share one evolution operator and one node eigensystem."""
+    if fam.iso_spectral_form is None:
         raise ValueError("decompose_uad needs an iso-spectral family")
-    reports = []
-    _, (v_start, v_end) = fam.eigensystem(_points(path, np.array([0.0, 1.0])), cluster_tol)
-    for level in range(fam.dim):
-        rec = propagate(fam, path, v_start[:, level], steps, cluster_tol)
-        predicted = v_end[:, level] * np.exp(1j * (rec.dynamical_phase + rec.geometric_phase))
-        residual = float(np.linalg.norm(rec.final_state - predicted))
-        reports.append(LevelPhaseReport(level, rec.dynamical_phase,
-                                        rec.geometric_phase, residual))
-    return reports
+    u = propagate_unitary(fam, path, steps)
+    vals, vecs = fam.eigensystem(_points(path, np.arange(steps + 1) / steps), cluster_tol)
+    # Sequential sum, as in propagate.
+    dynamical = 0.0 - np.cumsum(vals[1:] * (path.duration / steps), axis=0)[-1]
+    geometric = np.array([pancharatnam_phase(vecs[:, :, j], closed=False)
+                          for j in range(fam.dim)])
+    predicted = vecs[-1] * np.exp(1j * (dynamical + geometric))
+    residuals = np.linalg.norm(u @ vecs[0] - predicted, axis=0)
+    return [LevelPhaseReport(j, float(dynamical[j]), float(geometric[j]), float(residuals[j]))
+            for j in range(fam.dim)]
 
 
 @dataclass(frozen=True)
@@ -292,10 +295,10 @@ def synthesize_controlled_phase(loop: ParameterPath,
         raise ConstraintViolatedError("|mu|^2 + mu_z^2 varies along the loop")
 
     fam = example1_family(base)
+    u_full = propagate_unitary(fam, loop, steps)
     # The loop's samples start at s = 0, so they give the starting eigenbasis too.
     energies, chain = fam.eigensystem(_points(loop, np.arange(phase_samples) / phase_samples))
     energies, v_start = energies[0], chain[0]
-    u_full = propagate_unitary(fam, loop, steps)
 
     base_vecs = fam.iso_spectral_form.base_vectors
     labels = tuple(format(int(i), "02b") for i in np.argmax(np.abs(base_vecs), axis=0))

@@ -31,14 +31,6 @@ class SpectralResolution:
     multiplicities: tuple         # R ranks
     vectors: np.ndarray           # (D, D) eigenvector columns grouped by level
 
-    @property
-    def num_levels(self) -> int:
-        return len(self.multiplicities)
-
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[0]
-
 
 @dataclass(frozen=True)
 class ConnectibilityDecision:
@@ -50,13 +42,9 @@ class ConnectibilityDecision:
 
 def _fix_phases(vecs: np.ndarray) -> np.ndarray:
     """Make each column's largest-magnitude entry real positive (deterministic gauge)."""
-    out = vecs.copy()
-    for j in range(out.shape[1]):
-        k = np.argmax(np.abs(out[:, j]))
-        ph = out[k, j]
-        if np.abs(ph) > 0:
-            out[:, j] *= np.abs(ph) / ph
-    return out
+    top = np.take_along_axis(vecs, np.argmax(np.abs(vecs), axis=0)[None], axis=0)
+    mag = np.abs(top)
+    return vecs * np.divide(mag, top, out=np.ones_like(top), where=mag > 0)
 
 
 def spectral_resolution(h, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> SpectralResolution:
@@ -69,21 +57,12 @@ def spectral_resolution(h, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> Spectral
     vecs = _fix_phases(vecs)
     scale = max(1.0, np.max(np.abs(vals)) if len(vals) else 1.0)
     thresh = cluster_tol * scale
-    boundaries = [0]
-    for i in range(1, len(vals)):
-        if vals[i] - vals[i - 1] >= thresh:
-            boundaries.append(i)
-    boundaries.append(len(vals))
-    energies, projectors, mults = [], [], []
-    for a, b in zip(boundaries[:-1], boundaries[1:]):
-        block = vecs[:, a:b]
-        energies.append(float(np.mean(vals[a:b])))
-        projectors.append(block @ block.conj().T)
-        mults.append(b - a)
+    edges = [0, *(np.flatnonzero(np.diff(vals) >= thresh) + 1).tolist(), len(vals)]
+    levels = list(zip(edges[:-1], edges[1:]))
     return SpectralResolution(
-        energies=np.array(energies),
-        projectors=projectors,
-        multiplicities=tuple(mults),
+        energies=np.array([np.mean(vals[a:b]) for a, b in levels]),
+        projectors=[vecs[:, a:b] @ vecs[:, a:b].conj().T for a, b in levels],
+        multiplicities=tuple(b - a for a, b in levels),
         vectors=vecs,
     )
 
@@ -93,19 +72,25 @@ def degeneracy_vector(res: SpectralResolution) -> tuple:
     return res.multiplicities
 
 
-def is_adiabatically_connectible(h0, h1,
-                                 cluster_tol: float = DEFAULT_CLUSTER_TOL) -> ConnectibilityDecision:
+def _resolve_pair(h0, h1, cluster_tol: float):
+    """(s0, s1, decision): both spectral resolutions and the connectibility decision."""
     h0 = np.asarray(h0)
     h1 = np.asarray(h1)
     if h0.shape != h1.shape:
         raise DimensionMismatchError("operators have different dimensions")
-    d0 = degeneracy_vector(spectral_resolution(h0, cluster_tol))
-    d1 = degeneracy_vector(spectral_resolution(h1, cluster_tol))
+    s0 = spectral_resolution(h0, cluster_tol)
+    s1 = spectral_resolution(h1, cluster_tol)
+    d0, d1 = degeneracy_vector(s0), degeneracy_vector(s1)
     if d0 == d1:
-        return ConnectibilityDecision(True, None, d0, d1)
+        return s0, s1, ConnectibilityDecision(True, None, d0, d1)
     if sorted(d0) == sorted(d1):
-        return ConnectibilityDecision(False, "degeneracy order mismatch", d0, d1)
-    return ConnectibilityDecision(False, "degeneracy multiset mismatch", d0, d1)
+        return s0, s1, ConnectibilityDecision(False, "degeneracy order mismatch", d0, d1)
+    return s0, s1, ConnectibilityDecision(False, "degeneracy multiset mismatch", d0, d1)
+
+
+def is_adiabatically_connectible(h0, h1,
+                                 cluster_tol: float = DEFAULT_CLUSTER_TOL) -> ConnectibilityDecision:
+    return _resolve_pair(h0, h1, cluster_tol)[2]
 
 
 def aligning_unitary(s0: SpectralResolution, s1: SpectralResolution) -> np.ndarray:
@@ -123,30 +108,31 @@ class ConnectingFamily:
 
     H(t) = sum_i eps_i(t) U_t P0_i U_t^dag with linear eps_i(t) and the
     geodesic path U_t = exp(i t G), G the principal log of the aligning
-    unitary.
+    unitary.  ``eigenvalues_at``, ``unitary_at`` and ``sample`` take a scalar
+    t or (n,) times and return (..., R), (..., D, D) and (..., D, D).
     """
 
     base: SpectralResolution
     energies0: np.ndarray
     energies1: np.ndarray
-    aligner: np.ndarray                      # W = U_1
     generator: np.ndarray                    # Hermitian G with exp(iG) = W
     _gen_phases: np.ndarray = field(repr=False, default=None)
     _gen_vecs: np.ndarray = field(repr=False, default=None)
 
-    def eigenvalues_at(self, t: float) -> np.ndarray:
+    def eigenvalues_at(self, t) -> np.ndarray:
+        t = np.asarray(t, dtype=float)[..., None]
         return (1.0 - t) * self.energies0 + t * self.energies1
 
-    def unitary_at(self, t: float) -> np.ndarray:
+    def unitary_at(self, t) -> np.ndarray:
+        t = np.asarray(t, dtype=float)[..., None, None]
         return (self._gen_vecs * np.exp(1j * t * self._gen_phases)) @ self._gen_vecs.conj().T
 
-    def sample(self, t: float) -> np.ndarray:
+    def sample(self, t) -> np.ndarray:
         u = self.unitary_at(t)
-        eps = self.eigenvalues_at(t)
-        h = np.zeros_like(self.aligner)
-        for e, p in zip(eps, self.base.projectors):
-            h += e * (u @ p @ u.conj().T)
-        return 0.5 * (h + h.conj().T)
+        ud = linalg.dagger(u)
+        eps = self.eigenvalues_at(t)[..., None, None]
+        h = sum(eps[..., i, :, :] * (u @ p @ ud) for i, p in enumerate(self.base.projectors))
+        return 0.5 * (h + linalg.dagger(h))
 
 
 def _dodge_branch_cut(w: np.ndarray) -> np.ndarray:
@@ -164,11 +150,9 @@ def _dodge_branch_cut(w: np.ndarray) -> np.ndarray:
 
 def build_connecting_family(h0, h1,
                             cluster_tol: float = DEFAULT_CLUSTER_TOL) -> ConnectingFamily:
-    decision = is_adiabatically_connectible(h0, h1, cluster_tol)
+    s0, s1, decision = _resolve_pair(h0, h1, cluster_tol)
     if not decision.connectible:
         raise NotConnectibleError(decision.reason)
-    s0 = spectral_resolution(h0, cluster_tol)
-    s1 = spectral_resolution(h1, cluster_tol)
     w = _dodge_branch_cut(aligning_unitary(s0, s1))
     g = linalg.logm_unitary(w)
     phases, gvecs = linalg.eig_hermitian(g)
@@ -176,7 +160,6 @@ def build_connecting_family(h0, h1,
         base=s0,
         energies0=s0.energies,
         energies1=s1.energies,
-        aligner=w,
         generator=g,
         _gen_phases=phases,
         _gen_vecs=gvecs,
@@ -186,19 +169,19 @@ def build_connecting_family(h0, h1,
 def spectra_along(fam, samples: int = 101):
     """(t, (samples, D) ascending eigenvalues of H(t), min gap) over t = linspace(0, 1).
 
-    ``fam`` is a ConnectingFamily or a callable t -> Hermitian matrix; one eigvalsh
-    call.  A ConnectingFamily's eigenvalues are grouped by its level multiplicities
+    ``fam`` is a ConnectingFamily or a callable mapping a (n,) array of times
+    to (n, D, D) Hermitian matrices; one sample call and one eigvalsh call.  A
+    ConnectingFamily's eigenvalues are grouped by its level multiplicities
     for the gap, so degenerate levels do not report a spurious zero gap.
     """
     if samples < 2:
         raise ValueError("need at least 2 samples")
     connecting = isinstance(fam, ConnectingFamily)
-    sample, mults = (fam.sample, fam.base.multiplicities) if connecting else (fam, None)
     ts = np.linspace(0.0, 1.0, samples)
-    spectra = np.linalg.eigvalsh(np.array([sample(t) for t in ts]))
+    spectra = np.linalg.eigvalsh((fam.sample if connecting else fam)(ts))
     levels = spectra
-    if mults is not None:
-        edges = np.cumsum((0,) + mults)
+    if connecting:
+        edges = np.cumsum((0,) + fam.base.multiplicities)
         levels = np.stack([np.mean(spectra[:, a:b], axis=-1)
                            for a, b in zip(edges[:-1], edges[1:])], axis=-1)
     return ts, spectra, float((levels[:, 1:] - levels[:, :-1]).min(initial=np.inf))

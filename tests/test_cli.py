@@ -9,7 +9,7 @@ import adiapower.power as power
 from adiapower.cli import main
 from adiapower.entanglement import entropy
 from adiapower.linalg import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, ket, tensor
-from adiapower.spectral import build_connecting_family, min_gap_along
+from adiapower.spectral import ConnectingFamily, build_connecting_family, min_gap_along
 
 
 def pairs(m):
@@ -30,6 +30,20 @@ def specs(tmp_path):
         "example2": write_json(tmp_path / "e2.json", {"kind": "builtin:example2"}),
         "dir": tmp_path,
     }
+
+
+@pytest.fixture
+def eigh_shapes(monkeypatch):
+    """Shapes of the arrays passed to np.linalg.eigh, in call order."""
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return shapes
 
 
 def test_connectible_exit_codes(tmp_path, capsys):
@@ -86,26 +100,36 @@ def test_connectible_diagonalizes_its_samples_in_one_pass(tmp_path, monkeypatch)
     assert payload["min_gap"] == min_gap_along(build_connecting_family(h0, h1), 57)
 
 
+def test_connectible_samples_its_family_once(tmp_path, monkeypatch):
+    rng = np.random.default_rng(5)
+    files = []
+    for name in ("h0", "h1"):
+        x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        files.append(write_json(tmp_path / f"{name}.json", pairs((x + x.conj().T) / 2)))
+    shapes = []
+    sample = ConnectingFamily.sample
+
+    def counted(self, t):
+        shapes.append(np.shape(t))
+        return sample(self, t)
+
+    monkeypatch.setattr(ConnectingFamily, "sample", counted)
+    assert main(["connectible", *files, "--samples", "101"]) == 0
+    assert shapes == [(101,)]
+
+
 @pytest.mark.parametrize("argv", [
     ["evolve", "SPEC", "--path", "[[0,0,0],[0.19634954,0,0]]", "--T", "60", "--steps"],
     ["gate", "--loop", "circle", "1.0471975511965976", "1.0", "--steps"],
     ["gate", "--loop", "retrace", "1.0471975511965976", "1.0", "--steps"],
 ])
-def test_path_commands_diagonalize_a_fixed_number_of_stacks(specs, monkeypatch, capsys, argv):
+def test_path_commands_diagonalize_a_fixed_number_of_stacks(specs, eigh_shapes, argv):
     argv = [specs["example1"] if a == "SPEC" else a for a in argv]
-    calls = []
-    eigh = np.linalg.eigh
-
-    def counted(a, *args, **kwargs):
-        calls.append(np.shape(a))
-        return eigh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counted)
     per_run = []
     for steps in ("200", "2000"):
-        calls.clear()
+        eigh_shapes.clear()
         assert main(argv + [steps]) == 0
-        per_run.append(len(calls))
+        per_run.append(len(eigh_shapes))
     assert per_run[0] == per_run[1] <= 4
 
 
@@ -179,23 +203,15 @@ def test_sweep_e_column_matches_per_point_entropy(tmp_path, kind, bounds, label)
     assert [r[-1] for r in rows] == expected
 
 
-def test_sweep_diagonalizes_one_stack_per_chunk(tmp_path, monkeypatch):
+def test_sweep_diagonalizes_one_stack_per_chunk(tmp_path, eigh_shapes):
     spec = write_json(tmp_path / "fig1.json", {
         "kind": "builtin:example1", "bounds": [[0.01, 1.2], [0.0, 0.0], [0.0, 2.4]]})
-    shapes = []
-    eigh = np.linalg.eigh
-
-    def counted(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return eigh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counted)
     assert main(["sweep", spec, "--input-state", "01", "--grid", "41",
                  "--out", str(tmp_path / "sweep.csv")]) == 0
     npoints = 41 * 41
     # one diagonalization of the base Hamiltonian, then one per chunk of grid points
-    assert len(shapes) <= 1 + math.ceil(npoints / cli.SWEEP_CHUNK)
-    assert sum(math.prod(s[:-2]) for s in shapes) == 1 + npoints
+    assert len(eigh_shapes) <= 1 + math.ceil(npoints / cli.SWEEP_CHUNK)
+    assert sum(math.prod(s[:-2]) for s in eigh_shapes) == 1 + npoints
 
 
 def test_sweep_example1_max_at_quarter_angle(tmp_path, capsys):
@@ -268,6 +284,31 @@ def test_evolve_constant_and_driven(specs, tmp_path, capsys):
     out = capsys.readouterr().out
     final_entropy = float(out.splitlines()[0].split(":")[1])
     assert abs(final_entropy - 1.0) < 1e-3
+
+
+def test_evolve_rejects_bad_level_and_path_before_any_work(specs, eigh_shapes, capsys):
+    base = ["evolve", specs["example1"], "--T", "5", "--steps", "200"]
+    for level in ("7", "4", "-1"):
+        assert main(base + ["--path", "[[0,0,0],[0.1,0,0]]", "--level", level]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"input error: --level {level} is out of range 0..3" in captured.err
+    for path in ("[[0,0],[0.2,0]]", "[[0,0,0],[0.2,0,0,0]]", "[]", "[[]]", "[0,0,0]", "{}"):
+        assert main(base + ["--path", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "input error: --path must be a JSON list of points with 3 parameters" \
+            in captured.err
+    assert eigh_shapes == [(4, 4)] * 9   # each run's base Hamiltonian, no path stack
+
+
+@pytest.mark.parametrize("steps", ["0", "-5", "99"])
+def test_gate_too_few_steps_is_input_error_before_any_work(eigh_shapes, capsys, steps):
+    assert main(["gate", "--loop", "circle", "1.0", "1.0", "--steps", steps]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "input error: use at least 100 steps" in captured.err
+    assert eigh_shapes == [(4, 4)]       # the family's base Hamiltonian, no path stack
 
 
 def test_gate_circle_and_retrace(tmp_path):

@@ -9,7 +9,8 @@ from adiapower.errors import (
     NotClosedError,
 )
 from adiapower.families import example1_family, example1_unitary, spin_half_field_family
-from adiapower.linalg import ket
+from adiapower.linalg import BipartiteSplit, expm_skew, ket
+from adiapower.power import iso_spectral_family
 from adiapower.simulate import (
     ParameterPath,
     berry_phase,
@@ -174,6 +175,62 @@ def test_decompose_uad_residual_decreases_with_duration():
         residuals.append(max(r.residual for r in reps))
     assert residuals[1] < residuals[0]
     assert residuals[1] < 1e-3
+
+
+def random_iso_family(rng, split):
+    """Iso-spectral family exp(i(a G1 + b G2)) H exp(-i(a G1 + b G2)) with random H, G."""
+    d = split.dim
+
+    def herm():
+        x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        return (x + x.conj().T) / 2
+
+    h, g1, g2 = herm(), herm(), herm()
+
+    def unitary(lam):
+        lam = np.asarray(lam, dtype=float)
+        return expm_skew(lam[..., 0, None, None] * g1 + lam[..., 1, None, None] * g2)
+
+    return iso_spectral_family(h, unitary, [[0, 1], [0, 1]], split, [0.0, 0.0])
+
+
+@pytest.mark.parametrize("split, steps", [(BipartiteSplit(1, 2), 150), (BipartiteSplit(2, 2), 300),
+                                          (BipartiteSplit(2, 3), 1000)])
+def test_decompose_uad_propagates_once_and_matches_per_level_runs(monkeypatch, split, steps):
+    fam = random_iso_family(np.random.default_rng(split.dim), split)
+    path = line_path([0.0, 0.0], [0.3, 0.2], duration=20.0, schedule="smoothstep")
+    _, v_start = fam.eigensystem(path.gamma(0.0))
+    runs = [propagate(fam, path, v_start[:, j], steps) for j in range(fam.dim)]
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    reports = decompose_uad(fam, path, steps)
+    assert len(calls) == 2
+    assert [rep.level for rep in reports] == list(range(fam.dim))
+    for rep, rec in zip(reports, runs):
+        assert rep.dynamical == rec.dynamical_phase
+        assert rep.geometric == rec.geometric_phase
+        _, v_end = fam.eigensystem(path.gamma(1.0))
+        predicted = v_end[:, rep.level] * np.exp(1j * (rep.dynamical + rep.geometric))
+        assert abs(rep.residual - np.linalg.norm(rec.final_state - predicted)) < 1e-12
+
+
+def test_step_consumers_reject_too_few_steps():
+    fam = example1_family()
+    path = line_path([0, 0, 0], [0.1, 0, 0], duration=5.0)
+    loop = circle_loop(np.pi / 3, 1.0, duration=5.0)
+    for steps in (99, 0, -5):
+        for run in (lambda: propagate(fam, path, ket("01"), steps),
+                    lambda: propagate_unitary(fam, path, steps),
+                    lambda: decompose_uad(fam, path, steps),
+                    lambda: synthesize_controlled_phase(loop, steps)):
+            with pytest.raises(ValueError, match="at least 100 steps"):
+                run()
 
 
 def test_gate_constraint_check():

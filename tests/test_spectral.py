@@ -4,6 +4,7 @@ import pytest
 from adiapower.errors import DegeneracyMismatchError, NotConnectibleError
 from adiapower.linalg import ID2, SIGMA_X, SIGMA_Z, tensor
 from adiapower.spectral import (
+    _fix_phases,
     aligning_unitary,
     build_connecting_family,
     degeneracy_vector,
@@ -150,5 +151,73 @@ def test_min_gap_constant_and_naive_crossing():
     fam = build_connecting_family(np.diag([0.0, 1.0]), np.diag([0.0, 1.0]))
     assert abs(min_gap_along(fam, 11) - 1.0) < 1e-12
     # naive entrywise interpolation diag(0,1) -> diag(1,0) crosses at t = 1/2
-    naive = lambda t: np.diag([t, 1.0 - t]).astype(complex)
+    naive = lambda t: np.stack([t, 1 - t], -1)[..., None] * np.eye(2)
     assert min_gap_along(naive, 101) < 1e-12
+
+
+def degenerate_hermitian(rng, degeneracy):
+    """Random Hermitian matrix with the given degeneracy vector (ascending levels)."""
+    levels = np.cumsum(rng.uniform(0.5, 1.5, len(degeneracy))) - 2.0
+    q, _ = np.linalg.qr(rng.standard_normal((sum(degeneracy),) * 2)
+                        + 1j * rng.standard_normal((sum(degeneracy),) * 2))
+    h = (q * np.repeat(levels, degeneracy)) @ q.conj().T
+    return 0.5 * (h + h.conj().T)
+
+
+@pytest.mark.parametrize("degeneracy", [(1, 1, 1, 1), (2, 1, 1), (1, 2, 1), (2, 2), (3, 1),
+                                        (1, 3), (1, 2, 2, 1)])
+def test_connecting_family_broadcasts_over_t_bit_for_bit(degeneracy):
+    rng = np.random.default_rng(sum(degeneracy) * 10 + len(degeneracy))
+    ts = np.linspace(0.0, 1.0, 23)
+    for _ in range(3):
+        fam = build_connecting_family(degenerate_hermitian(rng, degeneracy),
+                                      degenerate_hermitian(rng, degeneracy))
+        for method in (fam.eigenvalues_at, fam.unitary_at, fam.sample):
+            stacked = method(ts)
+            assert np.array_equal(stacked, np.array([method(t) for t in ts]))
+            assert stacked.shape[0] == len(ts)
+        d = sum(degeneracy)
+        assert fam.sample(0.25).shape == fam.unitary_at(0.25).shape == (d, d)
+        assert fam.eigenvalues_at(0.25).shape == (len(degeneracy),)
+
+
+def test_build_connecting_family_resolves_each_endpoint_once(monkeypatch):
+    rng = np.random.default_rng(8)
+    h0, h1 = (degenerate_hermitian(rng, (1, 2, 1)) for _ in range(2))
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    build_connecting_family(h0, h1)
+    # one per endpoint, one for the generator
+    assert calls == [(4, 4)] * 3
+
+
+def test_fix_phases_matches_column_loop():
+    def reference(vecs):
+        out = vecs.copy()
+        for j in range(out.shape[1]):
+            ph = out[np.argmax(np.abs(out[:, j])), j]
+            if np.abs(ph) > 0:
+                out[:, j] *= np.abs(ph) / ph
+        return out
+
+    rng = np.random.default_rng(9)
+    for k in range(400):
+        d = 2 + k % 5
+        m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        if k % 4 == 1:
+            m = m.real.astype(complex)
+        elif k % 4 == 2:
+            m[:, rng.integers(d)] = 0.0
+        elif k % 4 == 3:
+            m[:, rng.integers(d)] = complex(-0.0, -0.0)
+        got, want = _fix_phases(m), reference(m)
+        assert np.array_equal(got, want)
+        top = np.abs(got).argmax(axis=0)
+        nonzero = np.abs(m).max(axis=0) > 0
+        assert np.all(got[top, np.arange(d)][nonzero].real > 0)
