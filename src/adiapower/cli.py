@@ -38,7 +38,7 @@ import sys
 import numpy as np
 
 from . import __version__, entanglement, linalg
-from .errors import AdiapowerError, DegeneracyError, NotHermitianError
+from .errors import AdiapowerError, DegeneracyError, NotConnectibleError, NotHermitianError
 from .families import (
     EXAMPLE0_BOUNDS,
     EXAMPLE1_BOUNDS,
@@ -64,11 +64,7 @@ from .simulate import (
     propagate,
     synthesize_controlled_phase,
 )
-from .spectral import (
-    build_connecting_family,
-    is_adiabatically_connectible,
-    spectra_along,
-)
+from .spectral import build_connecting_family, spectra_along
 
 # Grid points per stacked unitary/entropy evaluation in ``sweep``; bounds the
 # size of the (chunk, D, D) arrays, so peak memory does not grow with the grid.
@@ -240,13 +236,17 @@ def _write_csv(path, manifest, header, table):
 def cmd_connectible(args) -> int:
     h0 = load_hermitian(args.h0_file)
     h1 = load_hermitian(args.h1_file)
-    decision = is_adiabatically_connectible(h0, h1, args.cluster_tol)
-    print(f"degeneracy vector of H0: {decision.d0}")
-    print(f"degeneracy vector of H1: {decision.d1}")
-    if not decision.connectible:
-        print(f"decision: not connectible ({decision.reason})")
+    try:
+        fam = build_connecting_family(h0, h1, args.cluster_tol)
+    except NotConnectibleError as exc:
+        d = exc.decision
+        print(f"degeneracy vector of H0: {d.d0}")
+        print(f"degeneracy vector of H1: {d.d1}")
+        print(f"decision: not connectible ({d.reason})")
         return 2
-    fam = build_connecting_family(h0, h1, args.cluster_tol)
+    degeneracy = fam.base.multiplicities        # equal at both ends when connectible
+    print(f"degeneracy vector of H0: {degeneracy}")
+    print(f"degeneracy vector of H1: {degeneracy}")
     ts, spectra, gap = spectra_along(fam, args.samples)
     print("decision: connectible")
     print(f"min gap along connecting family: {fmt(gap)}")
@@ -256,7 +256,7 @@ def cmd_connectible(args) -> int:
         _write_json(args.out, {
             "manifest": make_manifest("connectible", config, args.seed),
             "connectible": True,
-            "degeneracy_vectors": [list(decision.d0), list(decision.d1)],
+            "degeneracy_vectors": [list(degeneracy), list(degeneracy)],
             "min_gap": gap,
             "t": ts.tolist(),
             "spectra": spectra.tolist(),

@@ -26,7 +26,11 @@ class DegeneracyMismatchError(AdiapowerError):
 
 
 class NotConnectibleError(AdiapowerError):
-    pass
+    """The endpoints' degeneracy vectors differ; ``decision`` says how."""
+
+    def __init__(self, message, decision=None):
+        super().__init__(message)
+        self.decision = decision
 
 
 class DegeneracyError(AdiapowerError):

@@ -152,7 +152,7 @@ def build_connecting_family(h0, h1,
                             cluster_tol: float = DEFAULT_CLUSTER_TOL) -> ConnectingFamily:
     s0, s1, decision = _resolve_pair(h0, h1, cluster_tol)
     if not decision.connectible:
-        raise NotConnectibleError(decision.reason)
+        raise NotConnectibleError(decision.reason, decision)
     w = _dodge_branch_cut(aligning_unitary(s0, s1))
     g = linalg.logm_unitary(w)
     phases, gvecs = linalg.eig_hermitian(g)

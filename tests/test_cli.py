@@ -9,7 +9,12 @@ import adiapower.power as power
 from adiapower.cli import main
 from adiapower.entanglement import entropy
 from adiapower.linalg import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, ket, tensor
-from adiapower.spectral import ConnectingFamily, build_connecting_family, min_gap_along
+from adiapower.spectral import (
+    ConnectingFamily,
+    build_connecting_family,
+    is_adiabatically_connectible,
+    min_gap_along,
+)
 
 
 def pairs(m):
@@ -116,6 +121,31 @@ def test_connectible_samples_its_family_once(tmp_path, monkeypatch):
     monkeypatch.setattr(ConnectingFamily, "sample", counted)
     assert main(["connectible", *files, "--samples", "101"]) == 0
     assert shapes == [(101,)]
+
+
+@pytest.mark.parametrize("d0, d1", [
+    ((1, 1, 1, 1), (1, 1, 1, 1)), ((2, 1, 1), (2, 1, 1)), ((2, 2), (2, 2)),
+    ((1, 3), (1, 3)), ((1, 3), (3, 1)), ((2, 2), (1, 3)),
+])
+def test_connectible_resolves_each_endpoint_once(tmp_path, capsys, eigh_shapes, d0, d1):
+    rng = np.random.default_rng(sum(d0) * 10 + len(d0) + len(d1))
+    files, hams = [], []
+    for name, deg in (("h0", d0), ("h1", d1)):
+        q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+        hams.append((q * np.repeat(np.arange(len(deg), dtype=float), deg)) @ q.conj().T)
+        files.append(write_json(tmp_path / f"{name}.json", pairs(hams[-1])))
+    decision = is_adiabatically_connectible(*(cli.load_hermitian(f) for f in files))
+    capsys.readouterr()
+    eigh_shapes.clear()
+    code = main(["connectible", *files])
+    out = capsys.readouterr().out.splitlines()
+    assert out[:2] == [f"degeneracy vector of H0: {d0}", f"degeneracy vector of H1: {d1}"]
+    if decision.connectible:
+        assert code == 0 and out[2] == "decision: connectible"
+        assert len(eigh_shapes) == 3           # two endpoints and the generator
+    else:
+        assert code == 2 and out[2] == f"decision: not connectible ({decision.reason})"
+        assert len(eigh_shapes) == 2
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from adiapower import cli
+from adiapower import cli, power
 from adiapower.entanglement import entropy
 from adiapower.errors import DegeneracyError, NotUnitaryError
 from adiapower.families import (
@@ -11,6 +13,7 @@ from adiapower.families import (
     example1_family,
     example1_unitary,
     example2_family,
+    example2_product_sup_concurrence,
     example2_unitary,
     spin_half_field_family,
 )
@@ -34,8 +37,15 @@ from adiapower.power import (
     family_unitaries,
     has_product_base,
     iso_spectral_family,
+    product_state,
     unitary_entangling_power,
 )
+
+
+def haar_unitary(rng, n):
+    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
 
 
 def pairs(m):
@@ -240,6 +250,69 @@ def test_unitary_power_example1_coupler():
     u = example1_unitary(np.pi / 16, 0.0)
     r = unitary_entangling_power(u, SPLIT_2Q, starts=6)
     assert abs(r.value - 1.0) < 1e-6
+
+
+def test_product_state_stacks_kronecker_products():
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((2, 5, 2)) + 1j * rng.standard_normal((2, 5, 2))
+    b = rng.standard_normal((2, 5, 3)) + 1j * rng.standard_normal((2, 5, 3))
+    states = product_state(a, b)
+    assert states.shape == (2, 5, 6)
+    assert np.allclose(states[1, 4], np.kron(a[1, 4], b[1, 4]), atol=1e-15)
+
+
+def test_unitary_power_matches_the_example2_supremum():
+    rng = np.random.default_rng(77)
+    worst = 0.0
+    for _ in range(200):
+        p = Example2Params(*rng.uniform(-np.pi, np.pi, 3))
+        r = unitary_entangling_power(example2_unitary(p), SPLIT_2Q, starts=4, coarse=128)
+        assert r.converged
+        worst = max(worst, abs(r.concurrence - example2_product_sup_concurrence(p)))
+    assert worst <= 1e-12
+
+
+@settings(max_examples=6, derandomize=True, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_unitary_power_is_local_unitary_invariant(seed):
+    rng = np.random.default_rng(seed)
+    p = Example2Params(*rng.uniform(-np.pi, np.pi, 3))
+    a, b, c, d = (haar_unitary(rng, 2) for _ in range(4))
+    u = tensor(a, b) @ example2_unitary(p) @ tensor(c, d)
+    r = unitary_entangling_power(u, SPLIT_2Q, seed=seed % 1000)
+    assert abs(r.concurrence - example2_product_sup_concurrence(p)) <= 1e-9
+
+
+def test_unitary_power_qutrit_csum_reaches_log2_3():
+    csum = np.zeros((9, 9))
+    for x in range(3):
+        for y in range(3):
+            csum[3 * x + (x + y) % 3, 3 * x + y] = 1.0
+    r = unitary_entangling_power(csum, BipartiteSplit(3, 3))
+    assert abs(r.value - np.log2(3)) <= 1e-9
+    assert r.concurrence is None and r.converged
+
+
+def test_unitary_power_2x3_witness_is_an_exact_product():
+    rng = np.random.default_rng(23)
+    split = BipartiteSplit(2, 3)
+    for _ in range(6):
+        u = haar_unitary(rng, 6)
+        r = unitary_entangling_power(u, split)
+        s = np.linalg.svd(r.input_state.reshape(2, 3), compute_uv=False)
+        assert s[1] <= 1e-12
+        assert abs(entropy(u @ r.input_state, split) - r.value) <= 1e-12
+        assert r.converged
+
+
+def test_unitary_power_reports_the_iteration_cap(monkeypatch):
+    u = haar_unitary(np.random.default_rng(4), 4)
+    full = unitary_entangling_power(u, SPLIT_2Q)
+    assert full.converged is True
+    monkeypatch.setattr(power, "_ASCENT_ITERATIONS", 1)
+    capped = unitary_entangling_power(u, SPLIT_2Q)
+    assert capped.converged is False
+    assert capped.value <= full.value
 
 
 def test_bound_holds_on_builtins_small_grid():
