@@ -51,6 +51,7 @@ from .families import (
 from .linalg import DEFAULT_CLUSTER_TOL, BipartiteSplit
 from .power import (
     DEFAULT_GRID,
+    SWEEP_CHUNK,
     adiabatic_entangling_power,
     entropy_sweep,  # unused here; perfbench traces this binding
     family_unitaries,
@@ -65,10 +66,6 @@ from .simulate import (
     synthesize_controlled_phase,
 )
 from .spectral import build_connecting_family, spectra_along
-
-# Grid points per stacked unitary/entropy evaluation in ``sweep``; bounds the
-# size of the (chunk, D, D) arrays, so peak memory does not grow with the grid.
-SWEEP_CHUNK = 1024
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,10 @@ from .linalg import DEFAULT_CLUSTER_TOL, BipartiteSplit
 DEFAULT_GRID = 41
 DEFAULT_STARTS = 8
 
+# Most points (or screened states) per stacked unitary/entropy evaluation, so
+# peak memory does not grow with the grid.
+SWEEP_CHUNK = 1024
+
 
 @dataclass(frozen=True)
 class IsoSpectralForm:
@@ -121,7 +125,7 @@ def grid_points(bounds, per_axis: int) -> np.ndarray:
 
 
 def _entropies_many(states: np.ndarray, split: BipartiteSplit) -> np.ndarray:
-    """Entanglement entropy of each row of a (n, D) array of pure states."""
+    """Entanglement entropies (...) of a (..., D) stack of pure states."""
     if split.dim_a == 2 and split.dim_b == 2:
         return entanglement.entropy_from_concurrence(
             entanglement.concurrence_coefficients(states))
@@ -179,30 +183,6 @@ class PowerEstimate:
     sweep: SweepResult = field(repr=False)  # the grid sweep the estimate started from
 
 
-def _level_entropy_objective(fam, level, cluster_tol, sign=1.0):
-    lo = fam.bounds[:, 0]
-    hi = fam.bounds[:, 1]
-
-    def objective(x):
-        lam = np.clip(x, lo, hi)
-        _, vecs = fam.eigensystem(lam, cluster_tol)
-        return sign * float(_entropies_many(vecs[:, [level]].T, fam.split)[0])
-
-    return objective, lambda x: np.clip(x, lo, hi)
-
-
-def _refine(objective, clip, x0, xatol=1e-6):
-    res = minimize(objective, np.asarray(x0, dtype=float), method="Nelder-Mead",
-                   options={"xatol": xatol, "fatol": 1e-12, "maxiter": 2000,
-                            "maxfev": 4000})
-    return clip(res.x), float(res.fun)
-
-
-def _top_points(points, scores, count):
-    order = np.argsort(scores)[::-1]
-    return [points[i] for i in order[:count]]
-
-
 def has_product_base(fam: HamiltonianFamily, tol: float = 1e-9) -> bool:
     """Certify that eigenvectors at the iso-form base point are product states."""
     iso = fam.iso_spectral_form
@@ -210,6 +190,28 @@ def has_product_base(fam: HamiltonianFamily, tol: float = 1e-9) -> bool:
         return False
     _, vecs = fam.eigensystem(iso.base_point)
     return float(np.max(_entropies_many(vecs.T, fam.split))) <= tol
+
+
+def _polish(fam: HamiltonianFamily, level: int, sign: float, seeds, incumbent,
+            cluster_tol: float):
+    """Nelder-Mead from each seed on one level's entropy, raised (sign +1) or
+    lowered (-1) in the box; returns the strictly best (value, point) found,
+    else the incumbent."""
+    lo, hi = fam.bounds[:, 0], fam.bounds[:, 1]
+
+    def objective(x):
+        _, vecs = fam.eigensystem(np.clip(x, lo, hi), cluster_tol)
+        return -sign * float(_entropies_many(vecs[:, [level]].T, fam.split)[0])
+
+    value, point = incumbent
+    for x0 in seeds:
+        res = minimize(objective, np.asarray(x0, dtype=float), method="Nelder-Mead",
+                       options={"xatol": 1e-6, "fatol": 1e-12, "maxiter": 2000,
+                                "maxfev": 4000})
+        found = -sign * float(res.fun)
+        if sign * found > sign * value:
+            value, point = found, np.clip(res.x, lo, hi)
+    return value, point
 
 
 def adiabatic_entangling_power(fam: HamiltonianFamily,
@@ -223,46 +225,27 @@ def adiabatic_entangling_power(fam: HamiltonianFamily,
     When the family is iso-spectral with certified product eigenvectors at
     its base point, the value is the plain maximum of eigenstate entropy
     over the grid (the baseline entropy is zero).  Otherwise the two-point
-    difference max - min is taken per level.  ``refine`` polishes the grid
-    optimum with multi-start Nelder-Mead.
+    difference max - min is taken on the level with the largest span.
+    ``refine`` polishes each grid extremum that is not fixed by the baseline
+    with multi-start Nelder-Mead from the ``starts`` best grid points.
     """
     sweep = entropy_sweep(fam, grid_per_axis, cluster_tol, sample_points)
     product_base = has_product_base(fam)
-    method = "grid+refine" if refine else "grid"
-
-    if product_base:
-        level = sweep.argmax_level
-        value = sweep.argmax_value
-        point_hi = sweep.argmax_point
-        point_lo = np.asarray(fam.iso_spectral_form.base_point, dtype=float)
-        if refine:
-            objective, clip = _level_entropy_objective(fam, level, cluster_tol, sign=-1.0)
-            for x0 in _top_points(sweep.points, sweep.entropies[:, level], starts):
-                x, f = _refine(objective, clip, x0)
-                if -f > value:
-                    value, point_hi = -f, x
-        return PowerEstimate(float(value), level, point_hi, point_lo,
-                             method, grid_per_axis, True, sweep)
-
-    spans = sweep.entropies.max(axis=0) - sweep.entropies.min(axis=0)
-    level = int(np.argmax(spans))
-    col = sweep.entropies[:, level]
-    hi_val, lo_val = float(col.max()), float(col.min())
-    point_hi = sweep.points[int(np.argmax(col))]
-    point_lo = sweep.points[int(np.argmin(col))]
+    ent, pts = sweep.entropies, sweep.points
+    level = sweep.argmax_level if product_base else \
+        int(np.argmax(ent.max(axis=0) - ent.min(axis=0)))
+    col = ent[:, level]
+    high = (float(col.max()), pts[int(np.argmax(col))])
+    low = (0.0, np.asarray(fam.iso_spectral_form.base_point, dtype=float)) if product_base \
+        else (float(col.min()), pts[int(np.argmin(col))])
     if refine:
-        obj_max, clip = _level_entropy_objective(fam, level, cluster_tol, sign=-1.0)
-        for x0 in _top_points(sweep.points, col, starts):
-            x, f = _refine(obj_max, clip, x0)
-            if -f > hi_val:
-                hi_val, point_hi = -f, x
-        obj_min, clip = _level_entropy_objective(fam, level, cluster_tol, sign=1.0)
-        for x0 in _top_points(sweep.points, -col, starts):
-            x, f = _refine(obj_min, clip, x0)
-            if f < lo_val:
-                lo_val, point_lo = f, x
-    return PowerEstimate(float(hi_val - lo_val), level, point_hi, point_lo,
-                         method, grid_per_axis, False, sweep)
+        high = _polish(fam, level, 1.0, pts[np.argsort(col)[::-1][:starts]], high, cluster_tol)
+        if not product_base:
+            low = _polish(fam, level, -1.0, pts[np.argsort(-col)[::-1][:starts]], low,
+                          cluster_tol)
+    return PowerEstimate(float(high[0] - low[0]), level, high[1], low[1],
+                         "grid+refine" if refine else "grid", grid_per_axis,
+                         product_base, sweep)
 
 
 # ---------------------------------------------------------------------------
@@ -451,9 +434,9 @@ def family_unitaries(fam: HamiltonianFamily, points,
     """(n, D, D) unitaries U(lam) mapping the base-point eigenbasis to the one at lam.
 
     Iso-spectral families supply the whole stack with one call of their
-    unitary; for generic families the eigenbasis-alignment unitary
-    V(lam) V(lam0)^dag relative to the first point is used, from one
-    eigensystem call over all points.
+    unitary.  Generic families use V(lam) V(lam0)^dag with lam0 = bounds[:, 0]
+    (the first grid point), from one eigensystem call, so chunks of points
+    give the unitaries of the whole stack; the column phases are LAPACK's.
     """
     points = np.asarray(points, dtype=float)
     iso = fam.iso_spectral_form
@@ -464,8 +447,12 @@ def family_unitaries(fam: HamiltonianFamily, points,
             raise ValueError(f"family unitary returned shape {us.shape} for "
                              f"{len(points)} points, expected {expected}")
         return us
-    _, vecs = fam.eigensystem(points, cluster_tol)
-    return vecs @ linalg.dagger(vecs[0])
+    _, vecs = fam.eigensystem(np.concatenate([fam.bounds[None, :, 0], points]), cluster_tol)
+    return vecs[1:] @ linalg.dagger(vecs[0])
+
+
+_BOUND_POLISH_TOP = 3                     # screened points bound_check fully optimizes
+_BOUND_SLACK = 1e-6                       # tolerance of its lhs <= rhs verdict
 
 
 def bound_check(fam: HamiltonianFamily,
@@ -473,14 +460,13 @@ def bound_check(fam: HamiltonianFamily,
                 cluster_tol: float = DEFAULT_CLUSTER_TOL,
                 seed: int = 0,
                 coarse: int = 256,
-                polish_top: int = 3,
-                starts: int = 4,
-                slack: float = 1e-6) -> BoundReport:
+                starts: int = 4) -> BoundReport:
     """Check family power <= sup over the grid of per-unitary power.
 
-    The right-hand side is screened with a shared random product-state bank
-    at every grid point, then the most promising points get the full
-    multi-start optimization.
+    The right-hand side is screened with a shared bank of ``coarse`` random
+    product states, max(1, SWEEP_CHUNK // coarse) grid points per stacked
+    entropy call; the most promising points then get the full multi-start
+    optimization.  Both sides are lower bounds on their suprema.
     """
     lhs = adiabatic_entangling_power(fam, grid_per_axis, refine=True,
                                      cluster_tol=cluster_tol).value
@@ -488,13 +474,16 @@ def bound_check(fam: HamiltonianFamily,
     bank, _, _ = _random_product_bank(rng, fam.split, coarse)
     pts = grid_points(fam.bounds, grid_per_axis)
     us = family_unitaries(fam, pts, cluster_tol)
-    quick = np.array([np.max(_entropies_many(bank @ u.T, fam.split)) for u in us])
+    k = max(1, SWEEP_CHUNK // coarse)
+    quick = np.concatenate([
+        _entropies_many(bank @ us[i:i + k].swapaxes(-1, -2), fam.split).max(-1)
+        for i in range(0, len(us), k)])
     rhs = float(np.max(quick))
     rhs_point = pts[int(np.argmax(quick))]
-    top = np.argsort(quick)[::-1][:polish_top]
+    top = np.argsort(quick)[::-1][:_BOUND_POLISH_TOP]
     for lam, u in zip(pts[top], us[top]):
         res = unitary_entangling_power(u, fam.split, starts=starts, seed=seed,
                                        coarse=coarse)
         if res.value > rhs:
             rhs, rhs_point = res.value, lam
-    return BoundReport(lhs, rhs, lhs <= rhs + slack, rhs_point)
+    return BoundReport(lhs, rhs, lhs <= rhs + _BOUND_SLACK, rhs_point)

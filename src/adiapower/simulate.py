@@ -136,10 +136,13 @@ def _step_unitaries(fam: HamiltonianFamily, path: ParameterPath, steps: int,
     """(steps, D, D) steps V e^{-iE dt} V^dag, (E, V) = eigensystem at s = (k + 1/2) / steps.
 
     All midpoints are diagonalized in one call; callers take this stack before
-    any other diagonalization, so too few steps fail first.
+    any other diagonalization, so too few steps or a duration that is not
+    positive fail first.
     """
     if steps < 100:
         raise ValueError("use at least 100 steps")
+    if not path.duration > 0:
+        raise ValueError(f"the duration must be positive, got {path.duration}")
     dt = path.duration / steps
     s = (np.arange(steps) + 0.5) / steps
     vals, vecs = fam.eigensystem(_points(path, s), cluster_tol)

@@ -332,6 +332,23 @@ def test_evolve_rejects_bad_level_and_path_before_any_work(specs, eigh_shapes, c
     assert eigh_shapes == [(4, 4)] * 9   # each run's base Hamiltonian, no path stack
 
 
+@pytest.mark.parametrize("duration", ["0", "-5", "-0.0"])
+def test_evolve_and_gate_reject_a_duration_that_is_not_positive(tmp_path, specs, eigh_shapes,
+                                                                 capsys, duration):
+    out_file = tmp_path / "evolve.json"
+    assert main(["evolve", specs["example1"], "--path", "[[0,0,0],[0.1,0,0]]",
+                 "--T", duration, "--steps", "200", "--out", str(out_file)]) == 1
+    assert main(["gate", "--T", duration, "--steps", "200"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count(f"input error: the duration must be positive, got "
+                              f"{float(duration)}") == 2
+    # evolve: the base Hamiltonian and the start point's unitary; gate: its base
+    # Hamiltonian; no path stack
+    assert eigh_shapes == [(4, 4)] * 3
+    assert not out_file.exists()
+
+
 @pytest.mark.parametrize("steps", ["0", "-5", "99"])
 def test_gate_too_few_steps_is_input_error_before_any_work(eigh_shapes, capsys, steps):
     assert main(["gate", "--loop", "circle", "1.0", "1.0", "--steps", steps]) == 1

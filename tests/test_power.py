@@ -1,3 +1,6 @@
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -316,8 +319,68 @@ def test_unitary_power_reports_the_iteration_cap(monkeypatch):
 
 
 def test_bound_holds_on_builtins_small_grid():
+    reports = []
     for fam in (example0_family(), example1_family(), example2_family()):
-        rep = bound_check(fam, grid_per_axis=9)
-        assert rep.holds
-    rep = bound_check(example1_family(), grid_per_axis=9)
+        reports.append(bound_check(fam, grid_per_axis=9))
+        assert reports[-1].holds
+    rep = reports[1]                         # example 1
     assert abs(rep.lhs - 1.0) < 1e-6 and rep.rhs >= rep.lhs - 1e-6
+
+
+def test_bound_check_screens_stacks_of_grid_points(monkeypatch):
+    fam, seed, coarse = example1_family(), 3, 256
+    calls = []
+    entropies_many = power._entropies_many
+
+    def recorded(states, split):
+        out = entropies_many(states, split)
+        calls.append((np.shape(states), out))
+        return out
+
+    monkeypatch.setattr(power, "_entropies_many", recorded)
+    monkeypatch.setattr(power, "adiabatic_entangling_power",
+                        lambda *args, **kwargs: SimpleNamespace(value=0.0))
+    rep = bound_check(fam, grid_per_axis=9, seed=seed, coarse=coarse)
+    pts = power.grid_points(fam.bounds, 9)
+    k = max(1, power.SWEEP_CHUNK // coarse)
+    # each polished point's product-state optimization scores its own bank once
+    # and its witness once
+    assert len(calls) == math.ceil(len(pts) / k) + 2 * power._BOUND_POLISH_TOP
+    screen = [out for shape, out in calls if len(shape) == 3]
+    assert [len(out) for out in screen] == [min(k, len(pts) - i)
+                                            for i in range(0, len(pts), k)]
+
+    monkeypatch.undo()
+    bank, _, _ = power._random_product_bank(np.random.default_rng(seed), fam.split, coarse)
+    reference = [np.max(power._entropies_many(bank @ u.T, fam.split))
+                 for u in family_unitaries(fam, pts)]
+    quick = np.concatenate([out.max(-1) for out in screen])
+    assert quick.tobytes() == np.array(reference).tobytes()
+    assert rep.rhs >= max(reference)
+
+
+def generic_field_family():
+    """sz x 1 + 0.3 (1 x sz) + a (sx x sx) + b (sy x 1): eigenvectors vary with (a, b)."""
+    def evaluate(lam):
+        lam = np.asarray(lam, dtype=float)
+        return (tensor(SIGMA_Z, ID2) + 0.3 * tensor(ID2, SIGMA_Z)
+                + lam[..., 0, None, None] * tensor(SIGMA_X, SIGMA_X)
+                + lam[..., 1, None, None] * tensor(SIGMA_Y, ID2))
+
+    return HamiltonianFamily(2, np.array([[0.0, 1.0], [0.0, 1.0]]), evaluate, SPLIT_2Q)
+
+
+def test_generic_family_unitaries_do_not_depend_on_the_chunk():
+    fam = generic_field_family()
+    pts = power.grid_points(fam.bounds, 41)
+    assert len(pts) > power.SWEEP_CHUNK
+    whole = family_unitaries(fam, pts)
+    chunked = np.concatenate([family_unitaries(fam, pts[i:i + power.SWEEP_CHUNK])
+                              for i in range(0, len(pts), power.SWEEP_CHUNK)])
+    assert chunked.tobytes() == whole.tobytes()
+    assert np.allclose(whole[0], np.eye(4), atol=1e-12)
+    psi = ket("01")
+    e_whole = entropy(whole @ psi, SPLIT_2Q)
+    e_chunked = entropy(chunked @ psi, SPLIT_2Q)
+    assert e_chunked.tobytes() == e_whole.tobytes()
+    assert e_whole.max() > 0.1              # the eigenbasis does rotate over the box

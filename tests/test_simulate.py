@@ -233,6 +233,19 @@ def test_step_consumers_reject_too_few_steps():
                 run()
 
 
+def test_step_consumers_reject_a_duration_that_is_not_positive():
+    fam = example1_family()
+    for duration in (0.0, -5.0, float("nan")):
+        path = line_path([0, 0, 0], [0.1, 0, 0], duration=duration)
+        loop = circle_loop(np.pi / 3, 1.0, duration=duration)
+        for run in (lambda: propagate(fam, path, ket("01"), 200),
+                    lambda: propagate_unitary(fam, path, 200),
+                    lambda: decompose_uad(fam, path, 200),
+                    lambda: synthesize_controlled_phase(loop, 200)):
+            with pytest.raises(ValueError, match="duration must be positive"):
+                run()
+
+
 def test_gate_constraint_check():
     bad = line_path([0.1, 0, 0.1], [0.3, 0, 0.1], duration=10.0)
     loop = ParameterPath(10.0, lambda s: bad.gamma(2 * s if s <= 0.5 else 2 - 2 * s),
