@@ -8,8 +8,9 @@ Conventions shared by all commands:
     and byte-identical reruns on one machine and BLAS kernel (across CPUs
     the last bits of computed floats may differ with the kernel OpenBLAS
     selects),
-  * exit codes: 0 success, 1 input error, 2 negative decision,
-    3 degeneracy abort.
+  * exit codes: 0 success (also --help and --version), 1 input error
+    (including a bad or missing argument; the usage goes to stderr),
+    2 negative decision, 3 degeneracy abort.
 
 Family spec files are JSON objects.  Builtin kinds::
 
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import os
 import sys
@@ -148,20 +150,32 @@ BUILTIN_BOUNDS = {
 }
 
 
+def _spec_number(spec: dict, key: str, default: float):
+    """spec[key] (default when absent), which must be a JSON number."""
+    value = spec.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return value
+
+
 def load_family_spec(path: str):
     """Read a family spec file -> (HamiltonianFamily, resolved config dict)."""
     with open(path) as f:
         spec = json.load(f)
+    if not isinstance(spec, dict):
+        raise ValueError(f"{path}: a family spec must be a JSON object, "
+                         f"got {type(spec).__name__}")
     kind = spec.get("kind")
     if kind in BUILTIN_BOUNDS:
         bounds = np.asarray(spec.get("bounds", BUILTIN_BOUNDS[kind]), dtype=float)
         if kind == "builtin:example0":
             fam = example0_family(bounds)
         elif kind == "builtin:example1":
-            p = Example1Params(spec.get("lam1", 1.0), spec.get("lam2", 0.5))
+            p = Example1Params(_spec_number(spec, "lam1", 1.0),
+                               _spec_number(spec, "lam2", 0.5))
             fam = example1_family(p, bounds)
         else:
-            fam = example2_family(spec.get("lam1_fixed", 1.0), bounds)
+            fam = example2_family(_spec_number(spec, "lam1_fixed", 1.0), bounds)
         config = dict(spec)
         config["bounds"] = bounds.tolist()
         return fam, config
@@ -230,7 +244,13 @@ def _write_csv(path, manifest, header, table):
 # ---------------------------------------------------------------------------
 # Subcommands.
 
+def _check_at_least(option: str, value: int, least: int) -> None:
+    if value < least:
+        raise ValueError(f"{option} must be at least {least}, got {value}")
+
+
 def cmd_connectible(args) -> int:
+    _check_at_least("--samples", args.samples, 2)
     h0 = load_hermitian(args.h0_file)
     h1 = load_hermitian(args.h1_file)
     try:
@@ -262,6 +282,7 @@ def cmd_connectible(args) -> int:
 
 
 def cmd_power(args) -> int:
+    _check_at_least("--grid", args.grid, 1)
     fam, spec_config = load_family_spec(args.spec_file)
     level = None if args.level == "all" else int(args.level)
     if level is not None and not 0 <= level < fam.dim:
@@ -292,6 +313,7 @@ def cmd_power(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    _check_at_least("--grid", args.grid, 1)
     fam, spec_config = load_family_spec(args.spec_file)
     psi = parse_state(args.input_state, fam.split)
     pts = grid_points(fam.bounds, args.grid)
@@ -416,8 +438,18 @@ def cmd_gate(args) -> int:
 # ---------------------------------------------------------------------------
 # Parser and entry point.
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser whose usage errors exit 1 (input error) instead of 2,
+    which is reserved for a negative decision; subparsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """A fresh parser for the adiapower command line."""
+    parser = _Parser(
         prog="adiapower",
         description="Adiabatic connectibility and entangling power of "
                     "parametric Hamiltonian families.")
@@ -474,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gate", parents=[common],
                        help="diagonal gate from an adiabatic loop")
     p.add_argument("--loop", nargs=3, metavar=("KIND", "THETA0", "RADIUS"),
-                   default=["circle", str(np.pi / 3.0), "1.0"],
+                   default=("circle", str(np.pi / 3.0), "1.0"),
                    help="loop kind (circle | retrace), polar angle, field norm")
     p.add_argument("--T", type=float, default=200.0)
     p.add_argument("--steps", type=int, default=4000)
@@ -483,8 +515,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser every main() call of this process shares, built on the first.
+
+    Sharing is safe: parse_args() fills a fresh namespace, no cmd_* assigns to
+    args, and the only non-scalar default (gate's --loop) is a tuple.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except DegeneracyError as exc:

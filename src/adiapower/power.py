@@ -81,12 +81,19 @@ class HamiltonianFamily:
 
 
 def _check_gaps(vals, cluster_tol, points):
-    """DegeneracyError at the first point (..., p) whose energies (..., D) nearly cross."""
+    """DegeneracyError at the first point (..., p) whose energies (..., D) nearly cross.
+
+    The message gives the point, its smallest gap and the threshold it fell below.
+    """
     gaps = (vals[..., 1:] - vals[..., :-1]).min(axis=-1, initial=np.inf)
-    collapsed = gaps < cluster_tol * np.maximum(1.0, np.abs(vals).max(axis=-1))
+    thresholds = cluster_tol * np.maximum(1.0, np.abs(vals).max(axis=-1))
+    collapsed = gaps < thresholds
     if collapsed.any():
-        point = points[np.unravel_index(np.argmax(collapsed), collapsed.shape)]
-        raise DegeneracyError(f"eigenvalue gap collapsed at {point}", point=point)
+        at = np.unravel_index(np.argmax(collapsed), collapsed.shape)
+        point = points[at]
+        raise DegeneracyError(f"eigenvalue gap collapsed at {point}: smallest gap "
+                              f"{float(gaps[at])!r} < threshold {float(thresholds[at])!r}",
+                              point=point)
 
 
 def iso_spectral_family(h_base, unitary: Callable[[np.ndarray], np.ndarray],

@@ -102,14 +102,13 @@ def pancharatnam_phase(vectors, closed: bool = True) -> float:
     """Discrete geometric phase -Im sum_k ln <v_k|v_{k+1}> of a vector chain.
 
     With closed=True the chain is closed through its first element and the
-    result is invariant under arbitrary per-vector rephasing.
+    result is invariant under arbitrary per-vector rephasing.  All overlaps
+    are taken in one stacked product and summed in chain order from 0j.
     """
-    total = 0.0 + 0.0j
-    n = len(vectors)
-    last = n if closed else n - 1
-    for k in range(last):
-        ov = np.vdot(vectors[k], vectors[(k + 1) % n])
-        total += np.log(ov)
+    v = np.asarray(vectors)
+    cur, nxt = (v, np.roll(v, -1, axis=0)) if closed else (v[:-1], v[1:])
+    overlaps = (cur.conj()[:, None, :] @ nxt[:, :, None])[:, 0, 0]
+    total = np.cumsum(np.append(0j, np.log(overlaps)))[-1]
     return float(np.angle(np.exp(1j * (-total.imag))))
 
 

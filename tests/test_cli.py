@@ -1,12 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import adiapower.cli as cli
 import adiapower.power as power
-from adiapower.cli import main
+from adiapower.cli import build_parser, main
 from adiapower.entanglement import entropy
 from adiapower.linalg import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, ket, tensor
 from adiapower.spectral import (
@@ -427,3 +430,135 @@ def test_degeneracy_abort_exit_code(tmp_path):
         "bounds": [[0.0, 1.0], [0.0, 1.0], [0.0, 1.0]],
     })
     assert main(["power", spec, "--grid", "5"]) == 3
+
+
+def _run_module(*args):
+    """Run ``python -m adiapower.cli`` with this checkout's package on the path."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "adiapower.cli", *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_help_and_version_exit_0_and_usage_errors_exit_1():
+    for args in (["--help"], ["power", "--help"], ["--version"]):
+        assert _run_module(*args).returncode == 0
+    proc = _run_module("power")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("usage: adiapower power")
+    assert "the following arguments are required: spec_file" in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["connectible", "a.json", "b.json", "--samples", "x"],
+    ["power"],
+    ["gate", "--loop", "circle"],
+    ["frobnicate"],
+])
+def test_usage_errors_exit_1_not_the_negative_decision_code(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage: adiapower" in captured.err and "error: " in captured.err
+
+
+def test_main_builds_its_parser_once(monkeypatch):
+    built = []
+
+    def counted():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        for _ in range(3):
+            assert main(["gate", "--steps", "99"]) == 1
+        assert main(["gate", "--T", "0"]) == 1
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+    assert build_parser() is not build_parser()
+
+
+def test_shared_parser_keeps_no_state_between_calls(specs, capsys):
+    theta0 = str(np.pi / 3)
+    calls = [
+        ["power", specs["example1"], "--grid", "5", "--refine"],
+        ["power", specs["example1"], "--grid", "5"],
+        ["power", specs["example1"], "--grid"],
+        ["gate", "--loop", "retrace", theta0, "1.0", "--T", "40", "--steps", "400"],
+        ["gate", "--T", "40", "--steps", "400"],
+    ]
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return code, capsys.readouterr().out
+
+    shared = [run(argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(run(argv))
+    assert shared == fresh
+    assert [code for code, _ in shared] == [0, 0, 1, 0, 0]
+    assert "method: grid+refine " in shared[0][1] and "method: grid (" in shared[1][1]
+    assert shared[3][1] != shared[4][1]       # the default loop is the circle again
+
+
+def test_non_object_and_non_numeric_specs_are_input_errors(tmp_path, capsys):
+    listed = write_json(tmp_path / "list.json", [1, 2])
+    for argv in (["power", listed], ["sweep", listed, "--input-state", "01"],
+                 ["evolve", listed, "--path", "[[0,0,0]]"]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "input error: " in captured.err
+        assert "a family spec must be a JSON object, got list" in captured.err
+    for key, kind, value in (("lam1", "example1", "x"), ("lam2", "example1", None),
+                             ("lam1", "example1", True), ("lam1_fixed", "example2", "x")):
+        spec = write_json(tmp_path / "p.json", {"kind": f"builtin:{kind}", key: value})
+        assert main(["power", spec, "--grid", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"input error: {key} must be a number, got {value!r}" in captured.err
+
+
+def test_count_options_are_range_checked_before_any_output(tmp_path, specs, eigh_shapes, capsys):
+    ha = write_json(tmp_path / "ha.json", pairs(np.diag([0.0, 1, 1, 1])))
+    cases = [
+        (["connectible", ha, ha, "--samples", "1"], "--samples must be at least 2, got 1"),
+        (["power", specs["example1"], "--grid", "0"], "--grid must be at least 1, got 0"),
+        (["power", specs["example0"], "--grid", "-2"], "--grid must be at least 1, got -2"),
+        (["sweep", specs["example1"], "--input-state", "01", "--grid", "0"],
+         "--grid must be at least 1, got 0"),
+    ]
+    for argv, message in cases:
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"input error: {message}\n"
+    assert eigh_shapes == []
+
+
+def test_degeneracy_abort_names_the_gap_and_threshold(tmp_path, capsys):
+    spec = write_json(tmp_path / "close.json", {
+        "kind": "custom",
+        "base_hamiltonian": pairs(np.diag([0.0, 1e-3, 1.0, 2.0])),
+        "generators": [pairs(tensor(SIGMA_X, SIGMA_X))],
+        "bounds": [[0.0, 1.0]],
+        "split": [2, 2],
+        "cluster_tol": 1e-2,
+    })
+    assert main(["power", spec, "--grid", "3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("degeneracy abort: eigenvalue gap collapsed at [0.]: "
+                            "smallest gap 0.001 < threshold 0.02\n")

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adiapower.cli import _retrace_circle_loop
 from adiapower.errors import (
@@ -115,6 +117,43 @@ def test_pancharatnam_gauge_invariance():
     base = pancharatnam_phase(chain, closed=True)
     rephased = [np.exp(1j * rng.uniform(0, 2 * np.pi)) * v for v in chain]
     assert abs(pancharatnam_phase(rephased, closed=True) - base) < 1e-10
+
+
+def _vdot_loop_phase(vectors, closed):
+    """Reference: one np.vdot and one np.log per link, summed in chain order."""
+    total = 0.0 + 0.0j
+    n = len(vectors)
+    for k in range(n if closed else n - 1):
+        total += np.log(np.vdot(vectors[k], vectors[(k + 1) % n]))
+    return float(np.angle(np.exp(1j * (-total.imag))))
+
+
+@pytest.mark.parametrize("closed", [True, False])
+@pytest.mark.parametrize("n", [0, 1, 2, 2000])
+@pytest.mark.parametrize("dim", [2, 4, 6])
+def test_pancharatnam_phase_matches_a_vdot_loop_bit_for_bit(dim, n, closed):
+    rng = np.random.default_rng(100 * dim + n)
+    vecs = rng.standard_normal((n, dim, dim)) + 1j * rng.standard_normal((n, dim, dim))
+    # eigenvector columns along a straight Hermitian path, as the simulators pass them
+    a, b = rng.standard_normal((2, dim, dim)) + 1j * rng.standard_normal((2, dim, dim))
+    t = np.linspace(0.0, 1.0, n)[:, None, None]
+    _, eig = np.linalg.eigh((1.0 - t) * (a + a.conj().T) + t * (b + b.conj().T))
+    chains = [vecs[..., j] for j in range(dim)] + [vecs[:, 0, :], vecs[:, :, 0].copy(),
+                                                    eig[..., 0], eig[..., -1]]
+    for chain in chains:
+        got = pancharatnam_phase(chain, closed=closed)
+        assert np.float64(got).tobytes() == np.float64(_vdot_loop_phase(chain, closed)).tobytes()
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 60), st.sampled_from([2, 4, 6]))
+def test_closed_pancharatnam_phase_is_invariant_under_rephasing(seed, n, dim):
+    rng = np.random.default_rng(seed)
+    chain = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
+    chain /= np.linalg.norm(chain, axis=1, keepdims=True)
+    rephased = chain * np.exp(1j * rng.uniform(-np.pi, np.pi, (n, 1)))
+    shift = pancharatnam_phase(rephased, closed=True) - pancharatnam_phase(chain, closed=True)
+    assert abs(np.angle(np.exp(1j * shift))) < 1e-10
 
 
 def test_berry_phase_zero_area_loop():
