@@ -158,6 +158,14 @@ def _spec_number(spec: dict, key: str, default: float):
     return value
 
 
+def _spec_bounds(value, rows: int) -> np.ndarray:
+    """A spec's parameter box, which must be ``rows`` finite [lo, hi] rows."""
+    bounds = np.asarray(value, dtype=float)
+    if bounds.shape != (rows, 2) or not np.all(np.isfinite(bounds)):
+        raise ValueError(f"bounds must be {rows} finite [lo, hi] rows, got {value!r}")
+    return bounds
+
+
 def load_family_spec(path: str):
     """Read a family spec file -> (HamiltonianFamily, resolved config dict)."""
     with open(path) as f:
@@ -167,7 +175,7 @@ def load_family_spec(path: str):
                          f"got {type(spec).__name__}")
     kind = spec.get("kind")
     if kind in BUILTIN_BOUNDS:
-        bounds = np.asarray(spec.get("bounds", BUILTIN_BOUNDS[kind]), dtype=float)
+        bounds = _spec_bounds(spec.get("bounds", BUILTIN_BOUNDS[kind]), len(BUILTIN_BOUNDS[kind]))
         if kind == "builtin:example0":
             fam = example0_family(bounds)
         elif kind == "builtin:example1":
@@ -186,9 +194,15 @@ def load_family_spec(path: str):
 
 def _load_custom_spec(spec: dict):
     h_base = parse_complex_matrix(spec["base_hamiltonian"])
-    gens = [parse_complex_matrix(g) for g in spec["generators"]]
-    bounds = np.asarray(spec["bounds"], dtype=float)
-    split = BipartiteSplit(*spec["split"])
+    gens = np.asarray(spec["generators"], dtype=float)
+    if gens.shape[1:] != h_base.shape + (2,):
+        raise ValueError(f"generators must be a list of {h_base.shape} matrices of [re, im] pairs")
+    gens = gens[..., 0] + 1j * gens[..., 1]
+    bounds = _spec_bounds(spec["bounds"], len(gens))
+    dims = spec["split"]
+    if not (isinstance(dims, list) and len(dims) == 2 and all(type(d) is int for d in dims)):
+        raise ValueError(f"split must be two integers [dim_a, dim_b], got {dims!r}")
+    split = BipartiteSplit(*dims)
     split.check(h_base.shape[0])
     cluster_tol = float(spec.get("cluster_tol", DEFAULT_CLUSTER_TOL))
     if not linalg.is_hermitian(h_base):
@@ -196,13 +210,9 @@ def _load_custom_spec(spec: dict):
     for k, g in enumerate(gens):
         if not linalg.is_hermitian(g):
             raise NotHermitianError(f"generator {k} is not Hermitian")
-        if g.shape != h_base.shape:
-            raise ValueError(f"generator {k} has wrong shape")
-    if len(gens) != len(bounds):
-        raise ValueError("one generator per parameter is required")
-    if not np.all(np.isfinite(bounds)):
-        raise ValueError("bounds must be finite")
     base_point = np.asarray(spec.get("base_point", np.zeros(len(gens))), dtype=float)
+    if base_point.shape != (len(gens),):
+        raise ValueError(f"base_point must have {len(gens)} entries, one per generator")
 
     def unitary(lam):
         lam = np.asarray(lam, dtype=float)

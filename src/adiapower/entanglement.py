@@ -13,7 +13,7 @@ from .errors import DimensionMismatchError
 from .linalg import SIGMA_Y, BipartiteSplit, tensor
 
 _CLAMP = -1e-12
-_SPIN_FLIP = tensor(SIGMA_Y, SIGMA_Y)
+SPIN_FLIP = tensor(SIGMA_Y, SIGMA_Y)     # also the YY term of the builtin families
 
 
 def schmidt_spectrum(psi, split: BipartiteSplit) -> np.ndarray:
@@ -59,7 +59,7 @@ def concurrence_2q(psi) -> float:
     psi = np.asarray(psi, dtype=complex)
     if psi.shape != (4,):
         raise DimensionMismatchError("concurrence_2q needs a 4-dimensional state")
-    c = abs(psi @ (_SPIN_FLIP @ psi))
+    c = abs(psi @ (SPIN_FLIP @ psi))
     return float(min(c, 1.0))
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
+from .entanglement import SPIN_FLIP as _YY
 from .errors import ZeroCouplingError
 from .linalg import (
     ID2,
@@ -45,7 +46,6 @@ _PM = tensor(SIGMA_PLUS, SIGMA_MINUS)
 _MP = tensor(SIGMA_MINUS, SIGMA_PLUS)
 _ZI_MINUS_IZ = tensor(SIGMA_Z, ID2) - tensor(ID2, SIGMA_Z)
 _XX = tensor(SIGMA_X, SIGMA_X)
-_YY = tensor(SIGMA_Y, SIGMA_Y)
 _ZZ = tensor(SIGMA_Z, SIGMA_Z)
 
 

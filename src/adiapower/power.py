@@ -1,9 +1,9 @@
 """Adiabatic entangling power of Hamiltonian families and of single unitaries.
 
-Suprema over family parameters are estimated by a dense grid followed by
-multi-start Nelder-Mead refinement; suprema over product inputs by a random
-product-state bank followed by a batched multi-start Newton ascent over the
-unit factor vectors.  Every reported value is a lower bound on the true
+Suprema over family parameters are estimated by a dense grid, suprema over
+product inputs by a random product-state bank; both are then refined by one
+batched multi-start Newton ascent (``_ascend``), in the parameter box or over
+the unit factor vectors.  Every reported value is a lower bound on the true
 supremum and carries the witness attaining it.
 """
 
@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import minimize  # unused here; perfbench traces this binding
 
 from . import entanglement, linalg
 from .errors import DegeneracyError, NotUnitaryError
@@ -188,6 +188,7 @@ class PowerEstimate:
     grid_resolution: int
     product_base: bool                   # True when the baseline has certified product eigenvectors
     sweep: SweepResult = field(repr=False)  # the grid sweep the estimate started from
+    converged: bool | None = None         # refine only: each polish's best start met the gain rule
 
 
 def has_product_base(fam: HamiltonianFamily, tol: float = 1e-9) -> bool:
@@ -201,24 +202,25 @@ def has_product_base(fam: HamiltonianFamily, tol: float = 1e-9) -> bool:
 
 def _polish(fam: HamiltonianFamily, level: int, sign: float, seeds, incumbent,
             cluster_tol: float):
-    """Nelder-Mead from each seed on one level's entropy, raised (sign +1) or
-    lowered (-1) in the box; returns the strictly best (value, point) found,
-    else the incumbent."""
+    """One batched ascent from all seeds of one level's entropy, raised (sign +1)
+    or lowered (-1) in the box; returns the strictly best (value, point) found,
+    else the incumbent, and whether the best start stopped by the gain rule."""
     lo, hi = fam.bounds[:, 0], fam.bounds[:, 1]
 
     def objective(x):
-        _, vecs = fam.eigensystem(np.clip(x, lo, hi), cluster_tol)
-        return -sign * float(_entropies_many(vecs[:, [level]].T, fam.split)[0])
+        _, vecs = fam.eigensystem(x, cluster_tol)
+        return sign * _entropies_many(vecs[..., level], fam.split)
 
+    def chart(x):
+        return lambda z: (np.clip(x[:, None] + z, lo, hi),)
+
+    x = np.array(seeds, dtype=float)
+    found, active = _ascend(objective, chart, (x,), fam.parameter_dim)
+    best = int(np.argmax(found))
     value, point = incumbent
-    for x0 in seeds:
-        res = minimize(objective, np.asarray(x0, dtype=float), method="Nelder-Mead",
-                       options={"xatol": 1e-6, "fatol": 1e-12, "maxiter": 2000,
-                                "maxfev": 4000})
-        found = -sign * float(res.fun)
-        if sign * found > sign * value:
-            value, point = found, np.clip(res.x, lo, hi)
-    return value, point
+    if found[best] > sign * value:
+        value, point = sign * float(found[best]), x[best]
+    return (value, point), bool(not active[best])
 
 
 def adiabatic_entangling_power(fam: HamiltonianFamily,
@@ -234,7 +236,8 @@ def adiabatic_entangling_power(fam: HamiltonianFamily,
     over the grid (the baseline entropy is zero).  Otherwise the two-point
     difference max - min is taken on the level with the largest span.
     ``refine`` polishes each grid extremum that is not fixed by the baseline
-    with multi-start Nelder-Mead from the ``starts`` best grid points.
+    by the batched ascent from the ``starts`` (at least one) best grid points,
+    which evaluates the family on point stacks, and sets ``converged``.
     """
     sweep = entropy_sweep(fam, grid_per_axis, cluster_tol, sample_points)
     product_base = has_product_base(fam)
@@ -245,22 +248,26 @@ def adiabatic_entangling_power(fam: HamiltonianFamily,
     high = (float(col.max()), pts[int(np.argmax(col))])
     low = (0.0, np.asarray(fam.iso_spectral_form.base_point, dtype=float)) if product_base \
         else (float(col.min()), pts[int(np.argmin(col))])
+    converged = None
     if refine:
-        high = _polish(fam, level, 1.0, pts[np.argsort(col)[::-1][:starts]], high, cluster_tol)
+        count = max(starts, 1)
+        high, converged = _polish(fam, level, 1.0, pts[np.argsort(col)[::-1][:count]], high,
+                                  cluster_tol)
         if not product_base:
-            low = _polish(fam, level, -1.0, pts[np.argsort(-col)[::-1][:starts]], low,
-                          cluster_tol)
+            low, low_converged = _polish(fam, level, -1.0, pts[np.argsort(-col)[::-1][:count]],
+                                         low, cluster_tol)
+            converged = converged and low_converged
     return PowerEstimate(float(high[0] - low[0]), level, high[1], low[1],
                          "grid+refine" if refine else "grid", grid_per_axis,
-                         product_base, sweep)
+                         product_base, sweep, converged)
 
 
 # ---------------------------------------------------------------------------
-# Entangling power of a single unitary over product inputs.
+# The batched ascent of both suprema; entangling power of a single unitary.
 
-# Batched ascent over product states: stencil spacing in chart coordinates,
-# smallest curvature a Newton step divides by, largest step per Hessian
-# eigendirection, iteration cap, and the gain at or below which a start stops.
+# Batched ascent: stencil spacing in chart coordinates, smallest curvature a
+# Newton step divides by, largest step per Hessian eigendirection, iteration
+# cap, and the gain at or below which a start stops.
 _STENCIL_H = 1e-5
 _MIN_CURVATURE = 1e-6
 _MAX_STEP = 0.5
@@ -343,6 +350,40 @@ def _ascent_step(grad, hess, radius):
     return (vec @ coef[:, :, None])[:, :, 0], np.abs(coef).max(axis=1), model_gain
 
 
+def _ascend(objective, chart, state, n: int):
+    """Damped-Newton ascent from all starts ``state`` (a tuple of arrays (k, ...),
+    moved in place); ``chart(*rows)`` maps offsets z (..., m, n) around rows
+    to candidate tuples (k, m, ...) that ``objective`` scores as (k, m).  A
+    start stops once an accepted step gains at most 4 eps, or a rejected
+    step's model promises no more; returns the values (k,) and which starts
+    were still active at the iteration cap (k,)."""
+    offsets = _stencil(n, _STENCIL_H)
+    value = objective(*(s[:, None] for s in state))[:, 0]
+    radius = np.full(len(value), _MAX_STEP)
+    active = np.ones(len(value), dtype=bool)
+    for _ in range(_ASCENT_ITERATIONS):
+        k = np.flatnonzero(active)
+        if not len(k):
+            break
+        move = chart(*(s[k] for s in state))
+        f = objective(*move(offsets[None]))
+        grad, hess = _derivatives(f, n, _STENCIL_H)
+        step, length, model_gain = _ascent_step(grad, hess, radius[k])
+        # the full step and its backtrack, for every active start at once
+        trial = move(np.stack([step, 0.5 * step], axis=1))
+        ft = objective(*trial)
+        rows, pick = np.arange(len(k)), np.where(ft[:, 0] > f[:, 0], 0, 1)
+        gain = ft[rows, pick] - f[:, 0]
+        moved = gain > 0
+        for s, t in zip(state, trial):
+            s[k[moved]] = t[rows, pick][moved]
+        value[k[moved]] = ft[rows, pick][moved]
+        radius[k[~moved]] = 0.25 * length[~moved]
+        # a rejected step stops its start once its model gain is negligible
+        active[k[np.where(moved, gain, model_gain) <= _ASCENT_GAIN]] = False
+    return value, active
+
+
 @dataclass(frozen=True)
 class UnitaryPowerResult:
     value: float                          # max entanglement entropy reached (lower bound)
@@ -363,16 +404,11 @@ def unitary_entangling_power(u, split: BipartiteSplit,
     """Maximum entanglement entropy of U applied to product states.
 
     The best ``starts`` rows (at least one) of a random bank of ``coarse``
-    product states seed a batched ascent over the unit factor vectors.
-    Every iteration evaluates all active starts at once on a
-    central-difference stencil in the tangent chart of each factor, takes a
-    damped Newton step and backtracks once if the step does not raise the
-    objective (concurrence for two qubits, SVD entropy otherwise).  A start
-    stops once its accepted step gains at most 4 eps, or once a rejected
-    step's quadratic model promises no more; ``converged`` reports whether
-    the winning start stopped so rather than at the iteration cap.  The
-    value is a lower bound on the supremum, returned with its product
-    witness.
+    product states seed the batched ascent of the objective (concurrence for
+    two qubits, SVD entropy otherwise) in the tangent chart of each factor;
+    ``converged`` reports whether the winning start stopped by the gain rule
+    rather than at the iteration cap.  The value is a lower bound on the
+    supremum, returned with its product witness.
     """
     u = np.asarray(u, dtype=complex)
     if not linalg.is_unitary(u, tol):
@@ -391,35 +427,12 @@ def unitary_entangling_power(u, split: BipartiteSplit,
             return entanglement.concurrence_coefficients(outs)
         return entanglement.entropy(outs, split)
 
-    na = 2 * (split.dim_a - 1)
-    offsets = _stencil(na + 2 * (split.dim_b - 1), _STENCIL_H)
-    value = objective(a[:, None], b[:, None])[:, 0]
-    radius = np.full(len(top), _MAX_STEP)
-    active = np.ones(len(top), dtype=bool)
-    for _ in range(_ASCENT_ITERATIONS):
-        k = np.flatnonzero(active)
-        if not len(k):
-            break
-        basis_a, basis_b = _tangent_basis(a[k]), _tangent_basis(b[k])
-        f = objective(_chart(a[k], basis_a, offsets[None, :, :na]),
-                      _chart(b[k], basis_b, offsets[None, :, na:]))
-        grad, hess = _derivatives(f, len(offsets[0]), _STENCIL_H)
-        step, length, model_gain = _ascent_step(grad, hess, radius[k])
-        # the full step and its backtrack, for every active start at once
-        trial = np.stack([step, 0.5 * step], axis=1)
-        ta = _chart(a[k], basis_a, trial[..., :na])
-        tb = _chart(b[k], basis_b, trial[..., na:])
-        ft = objective(ta, tb)
-        rows, pick = np.arange(len(k)), np.where(ft[:, 0] > f[:, 0], 0, 1)
-        gain = ft[rows, pick] - f[:, 0]
-        moved = gain > 0
-        a[k[moved]] = ta[rows, pick][moved]
-        b[k[moved]] = tb[rows, pick][moved]
-        value[k[moved]] = ft[rows, pick][moved]
-        radius[k[~moved]] = 0.25 * length[~moved]
-        # a rejected step stops its start once its model gain is negligible
-        active[k[np.where(moved, gain, model_gain) <= _ASCENT_GAIN]] = False
+    def chart(a, b):
+        basis_a, basis_b = _tangent_basis(a), _tangent_basis(b)
+        return lambda z: (_chart(a, basis_a, z[..., :na]), _chart(b, basis_b, z[..., na:]))
 
+    na = 2 * (split.dim_a - 1)
+    value, active = _ascend(objective, chart, (a, b), na + 2 * (split.dim_b - 1))
     best = int(np.argmax(value))
     best_in = product_state(a[best], b[best])
     out = u @ best_in

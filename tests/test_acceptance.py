@@ -50,7 +50,6 @@ from adiapower.linalg import (
     eig_hermitian,
     expm_skew,
     ket,
-    tensor,
 )
 from adiapower.power import (
     HamiltonianFamily,
@@ -211,13 +210,16 @@ def test_criterion_06_right_bilocal_equality():
     energies, vectors = eig_hermitian(h0)
 
     def unitary(lam):
-        u1 = expm_skew(lam[0] * SIGMA_X + lam[1] * SIGMA_Y + lam[2] * SIGMA_Z)
-        u2 = expm_skew(lam[3] * SIGMA_X + lam[4] * SIGMA_Y + lam[5] * SIGMA_Z)
-        return u_fixed @ tensor(u1, u2)
+        lam = np.asarray(lam)[..., None, None]       # points (..., 6) give (..., 4, 4)
+        u1, u2 = (expm_skew(lam[..., j, :, :] * SIGMA_X + lam[..., j + 1, :, :] * SIGMA_Y
+                            + lam[..., j + 2, :, :] * SIGMA_Z) for j in (0, 3))
+        # u1 x u2 at each point, with the products np.kron (linalg.tensor) takes
+        kron = u1[..., :, None, :, None] * u2[..., None, :, None, :]
+        return u_fixed @ kron.reshape(u1.shape[:-2] + (4, 4))
 
     def evaluate(lam):
         u = unitary(lam)
-        return u @ h0 @ u.conj().T
+        return u @ h0 @ u.conj().swapaxes(-1, -2)
 
     fam = HamiltonianFamily(6, np.array([[-np.pi, np.pi]] * 6), evaluate, SPLIT_2Q,
                             IsoSpectralForm(energies, vectors, unitary, np.zeros(6)))

@@ -394,7 +394,7 @@ def test_custom_spec_power(tmp_path, capsys):
     assert abs(value - 1.0) < 1e-6
 
 
-def test_invalid_specs_are_input_errors(tmp_path):
+def test_invalid_specs_are_input_errors(tmp_path, capsys):
     bad_kind = write_json(tmp_path / "k.json", {"kind": "builtin:example9"})
     assert main(["power", bad_kind]) == 1
     bad_matrix = write_json(tmp_path / "m.json", {
@@ -405,6 +405,26 @@ def test_invalid_specs_are_input_errors(tmp_path):
         "split": [1, 2],
     })
     assert main(["power", bad_matrix]) == 1
+    good = {
+        "kind": "custom",
+        "base_hamiltonian": pairs(2 * tensor(SIGMA_Z, ID2) + tensor(ID2, SIGMA_Z)),
+        "generators": [pairs(tensor(SIGMA_X, SIGMA_X))],
+        "bounds": [[0.0, 1.0]],
+        "split": [2, 2],
+    }
+    malformed = [{"split": "x"}, {"split": [2, 2, 2]}, {"split": [2.0, 2]},
+                 {"split": [True, 2]}, {"generators": 5}, {"bounds": [[0.0, 1.0, 2.0]]},
+                 {"bounds": [[0.0, float("inf")]]}, {"base_point": [0, 0]},
+                 {"kind": "builtin:example1", "bounds": [[0, 1]]},
+                 {"kind": "builtin:example2", "bounds": [[0, 1], [0, 1], [0, 1]]},
+                 {"kind": "builtin:example0", "bounds": [0, 1, 2]}]
+    capsys.readouterr()
+    for k, change in enumerate(malformed):
+        spec = write_json(tmp_path / f"bad{k}.json", {**good, **change})
+        assert main(["power", spec, "--grid", "3"]) == 1, change
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("input error: "), (change, err)
+    assert main(["power", write_json(tmp_path / "good.json", good), "--grid", "3"]) == 0
 
 
 def test_custom_spec_degenerate_base_aborts(tmp_path, capsys):

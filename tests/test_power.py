@@ -384,3 +384,107 @@ def test_generic_family_unitaries_do_not_depend_on_the_chunk():
     e_chunked = entropy(chunked @ psi, SPLIT_2Q)
     assert e_chunked.tobytes() == e_whole.tobytes()
     assert e_whole.max() > 0.1              # the eigenbasis does rotate over the box
+
+
+def test_refined_power_reports_the_iteration_cap(monkeypatch):
+    for fam in (example1_family(), generic_field_family()):
+        assert adiabatic_entangling_power(fam, grid_per_axis=9).converged is None
+        full = adiabatic_entangling_power(fam, grid_per_axis=9, refine=True)
+        assert full.converged is True
+        monkeypatch.setattr(power, "_ASCENT_ITERATIONS", 1)
+        capped = adiabatic_entangling_power(fam, grid_per_axis=9, refine=True)
+        monkeypatch.undo()
+        assert capped.converged is False
+        assert capped.value <= full.value
+
+
+def random_custom_family(seed, split):
+    """Custom-spec family with random Hermitian generators; its base Hamiltonian is
+    diagonal (product eigenvectors at the base point 0) or random Hermitian."""
+    rng = np.random.default_rng(seed)
+
+    def hermitian():
+        x = rng.standard_normal((split.dim, split.dim, 2)) @ [1.0, 1j]
+        return (x + x.conj().T) / 2
+
+    h0 = np.diag(np.arange(split.dim) + rng.uniform(0.0, 0.5, split.dim)) \
+        if rng.random() < 0.5 else hermitian()
+    n = int(rng.integers(1, 3))
+    fam, _ = cli._load_custom_spec({
+        "base_hamiltonian": pairs(h0),
+        "generators": [pairs(hermitian()) for _ in range(n)],
+        "bounds": np.column_stack([-rng.uniform(0.1, 1.0, n), rng.uniform(0.1, 1.0, n)]).tolist(),
+        "split": [split.dim_a, split.dim_b],
+    })
+    return fam
+
+
+def custom_2x3_family():
+    return random_custom_family(3, BipartiteSplit(2, 3))
+
+
+def recorded_ascents(monkeypatch):
+    """Final states and values of every power._ascend call, in call order."""
+    runs = []
+    ascend = power._ascend
+
+    def recorded(objective, chart, state, n):
+        value, active = ascend(objective, chart, state, n)
+        runs.append(([s.copy() for s in state], value.copy()))
+        return value, active
+
+    monkeypatch.setattr(power, "_ascend", recorded)
+    return runs
+
+
+@pytest.mark.parametrize("make_family", [
+    example1_family, generic_field_family, custom_family, custom_2x3_family])
+def test_polish_ascends_each_seed_as_it_would_alone(monkeypatch, make_family):
+    fam = make_family()
+    sweep = entropy_sweep(fam, 7)
+    level = int(np.argmax(np.ptp(sweep.entropies, axis=0)))
+    seeds = sweep.points[np.argsort(sweep.entropies[:, level])[::-1][:6]]
+    runs = recorded_ascents(monkeypatch)
+    for sign in (1.0, -1.0):
+        runs.clear()
+        power._polish(fam, level, sign, seeds, (-sign * np.inf, None), 1e-8)
+        for x0 in seeds:
+            power._polish(fam, level, sign, x0[None], (-sign * np.inf, None), 1e-8)
+        (batch,), values = runs[0]
+        for k, ((alone,), value) in enumerate(runs[1:]):
+            assert alone[0].tobytes() == batch[k].tobytes()
+            assert value[0].tobytes() == values[k].tobytes()
+
+
+@pytest.mark.parametrize("make_family", [example1_family, generic_field_family,
+                                         custom_family])
+def test_polished_value_does_not_depend_on_the_seed_order(make_family):
+    fam = make_family()
+    sweep = entropy_sweep(fam, 7)
+    level = int(np.argmax(np.ptp(sweep.entropies, axis=0)))
+    seeds = sweep.points[np.argsort(sweep.entropies[:, level])[::-1][:8]]
+    for sign in (1.0, -1.0):
+        values = {power._polish(fam, level, sign, seeds[perm], (-sign * np.inf, None),
+                                1e-8)[0][0]
+                  for perm in (np.arange(8), np.arange(8)[::-1],
+                               np.random.default_rng(2).permutation(8))}
+        assert len(values) == 1
+
+
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([(2, 2), (2, 3)]))
+def test_refined_power_lies_between_the_grid_value_and_log_min_dim(seed, dims):
+    fam = random_custom_family(seed, BipartiteSplit(*dims))
+    grid = adiabatic_entangling_power(fam, grid_per_axis=5)
+    refined = adiabatic_entangling_power(fam, grid_per_axis=5, refine=True)
+    assert grid.value <= refined.value <= np.log2(min(dims)) + 1e-12
+
+
+def test_refine_never_calls_scipy_minimize(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("power.minimize called")
+
+    monkeypatch.setattr(power, "minimize", forbidden)
+    for fam in (example1_family(), generic_field_family(), example0_family()):
+        adiabatic_entangling_power(fam, grid_per_axis=5, refine=True)
+    assert bound_check(example2_family(), grid_per_axis=5).holds
