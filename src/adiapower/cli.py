@@ -245,9 +245,16 @@ def _write_json(path, payload):
 
 
 def _write_csv(path, manifest, header, table):
-    """Manifest comment, header line, then one line per row of a 2-D float array."""
+    """Manifest comment, header line, then one line per row of a 2-D float array.
+
+    Each field is the repr of its float; repr runs once per distinct bit
+    pattern (so -0.0 and 0.0 stay apart), and rows are joined from the table
+    of those strings.
+    """
     lines = ["# manifest " + json.dumps(manifest, sort_keys=True), ",".join(header)]
-    lines += [",".join(map(repr, row)) for row in table.tolist()]
+    bits, index = np.unique(table.view(np.uint64), return_inverse=True)
+    text = np.array([repr(x) for x in bits.view(float).tolist()], dtype=object)
+    lines += map(",".join, text[index.reshape(table.shape)].tolist())
     _write_text(path, "\n".join(lines) + "\n")
 
 

@@ -166,13 +166,23 @@ class SweepResult:
 def entropy_sweep(fam: HamiltonianFamily, grid_per_axis: int = DEFAULT_GRID,
                   cluster_tol: float = DEFAULT_CLUSTER_TOL,
                   sample_points=None) -> SweepResult:
-    """Per-level eigenstate entanglement entropy over a parameter grid."""
+    """Per-level eigenstate entanglement entropy over a parameter grid.
+
+    The points (the grid, or ``sample_points`` of shape (n, parameter_dim),
+    n >= 1) are diagonalized SWEEP_CHUNK at a time, one stacked
+    ``eigensystem`` call per chunk, so the family's ``evaluate`` and
+    ``eigensystem`` must broadcast; a degeneracy is reported at the first
+    point where the gap collapses, whatever the chunking.
+    """
     pts = grid_points(fam.bounds, grid_per_axis) if sample_points is None \
         else np.asarray(sample_points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != fam.parameter_dim or not len(pts):
+        raise ValueError(f"sample_points must have shape (n, {fam.parameter_dim}) "
+                         f"with n >= 1, got {pts.shape}")
     ent = np.empty((len(pts), fam.dim))
-    for k, lam in enumerate(pts):
-        _, vecs = fam.eigensystem(lam, cluster_tol)
-        ent[k] = _entropies_many(vecs.T, fam.split)
+    for i in range(0, len(pts), SWEEP_CHUNK):
+        _, vecs = fam.eigensystem(pts[i:i + SWEEP_CHUNK], cluster_tol)
+        ent[i:i + SWEEP_CHUNK] = _entropies_many(np.swapaxes(vecs, -1, -2), fam.split)
     flat = np.argmax(ent)
     i, j = np.unravel_index(flat, ent.shape)
     return SweepResult(pts, ent, int(j), pts[i], float(ent[i, j]))

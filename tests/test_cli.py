@@ -288,6 +288,34 @@ def test_sweep_byte_determinism(specs, tmp_path, monkeypatch):
     assert "2023-11-14" in a.read_text().splitlines()[0]
 
 
+def per_row_csv(manifest, header, table):
+    """The CSV text with every field formatted by its own repr call."""
+    lines = ["# manifest " + json.dumps(manifest, sort_keys=True), ",".join(header)]
+    lines += [",".join(map(repr, row)) for row in table.tolist()]
+    return "\n".join(lines) + "\n"
+
+
+def test_write_csv_equals_the_per_field_repr(tmp_path):
+    # -0.0 beside 0.0 in one column: a cache keyed on float values would merge them
+    table = np.array([
+        [0.0, -0.0, np.nan, 1e-05],
+        [-0.0, 0.0, np.inf, 0.1 + 0.2],
+        [5e-324, -np.inf, 1e16, 0.3],
+        [0.0, -0.0, np.nan, 1e-05],
+        [-np.nan, 1e16, -5e-324, 0.1 + 0.2],
+    ])
+    rng = np.random.default_rng(11)
+    random_bits = rng.integers(0, 2**64, size=(40, 4), dtype=np.uint64).view(float)
+    manifest, header = {"command": "test"}, ["a", "b", "c", "d"]
+    path = tmp_path / "t.csv"
+    for t in (table, np.concatenate([table, random_bits, random_bits[::-1]]),
+              np.empty((0, 4))):
+        cli._write_csv(str(path), manifest, header, t)
+        assert path.read_text() == per_row_csv(manifest, header, t)
+    cli._write_csv(str(path), manifest, header, table)
+    assert "\n0.0,-0.0,nan,1e-05\n-0.0,0.0,inf,0.30000000000000004\n" in path.read_text()
+
+
 def test_sweep_json_output_and_state_parsing(specs, tmp_path):
     out_file = tmp_path / "sweep.json"
     amp = json.dumps([[0, 0], [1, 0], [0, 0], [0, 0]])

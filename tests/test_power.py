@@ -188,12 +188,12 @@ def test_power_left_bilocal_invariance():
 
 def test_degenerate_family_aborts():
     def evaluate(lam):
-        return lam[0] * tensor(SIGMA_Z, ID2)
+        return lam[..., 0, None, None] * tensor(SIGMA_Z, ID2)
 
     fam = HamiltonianFamily(1, np.array([[0.5, 1.5]]), evaluate, SPLIT_2Q)
     with pytest.raises(DegeneracyError) as exc:
         entropy_sweep(fam, 5)
-    assert exc.value.point is not None
+    assert np.array_equal(exc.value.point, [0.5])
 
 
 @pytest.mark.parametrize("make_family", [example1_family, example2_family, custom_family])
@@ -488,3 +488,78 @@ def test_refine_never_calls_scipy_minimize(monkeypatch):
     for fam in (example1_family(), generic_field_family(), example0_family()):
         adiabatic_entangling_power(fam, grid_per_axis=5, refine=True)
     assert bound_check(example2_family(), grid_per_axis=5).holds
+
+
+def per_point_entropies(fam, pts):
+    """The sweep's entropies computed one eigensystem call per point."""
+    rows = []
+    for p in pts:
+        _, vecs = fam.eigensystem(p)
+        rows.append(power._entropies_many(vecs.T, fam.split))
+    return np.array(rows)
+
+
+def recorded_eigensystem_sizes(monkeypatch):
+    """Number of points passed to each HamiltonianFamily.eigensystem call."""
+    sizes = []
+    eigensystem = HamiltonianFamily.eigensystem
+
+    def recorded(self, lam, *args, **kwargs):
+        sizes.append(len(np.asarray(lam)))
+        return eigensystem(self, lam, *args, **kwargs)
+
+    monkeypatch.setattr(HamiltonianFamily, "eigensystem", recorded)
+    return sizes
+
+
+SWEPT_FAMILIES = [(example0_family, 5), (example1_family, 6), (example2_family, 9),
+                  (generic_field_family, 9), (custom_2x3_family, 9)]
+
+
+@pytest.mark.parametrize("make_family, grid", SWEPT_FAMILIES)
+def test_entropy_sweep_equals_the_per_point_entropies(make_family, grid):
+    fam = make_family()
+    sweep = entropy_sweep(fam, grid)
+    assert sweep.entropies.tobytes() == per_point_entropies(fam, sweep.points).tobytes()
+
+
+@pytest.mark.parametrize("make_family, grid", SWEPT_FAMILIES)
+def test_entropy_sweep_does_not_depend_on_the_chunk(monkeypatch, make_family, grid):
+    fam = make_family()
+    whole = entropy_sweep(fam, grid)
+    assert len(whole.points) % 7 and len(whole.points) <= power.SWEEP_CHUNK
+    monkeypatch.setattr(power, "SWEEP_CHUNK", 7)
+    sizes = recorded_eigensystem_sizes(monkeypatch)
+    chunked = entropy_sweep(fam, grid)
+    assert sizes == [7] * (len(whole.points) // 7) + [len(whole.points) % 7]
+    assert chunked.entropies.tobytes() == whole.entropies.tobytes()
+    assert (chunked.argmax_level, chunked.argmax_value) == (whole.argmax_level,
+                                                            whole.argmax_value)
+
+
+def test_entropy_sweep_names_the_same_degenerate_point_in_any_chunking(monkeypatch):
+    # the energies +-lam +-0.25 cross at lam = 0 and lam = +-0.25; the first
+    # crossing on the 41-point grid over [-1, 1] is point 15, inside a chunk of 7
+    def evaluate(lam):
+        return lam[..., 0, None, None] * tensor(SIGMA_Z, ID2) + 0.25 * tensor(ID2, SIGMA_Z)
+
+    fam = HamiltonianFamily(1, np.array([[-1.0, 1.0]]), evaluate, SPLIT_2Q)
+    points = []
+    for chunk in (power.SWEEP_CHUNK, 7):
+        monkeypatch.setattr(power, "SWEEP_CHUNK", chunk)
+        with pytest.raises(DegeneracyError) as exc:
+            entropy_sweep(fam, 41)
+        points.append(exc.value.point)
+    first = power.grid_points(fam.bounds, 41)[15]
+    assert points[0].tobytes() == points[1].tobytes() == first.tobytes()
+
+
+@pytest.mark.parametrize("sample_points", [
+    [0.1, 0.2, 0.3], [[0.1, 0.2]], [[[0.1, 0.2, 0.3]]], 0.5, np.empty((0, 3))])
+def test_entropy_sweep_rejects_malformed_sample_points(sample_points):
+    fam = example1_family()
+    for call in (entropy_sweep, adiabatic_entangling_power):
+        with pytest.raises(ValueError, match=r"must have shape \(n, 3\) with n >= 1"):
+            call(fam, sample_points=sample_points)
+    sweep = entropy_sweep(fam, sample_points=[[0.1, 0.2, 0.3]])
+    assert sweep.entropies.shape == (1, 4)
