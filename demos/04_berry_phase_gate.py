@@ -22,10 +22,10 @@ fam = spin_half_field_family()
 print("spin-1/2 ground-state phase around a cone of opening angle theta0:")
 for theta0 in (np.pi / 6, np.pi / 3, np.pi / 2):
     def gamma(s, theta0=theta0):
-        phi = 2 * np.pi * float(s)
-        return np.array([np.sin(theta0) * np.cos(phi),
+        phi = 2 * np.pi * np.asarray(s, dtype=float)
+        return np.stack([np.sin(theta0) * np.cos(phi),
                          np.sin(theta0) * np.sin(phi),
-                         np.cos(theta0)])
+                         np.full_like(phi, np.cos(theta0))], axis=-1)
 
     g = berry_phase(fam, 0, ParameterPath(1.0, gamma, closed=True), samples=2000)
     oracle = np.pi * (1 - np.cos(theta0))

@@ -63,9 +63,9 @@ from .power import (
 from .simulate import (
     ParameterPath,
     circle_loop,
-    line_path,
     propagate,
     synthesize_controlled_phase,
+    waypoint_path,
 )
 from .spectral import build_connecting_family, spectra_along
 
@@ -354,24 +354,6 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _waypoint_path(waypoints, duration: float, schedule: str) -> ParameterPath:
-    """Piecewise-linear path through waypoints, equal time per segment."""
-    pts = [np.asarray(w, dtype=float) for w in waypoints]
-    if len(pts) == 1:
-        return ParameterPath(duration, lambda s: pts[0],
-                             closed=True)
-    nseg = len(pts) - 1
-    segments = [line_path(a, b, duration, schedule) for a, b in zip(pts, pts[1:])]
-
-    def gamma(s):
-        x = min(max(float(s), 0.0), 1.0) * nseg
-        seg = min(int(x), nseg - 1)
-        return segments[seg].gamma(x - seg)
-
-    closed = bool(np.allclose(pts[0], pts[-1]))
-    return ParameterPath(duration, gamma, closed=closed)
-
-
 def cmd_evolve(args) -> int:
     fam, spec_config = load_family_spec(args.spec_file)
     if not 0 <= args.level < fam.dim:
@@ -381,7 +363,7 @@ def cmd_evolve(args) -> int:
             isinstance(w, list) and len(w) == fam.parameter_dim for w in waypoints)):
         raise ValueError(f"--path must be a JSON list of points with "
                          f"{fam.parameter_dim} parameters each")
-    path = _waypoint_path(waypoints, args.T, args.schedule)
+    path = waypoint_path(waypoints, args.T, args.schedule)
     _, vecs = fam.eigensystem(path.gamma(0.0))
     psi0 = vecs[:, args.level]
     rec = propagate(fam, path, psi0, steps=args.steps)
@@ -414,7 +396,7 @@ def _retrace_circle_loop(theta0: float, field_norm: float,
                          duration: float) -> ParameterPath:
     """Zero-area loop on the constraint sphere: half the azimuth circle and back."""
     circle = circle_loop(theta0, field_norm, duration, schedule="linear")
-    return ParameterPath(duration, lambda s: circle.gamma(min(s, 1.0 - s)), closed=True)
+    return ParameterPath(duration, lambda s: circle.gamma(np.minimum(s, 1.0 - s)), closed=True)
 
 
 def cmd_gate(args) -> int:

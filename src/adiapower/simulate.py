@@ -25,16 +25,21 @@ from .power import HamiltonianFamily
 
 @dataclass(frozen=True)
 class ParameterPath:
-    """Sampled curve gamma: [0, 1] -> parameter space, traversed in time T."""
+    """Sampled curve gamma: [0, 1] -> parameter space, traversed in time T.
+
+    gamma broadcasts like ``HamiltonianFamily.evaluate``: times s of any
+    shape (...) map to points (..., p), so a scalar s gives one point (p,).
+    """
 
     duration: float
-    gamma: Callable[[float], np.ndarray]
+    gamma: Callable[[np.ndarray], np.ndarray]   # s (...) -> points (..., p)
     closed: bool = False
 
     def check_closed(self, tol: float = 1e-12) -> None:
         if not self.closed:
             raise NotClosedError("path is not marked closed")
-        if np.max(np.abs(np.asarray(self.gamma(0.0)) - np.asarray(self.gamma(1.0)))) > tol:
+        ends = np.asarray(self.gamma(np.array([0.0, 1.0])))
+        if np.max(np.abs(ends[0] - ends[1])) > tol:
             raise NotClosedError("endpoints do not coincide")
 
 
@@ -42,11 +47,30 @@ _RAMPS = {"linear": lambda s: s,
           "smoothstep": lambda s: s * s * s * (10.0 + s * (-15.0 + 6.0 * s))}
 
 
-def _ramp(schedule: str) -> Callable[[float], float]:
+def _ramp(schedule: str) -> Callable[[np.ndarray], np.ndarray]:
     """Time reparametrization s -> ramp(s) of [0, 1] named by a schedule."""
     if schedule not in _RAMPS:
         raise ValueError(f"unknown schedule {schedule!r}; use linear or smoothstep")
     return _RAMPS[schedule]
+
+
+def waypoint_path(waypoints, duration: float, schedule: str = "linear") -> ParameterPath:
+    """Piecewise-linear path through waypoints, equal time per segment.
+
+    Each segment is traversed with the schedule's ramp; s is clipped to
+    [0, 1].  A single waypoint gives a constant, closed path.
+    """
+    pts = np.asarray(waypoints, dtype=float)
+    ramp = _ramp(schedule)
+    nseg = len(pts) - 1
+
+    def gamma(s):
+        x = np.clip(s, 0.0, 1.0) * nseg
+        seg = np.minimum(x.astype(int), nseg - 1)   # one waypoint: seg -1, pts[0] + ramp(1) * 0
+        start = pts[seg]
+        return start + ramp(x - seg)[..., None] * (pts[seg + 1] - start)
+
+    return ParameterPath(duration, gamma, closed=bool(np.allclose(pts[0], pts[-1])))
 
 
 def line_path(start, end, duration: float, schedule: str = "linear") -> ParameterPath:
@@ -55,27 +79,13 @@ def line_path(start, end, duration: float, schedule: str = "linear") -> Paramete
     schedule 'smoothstep' uses the C^2 ramp 10s^3 - 15s^4 + 6s^5, which
     starts and ends at rest.
     """
-    start = np.asarray(start, dtype=float)
-    end = np.asarray(end, dtype=float)
-    ramp = _ramp(schedule)
-
-    def gamma(s):
-        return start + ramp(float(s)) * (end - start)
-
-    return ParameterPath(duration, gamma, closed=bool(np.allclose(start, end)))
+    return waypoint_path([start, end], duration, schedule)
 
 
 def retrace_loop(start, end, duration: float) -> ParameterPath:
     """Zero-area loop: out along a segment and straight back."""
-    start = np.asarray(start, dtype=float)
-    end = np.asarray(end, dtype=float)
-
-    def gamma(s):
-        s = float(s)
-        f = 2.0 * s if s <= 0.5 else 2.0 * (1.0 - s)
-        return start + f * (end - start)
-
-    return ParameterPath(duration, gamma, closed=True)
+    line = line_path(start, end, duration)
+    return ParameterPath(duration, lambda s: line.gamma(2.0 * np.minimum(s, 1.0 - s)), closed=True)
 
 
 def circle_loop(theta0: float, field_norm: float, duration: float,
@@ -92,24 +102,28 @@ def circle_loop(theta0: float, field_norm: float, duration: float,
     ramp = _ramp(schedule)
 
     def gamma(s):
-        phi = 2.0 * np.pi * ramp(float(s))
-        return np.array([rho * np.cos(phi), rho * np.sin(phi), mu_z])
+        phi = 2.0 * np.pi * ramp(np.asarray(s, dtype=float))
+        return np.stack([rho * np.cos(phi), rho * np.sin(phi), np.full_like(phi, mu_z)],
+                        axis=-1)
 
     return ParameterPath(duration, gamma, closed=True)
 
 
-def pancharatnam_phase(vectors, closed: bool = True) -> float:
+def pancharatnam_phase(vectors, closed: bool = True):
     """Discrete geometric phase -Im sum_k ln <v_k|v_{k+1}> of a vector chain.
 
-    With closed=True the chain is closed through its first element and the
-    result is invariant under arbitrary per-vector rephasing.  All overlaps
-    are taken in one stacked product and summed in chain order from 0j.
+    vectors is one (n, D) chain, giving a float, or a (..., n, D) stack of
+    chains, giving an array of phases (...).  With closed=True each chain is
+    closed through its first element and the result is invariant under
+    arbitrary per-vector rephasing.  All overlaps are taken in one stacked
+    product and summed in chain order from 0j.
     """
     v = np.asarray(vectors)
-    cur, nxt = (v, np.roll(v, -1, axis=0)) if closed else (v[:-1], v[1:])
-    overlaps = (cur.conj()[:, None, :] @ nxt[:, :, None])[:, 0, 0]
-    total = np.cumsum(np.append(0j, np.log(overlaps)))[-1]
-    return float(np.angle(np.exp(1j * (-total.imag))))
+    cur, nxt = (v, np.roll(v, -1, axis=-2)) if closed else (v[..., :-1, :], v[..., 1:, :])
+    logs = np.log((cur.conj()[..., None, :] @ nxt[..., :, None])[..., 0, 0])
+    total = np.cumsum(np.pad(logs, [(0, 0)] * (logs.ndim - 1) + [(1, 0)]), axis=-1)[..., -1]
+    phase = np.angle(np.exp(1j * (-total.imag)))
+    return float(phase) if phase.ndim == 0 else phase
 
 
 @dataclass(frozen=True)
@@ -125,9 +139,17 @@ class AdiabaticRunRecord:
     norm_drift: float
 
 
-def _points(path: ParameterPath, s: np.ndarray) -> np.ndarray:
-    """(n, p) stack of the path's parameter points at the times s."""
-    return np.array([path.gamma(x) for x in s.tolist()], dtype=float)
+def _points(fam: HamiltonianFamily, path: ParameterPath, s: np.ndarray) -> np.ndarray:
+    """(n, p) points of the path at the n times s, from one gamma call; a
+    gamma that does not broadcast is a ValueError."""
+    expected = (len(s), fam.parameter_dim)
+    try:
+        pts = np.asarray(path.gamma(s), dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"gamma must map times {s.shape} to points {expected}: {exc}") from exc
+    if pts.shape != expected:
+        raise ValueError(f"gamma must map times {s.shape} to points {expected}, got {pts.shape}")
+    return pts
 
 
 def _step_unitaries(fam: HamiltonianFamily, path: ParameterPath, steps: int,
@@ -136,15 +158,14 @@ def _step_unitaries(fam: HamiltonianFamily, path: ParameterPath, steps: int,
 
     All midpoints are diagonalized in one call; callers take this stack before
     any other diagonalization, so too few steps or a duration that is not
-    positive fail first.
+    positive and finite fail first.
     """
     if steps < 100:
         raise ValueError("use at least 100 steps")
-    if not path.duration > 0:
-        raise ValueError(f"the duration must be positive, got {path.duration}")
+    if not 0 < path.duration < np.inf:
+        raise ValueError(f"the duration must be positive and finite, got {path.duration}")
     dt = path.duration / steps
-    s = (np.arange(steps) + 0.5) / steps
-    vals, vecs = fam.eigensystem(_points(path, s), cluster_tol)
+    vals, vecs = fam.eigensystem(_points(fam, path, (np.arange(steps) + 0.5) / steps), cluster_tol)
     vd = dagger(vecs)                    # conj() copies, so vecs may be scaled in place
     vecs *= np.exp(-1j * vals * dt)[..., None, :]
     return vecs @ vd
@@ -169,7 +190,7 @@ def propagate(fam: HamiltonianFamily, path: ParameterPath, psi0,
     t_total = path.duration
     dt = t_total / steps
 
-    vals, vecs = fam.eigensystem(_points(path, np.arange(steps + 1) / steps), cluster_tol)
+    vals, vecs = fam.eigensystem(_points(fam, path, np.arange(steps + 1) / steps), cluster_tol)
     overlaps = np.abs(dagger(vecs[0]) @ psi)
     level = int(np.argmax(overlaps))
     if overlaps[level] < 1.0 - eigstate_tol:
@@ -219,11 +240,14 @@ def berry_phase(fam: HamiltonianFamily, level: int, loop: ParameterPath,
     """Geometric phase of one level around a closed parameter loop.
 
     Computed as the closed-chain Pancharatnam product of instantaneous
-    eigenvectors, reduced to (-pi, pi]; the loop's samples are
-    diagonalized in one call.
+    eigenvectors, reduced to (-pi, pi]; the loop's samples (at least 3: a
+    closed chain of two carries no phase) are diagonalized in one call.
     """
+    if samples < 3:
+        raise ValueError(f"use at least 3 samples, got {samples}")
+    pts = _points(fam, loop, np.arange(samples) / samples)
     loop.check_closed()
-    _, vecs = fam.eigensystem(_points(loop, np.arange(samples) / samples), cluster_tol)
+    _, vecs = fam.eigensystem(pts, cluster_tol)
     return pancharatnam_phase(vecs[..., level], closed=True)
 
 
@@ -244,11 +268,10 @@ def decompose_uad(fam: HamiltonianFamily, path: ParameterPath,
     if fam.iso_spectral_form is None:
         raise ValueError("decompose_uad needs an iso-spectral family")
     u = propagate_unitary(fam, path, steps)
-    vals, vecs = fam.eigensystem(_points(path, np.arange(steps + 1) / steps), cluster_tol)
+    vals, vecs = fam.eigensystem(_points(fam, path, np.arange(steps + 1) / steps), cluster_tol)
     # Sequential sum, as in propagate.
     dynamical = 0.0 - np.cumsum(vals[1:] * (path.duration / steps), axis=0)[-1]
-    geometric = np.array([pancharatnam_phase(vecs[:, :, j], closed=False)
-                          for j in range(fam.dim)])
+    geometric = pancharatnam_phase(np.moveaxis(vecs, -1, 0), closed=False)
     predicted = vecs[-1] * np.exp(1j * (dynamical + geometric))
     residuals = np.linalg.norm(u @ vecs[0] - predicted, axis=0)
     return [LevelPhaseReport(j, float(dynamical[j]), float(geometric[j]), float(residuals[j]))
@@ -289,38 +312,33 @@ def synthesize_controlled_phase(loop: ParameterPath,
     the measured phase to each of them.  Total phases come from the
     simulated propagator; the geometric parts are extracted separately by
     the closed-chain Pancharatnam product over ``phase_samples`` loop
-    points, which converges independently of the run duration.
+    points (at least 3), which converges independently of the run duration.
     """
+    if constraint_samples < 2 or phase_samples < 3:
+        raise ValueError(f"use at least 2 constraint and 3 phase samples, got "
+                         f"{constraint_samples} and {phase_samples}")
+    fam = example1_family(base)
+    radii = np.sum(_points(fam, loop, np.linspace(0.0, 1.0, constraint_samples)) ** 2, axis=1)
     loop.check_closed()
-    radii = np.sum(_points(loop, np.linspace(0.0, 1.0, constraint_samples)) ** 2, axis=1)
     if radii.max() - radii.min() > constraint_tol:
         raise ConstraintViolatedError("|mu|^2 + mu_z^2 varies along the loop")
 
-    fam = example1_family(base)
     u_full = propagate_unitary(fam, loop, steps)
     # The loop's samples start at s = 0, so they give the starting eigenbasis too.
-    energies, chain = fam.eigensystem(_points(loop, np.arange(phase_samples) / phase_samples))
+    energies, chain = fam.eigensystem(_points(fam, loop, np.arange(phase_samples) / phase_samples))
     energies, v_start = energies[0], chain[0]
 
     base_vecs = fam.iso_spectral_form.base_vectors
     labels = tuple(format(int(i), "02b") for i in np.argmax(np.abs(base_vecs), axis=0))
-
-    phases, dynamical, geometric = {}, {}, {}
-    residual = 0.0
-    t_total = loop.duration
-    for j, label in enumerate(labels):
-        e = v_start[:, j]
-        amp = np.vdot(e, u_full @ e)
-        phi = float(np.angle(amp))
-        phases[label] = phi
-        dynamical[label] = _wrap(-energies[j] * t_total)
-        geometric[label] = pancharatnam_phase(chain[..., j], closed=True)
-        residual = max(residual, float(np.linalg.norm(u_full @ e - amp * e)))
-
+    amps = [np.vdot(e, u_full @ e) for e in v_start.T]
+    phases = {label: float(np.angle(amp)) for label, amp in zip(labels, amps)}
+    dynamical = {label: _wrap(-energy * loop.duration) for label, energy in zip(labels, energies)}
+    geometric = dict(zip(labels, pancharatnam_phase(np.moveaxis(chain, -1, 0)).tolist()))
+    residual = max(0.0, *(float(np.linalg.norm(u_full @ e - amp * e))
+                          for e, amp in zip(v_start.T, amps)))
     nontriv = _wrap(phases["01"] + phases["10"] - phases["00"] - phases["11"])
     gate = np.zeros((4, 4), dtype=complex)
-    for j, label in enumerate(labels):
-        e = v_start[:, j]
+    for e, label in zip(v_start.T, labels):
         gate += np.exp(1j * phases[label]) * np.outer(e, e.conj())
     return GateSynthesisResult(labels, phases, dynamical, geometric, nontriv,
-                               gate, u_full, residual, t_total)
+                               gate, u_full, residual, loop.duration)

@@ -237,10 +237,10 @@ def test_criterion_07_berry_phase_oracle():
     worst = 0.0
     for theta0 in (np.pi / 6, np.pi / 3, np.pi / 2):
         def gamma(s, theta0=theta0):
-            phi = 2 * np.pi * float(s)
-            return np.array([np.sin(theta0) * np.cos(phi),
+            phi = 2 * np.pi * np.asarray(s, dtype=float)
+            return np.stack([np.sin(theta0) * np.cos(phi),
                              np.sin(theta0) * np.sin(phi),
-                             np.cos(theta0)])
+                             np.full_like(phi, np.cos(theta0))], axis=-1)
 
         loop = ParameterPath(1.0, gamma, closed=True)
         g = berry_phase(fam, 0, loop, samples=2000)

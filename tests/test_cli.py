@@ -363,7 +363,7 @@ def test_evolve_rejects_bad_level_and_path_before_any_work(specs, eigh_shapes, c
     assert eigh_shapes == [(4, 4)] * 9   # each run's base Hamiltonian, no path stack
 
 
-@pytest.mark.parametrize("duration", ["0", "-5", "-0.0"])
+@pytest.mark.parametrize("duration", ["0", "-5", "-0.0", "inf"])
 def test_evolve_and_gate_reject_a_duration_that_is_not_positive(tmp_path, specs, eigh_shapes,
                                                                  capsys, duration):
     out_file = tmp_path / "evolve.json"
@@ -372,7 +372,7 @@ def test_evolve_and_gate_reject_a_duration_that_is_not_positive(tmp_path, specs,
     assert main(["gate", "--T", duration, "--steps", "200"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.count(f"input error: the duration must be positive, got "
+    assert captured.err.count(f"input error: the duration must be positive and finite, got "
                               f"{float(duration)}") == 2
     # evolve: the base Hamiltonian and the start point's unitary; gate: its base
     # Hamiltonian; no path stack

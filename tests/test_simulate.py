@@ -14,6 +14,7 @@ from adiapower.families import example1_family, example1_unitary, spin_half_fiel
 from adiapower.linalg import BipartiteSplit, expm_skew, ket
 from adiapower.power import iso_spectral_family
 from adiapower.simulate import (
+    _RAMPS,
     ParameterPath,
     berry_phase,
     circle_loop,
@@ -24,6 +25,7 @@ from adiapower.simulate import (
     propagate_unitary,
     retrace_loop,
     synthesize_controlled_phase,
+    waypoint_path,
 )
 
 
@@ -31,12 +33,65 @@ def field_circle(theta0, r=1.0, duration=1.0):
     """Closed loop of B = r(sin t0 cos phi, sin t0 sin phi, cos t0)."""
 
     def gamma(s):
-        phi = 2 * np.pi * float(s)
-        return r * np.array([np.sin(theta0) * np.cos(phi),
+        phi = 2 * np.pi * np.asarray(s, dtype=float)
+        return r * np.stack([np.sin(theta0) * np.cos(phi),
                              np.sin(theta0) * np.sin(phi),
-                             np.cos(theta0)])
+                             np.full_like(phi, np.cos(theta0))], axis=-1)
 
     return ParameterPath(duration, gamma, closed=True)
+
+
+WAYPOINTS = [[0.0, 0.0, 0.0], [0.2, -0.1, 0.5], [0.5, 0.1, 0.9], [0.3, 0.0, 1.4]]
+
+
+def _segment_reference(waypoints, schedule, s):
+    """One point of a piecewise-linear path from per-segment scalar arithmetic."""
+    pts = [np.asarray(w, dtype=float) for w in waypoints]
+    if len(pts) == 1:
+        return pts[0]
+    nseg = len(pts) - 1
+    x = min(max(float(s), 0.0), 1.0) * nseg
+    seg = min(int(x), nseg - 1)
+    return pts[seg] + _RAMPS[schedule](x - seg) * (pts[seg + 1] - pts[seg])
+
+
+PATHS = {
+    **{f"line-{sched}": line_path(WAYPOINTS[0], WAYPOINTS[1], 1.0, sched)
+       for sched in ("linear", "smoothstep")},
+    "retrace": retrace_loop(WAYPOINTS[1], WAYPOINTS[2], 1.0),
+    **{f"circle-{sched}": circle_loop(0.7, 1.3, 1.0, sched) for sched in ("linear", "smoothstep")},
+    **{f"waypoints{n}-{sched}": waypoint_path(WAYPOINTS[:n], 1.0, sched)
+       for n in (1, 2, 3, 4) for sched in ("linear", "smoothstep")},
+    "cli-retrace": _retrace_circle_loop(np.pi / 3, 1.0, 40.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PATHS))
+def test_path_gamma_on_a_stack_equals_the_per_point_gammas_bit_for_bit(name):
+    gamma = PATHS[name].gamma
+    s = np.linspace(0.0, 1.0, 4001)
+    stacked = gamma(s)
+    per_point = np.stack([gamma(x) for x in s])
+    assert per_point.shape == (4001, 3)
+    assert stacked.tobytes() == per_point.tobytes()
+    grid = gamma(s[:4000].reshape(4, 1, 1000))
+    assert grid.shape == (4, 1, 1000, 3)
+    assert grid.tobytes() == stacked[:4000].tobytes()
+
+
+@pytest.mark.parametrize("schedule", ["linear", "smoothstep"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_waypoint_path_equals_per_segment_scalar_arithmetic(n, schedule):
+    path = waypoint_path(WAYPOINTS[:n], 1.0, schedule)
+    s = np.linspace(0.0, 1.0, 4001)
+    reference = np.stack([_segment_reference(WAYPOINTS[:n], schedule, x) for x in s])
+    assert path.gamma(s).tobytes() == reference.tobytes()
+
+
+def test_waypoint_path_is_closed_when_its_ends_coincide():
+    assert waypoint_path(WAYPOINTS[:1], 1.0).closed
+    assert waypoint_path(WAYPOINTS[:1] * 3, 1.0).closed
+    assert not waypoint_path(WAYPOINTS, 1.0).closed
 
 
 def test_propagate_stationary_state():
@@ -143,6 +198,11 @@ def test_pancharatnam_phase_matches_a_vdot_loop_bit_for_bit(dim, n, closed):
     for chain in chains:
         got = pancharatnam_phase(chain, closed=closed)
         assert np.float64(got).tobytes() == np.float64(_vdot_loop_phase(chain, closed)).tobytes()
+    for stack in (vecs, eig):
+        per_level = [_vdot_loop_phase(stack[..., j], closed) for j in range(dim)]
+        stacked = pancharatnam_phase(np.moveaxis(stack, -1, 0), closed=closed)
+        assert stacked.shape == (dim,)
+        assert stacked.tobytes() == np.array(per_level).tobytes()
 
 
 @settings(max_examples=25, derandomize=True, deadline=None)
@@ -177,6 +237,51 @@ def test_berry_phase_sign_flips_with_orientation():
     g2 = berry_phase(fam, 0, rev, samples=800)
     assert abs(g1 + g2) < 1e-8
     assert abs(g1) > 0.1
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(st.floats(0.05, np.pi - 0.05), st.integers(3, 400))
+def test_berry_phase_flips_sign_on_the_reversed_loop(theta0, samples):
+    fam = spin_half_field_family()
+    loop = field_circle(theta0)
+    rev = ParameterPath(loop.duration, lambda s: loop.gamma(1.0 - s), closed=True)
+    total = berry_phase(fam, 0, loop, samples) + berry_phase(fam, 0, rev, samples)
+    assert abs(np.angle(np.exp(1j * total))) < 1e-8
+
+
+def _cone_point(s):
+    return np.array([np.cos(2 * np.pi * float(s)), np.sin(2 * np.pi * float(s)), 1.0])
+
+
+@pytest.mark.parametrize("gamma", [
+    lambda s: np.array([np.cos(2 * np.pi * s), np.sin(2 * np.pi * s), np.ones_like(s)]),
+    _cone_point,
+    lambda s: _cone_point(s) if s <= 0.5 else _cone_point(1 - s),
+], ids=["points-last", "float", "branch"])
+def test_gamma_that_does_not_broadcast_is_rejected_before_any_eigensystem(monkeypatch, gamma):
+    fam = spin_half_field_family()
+    path = ParameterPath(5.0, gamma, closed=True)
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigh", lambda *args, **kwargs: calls.append(args))
+    for run in (lambda: propagate(fam, path, [1.0, 0.0], steps=200),
+                lambda: berry_phase(fam, 0, path, samples=400)):
+        with pytest.raises(ValueError, match="gamma must map times"):
+            run()
+    assert calls == []
+
+
+def test_too_few_phase_or_constraint_samples_are_rejected():
+    fam = spin_half_field_family()
+    loop = circle_loop(np.pi / 3, 1.0, duration=5.0)
+    for samples in (-1, 0, 1, 2):
+        with pytest.raises(ValueError, match="at least 3 samples"):
+            berry_phase(fam, 0, field_circle(np.pi / 3), samples=samples)
+        with pytest.raises(ValueError, match="at least 2 constraint and 3 phase samples"):
+            synthesize_controlled_phase(loop, 200, phase_samples=samples)
+    for samples in (-1, 0, 1):
+        with pytest.raises(ValueError, match="at least 2 constraint and 3 phase samples"):
+            synthesize_controlled_phase(loop, 200, constraint_samples=samples)
+    assert berry_phase(fam, 0, field_circle(np.pi / 3), samples=3) != 0.0
 
 
 def test_berry_phase_requires_closed_loop():
@@ -274,21 +379,21 @@ def test_step_consumers_reject_too_few_steps():
 
 def test_step_consumers_reject_a_duration_that_is_not_positive():
     fam = example1_family()
-    for duration in (0.0, -5.0, float("nan")):
+    for duration in (0.0, -5.0, float("nan"), float("inf")):
         path = line_path([0, 0, 0], [0.1, 0, 0], duration=duration)
         loop = circle_loop(np.pi / 3, 1.0, duration=duration)
         for run in (lambda: propagate(fam, path, ket("01"), 200),
                     lambda: propagate_unitary(fam, path, 200),
                     lambda: decompose_uad(fam, path, 200),
                     lambda: synthesize_controlled_phase(loop, 200)):
-            with pytest.raises(ValueError, match="duration must be positive"):
+            with pytest.raises(ValueError, match="duration must be positive and finite"):
                 run()
 
 
 def test_gate_constraint_check():
     bad = line_path([0.1, 0, 0.1], [0.3, 0, 0.1], duration=10.0)
-    loop = ParameterPath(10.0, lambda s: bad.gamma(2 * s if s <= 0.5 else 2 - 2 * s),
-                         closed=True)
+    loop = ParameterPath(10.0, lambda s: bad.gamma(np.where(np.asarray(s) <= 0.5,
+                                                            2 * s, 2 - 2 * s)), closed=True)
     with pytest.raises(ConstraintViolatedError):
         synthesize_controlled_phase(loop, steps=200)
 
@@ -296,17 +401,21 @@ def test_gate_constraint_check():
 def retrace_half_circle(s):
     """Half the theta0 = pi/3, |B| = 1 constraint circle and straight back."""
     rho, mu_z = np.sin(np.pi / 3) / 4, np.cos(np.pi / 3) / 2
-    s = float(s)
-    f = 2 * s if s <= 0.5 else 2 * (1 - s)
+    s = np.asarray(s, dtype=float)
+    f = np.where(s <= 0.5, 2 * s, 2 * (1 - s))
     phi = np.pi * f
-    return np.array([rho * np.cos(phi), rho * np.sin(phi), mu_z])
+    return np.stack([rho * np.cos(phi), rho * np.sin(phi), np.full_like(phi, mu_z)], axis=-1)
 
 
 def test_cli_retrace_loop_matches_half_circle_bit_for_bit():
     loop = _retrace_circle_loop(np.pi / 3, 1.0, 40.0)
     assert loop.closed
-    for s in np.linspace(0.0, 1.0, 4001):
-        assert np.array_equal(loop.gamma(s), retrace_half_circle(s)), s
+    s = np.linspace(0.0, 1.0, 4001)
+    per_point = np.stack([loop.gamma(x) for x in s])
+    assert loop.gamma(s).tobytes() == per_point.tobytes()
+    assert retrace_half_circle(s).tobytes() == per_point.tobytes()
+    for x, point in zip(s, per_point):
+        assert retrace_half_circle(x).tobytes() == point.tobytes(), x
 
 
 def test_gate_zero_area_loop_has_no_geometric_phase():
