@@ -129,22 +129,27 @@ def expm_skew(k, tol: float = DEFAULT_TOL) -> np.ndarray:
     return vecs @ vd
 
 
-def logm_unitary(u, tol: float = DEFAULT_TOL, branch_tol: float = 1e-12) -> np.ndarray:
-    """Hermitian G with exp(i*G) = u, eigenphases in (-pi, pi].
-
-    Raises BranchAmbiguityError when an eigenphase sits within branch_tol of
-    pi, where the principal branch is ill-defined.
-    """
+def eig_unitary(u, tol: float = DEFAULT_TOL):
+    """Eigenphases in (-pi, pi] and orthonormal eigenvectors of a unitary, from one Schur form."""
     u = _as_complex(u)
     if not is_unitary(u, tol):
         raise NotUnitaryError("matrix is not unitary within tolerance")
     # u is normal, so its complex Schur form is diagonal with orthonormal q.
     t, q = scipy.linalg.schur(u, output="complex")
     phases = np.angle(np.diagonal(t))
+    return np.where(phases <= -np.pi, np.pi, phases), q
+
+
+def logm_unitary(u, tol: float = DEFAULT_TOL, branch_tol: float = 1e-12) -> np.ndarray:
+    """Hermitian G with exp(i*G) = u, eigenphases in (-pi, pi].
+
+    Raises BranchAmbiguityError when an eigenphase sits within branch_tol of
+    pi, where the principal branch is ill-defined.
+    """
+    phases, q = eig_unitary(u, tol)
     if np.any(phases > np.pi - branch_tol):
         raise BranchAmbiguityError("eigenphase within tolerance of pi; perturb the input")
-    g = (q * phases) @ q.conj().T
-    return 0.5 * (g + g.conj().T)
+    return (q * phases) @ q.conj().T
 
 
 def partial_trace(rho, split: BipartiteSplit, keep: str = "A",

@@ -146,6 +146,8 @@ def eigenstate_track(fam: HamiltonianFamily, level: int, path,
     The path's points are diagonalized in one call.  Each vector's global
     phase is fixed so its overlap with the previous one is real positive.
     """
+    if not 0 <= level < fam.dim:
+        raise ValueError(f"level {level} is out of range 0..{fam.dim - 1}")
     _, vecs = fam.eigensystem(np.asarray(path, dtype=float), cluster_tol)
     out = list(vecs[:1, :, level])
     for v in vecs[1:, :, level]:
@@ -410,7 +412,7 @@ def unitary_entangling_power(u, split: BipartiteSplit,
                              starts: int = DEFAULT_STARTS,
                              seed: int = 0,
                              coarse: int = 512,
-                             tol: float = 1e-10) -> UnitaryPowerResult:
+                             tol: float = linalg.DEFAULT_TOL) -> UnitaryPowerResult:
     """Maximum entanglement entropy of U applied to product states.
 
     The best ``starts`` rows (at least one) of a random bank of ``coarse``

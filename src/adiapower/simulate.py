@@ -245,6 +245,8 @@ def berry_phase(fam: HamiltonianFamily, level: int, loop: ParameterPath,
     """
     if samples < 3:
         raise ValueError(f"use at least 3 samples, got {samples}")
+    if not 0 <= level < fam.dim:
+        raise ValueError(f"level {level} is out of range 0..{fam.dim - 1}")
     pts = _points(fam, loop, np.arange(samples) / samples)
     loop.check_closed()
     _, vecs = fam.eigensystem(pts, cluster_tol)

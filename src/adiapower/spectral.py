@@ -107,15 +107,16 @@ class ConnectingFamily:
     """Crossing-free family H(t) joining two iso-degenerate endpoints.
 
     H(t) = sum_i eps_i(t) U_t P0_i U_t^dag with linear eps_i(t) and the
-    geodesic path U_t = exp(i t G), G the principal log of the aligning
-    unitary.  ``eigenvalues_at``, ``unitary_at`` and ``sample`` take a scalar
-    t or (n,) times and return (..., R), (..., D, D) and (..., D, D).
+    geodesic path U_t = exp(i t G), where exp(iG) is the aligning unitary W
+    up to the global phase that keeps G's eigenphases off the log branch cut.
+    ``eigenvalues_at``, ``unitary_at`` and ``sample`` take a scalar t or (n,)
+    times and return (..., R), (..., D, D) and (..., D, D).
     """
 
     base: SpectralResolution
     energies0: np.ndarray
     energies1: np.ndarray
-    generator: np.ndarray                    # Hermitian G with exp(iG) = W
+    generator: np.ndarray                    # Hermitian G, exp(iG) = e^{ia} W
     _gen_phases: np.ndarray = field(repr=False, default=None)
     _gen_vecs: np.ndarray = field(repr=False, default=None)
 
@@ -128,24 +129,10 @@ class ConnectingFamily:
         return (self._gen_vecs * np.exp(1j * t * self._gen_phases)) @ self._gen_vecs.conj().T
 
     def sample(self, t) -> np.ndarray:
-        u = self.unitary_at(t)
-        ud = linalg.dagger(u)
-        eps = self.eigenvalues_at(t)[..., None, None]
-        h = sum(eps[..., i, :, :] * (u @ p @ ud) for i, p in enumerate(self.base.projectors))
+        w = self.unitary_at(t) @ self.base.vectors
+        eps = np.repeat(self.eigenvalues_at(t), self.base.multiplicities, axis=-1)
+        h = (w * eps[..., None, :]) @ linalg.dagger(w)
         return 0.5 * (h + linalg.dagger(h))
-
-
-def _dodge_branch_cut(w: np.ndarray) -> np.ndarray:
-    """Rotate w by a global phase so no eigenphase sits near the log branch cut.
-
-    A global phase leaves every conjugation w P w^dag unchanged, so the
-    rotated matrix aligns the same projectors.
-    """
-    phases = np.sort(np.angle(np.linalg.eigvals(w)))
-    gaps = np.diff(np.concatenate([phases, [phases[0] + 2.0 * np.pi]]))
-    k = int(np.argmax(gaps))
-    cut = phases[k] + gaps[k] / 2.0
-    return np.exp(-1j * (cut - np.pi)) * w
 
 
 def build_connecting_family(h0, h1,
@@ -153,16 +140,19 @@ def build_connecting_family(h0, h1,
     s0, s1, decision = _resolve_pair(h0, h1, cluster_tol)
     if not decision.connectible:
         raise NotConnectibleError(decision.reason, decision)
-    w = _dodge_branch_cut(aligning_unitary(s0, s1))
-    g = linalg.logm_unitary(w)
-    phases, gvecs = linalg.eig_hermitian(g)
+    phases, q = linalg.eig_unitary(aligning_unitary(s0, s1))
+    # Cut mid-way across the widest eigenphase gap; e^{ia} W aligns the same projectors.
+    ring = np.sort(phases)
+    gaps = np.diff(np.append(ring, ring[0] + 2.0 * np.pi))
+    k = int(np.argmax(gaps))
+    psi = np.mod(phases - (ring[k] + gaps[k] / 2.0), 2.0 * np.pi) - np.pi
     return ConnectingFamily(
         base=s0,
         energies0=s0.energies,
         energies1=s1.energies,
-        generator=g,
-        _gen_phases=phases,
-        _gen_vecs=gvecs,
+        generator=(q * psi) @ q.conj().T,
+        _gen_phases=psi,
+        _gen_vecs=q,
     )
 
 

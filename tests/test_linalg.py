@@ -16,6 +16,7 @@ from adiapower.linalg import (
     BipartiteSplit,
     basis_state,
     eig_hermitian,
+    eig_unitary,
     expm_skew,
     ket,
     logm_unitary,
@@ -124,9 +125,26 @@ def test_logm_unitary_roundtrip():
         assert np.linalg.norm(expm_skew(g) - u) < 1e-8
 
 
+def test_eig_unitary_reconstructs_with_phases_in_half_open_interval():
+    rng = np.random.default_rng(4)
+    for d in (1, 2, 4, 6):
+        u, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        phases, q = eig_unitary(u)
+        assert np.all((phases > -np.pi) & (phases <= np.pi))
+        assert np.linalg.norm(q.conj().T @ q - np.eye(d)) < 1e-12
+        assert np.linalg.norm((q * np.exp(1j * phases)) @ q.conj().T - u) < 1e-12
+    # -1 - 0j has np.angle -pi; the eigenphase is reported as +pi
+    phases, _ = eig_unitary(np.diag([complex(-1.0, -0.0), 1.0]))
+    assert np.array_equal(np.sort(phases), [0.0, np.pi])
+    with pytest.raises(NotUnitaryError):
+        eig_unitary(2 * np.eye(2))
+
+
 def test_logm_unitary_branch_and_input_checks():
     with pytest.raises(BranchAmbiguityError):
         logm_unitary(-np.eye(2))
+    with pytest.raises(BranchAmbiguityError):
+        logm_unitary(np.diag([complex(-1.0, -0.0), 1.0]))
     with pytest.raises(NotUnitaryError):
         logm_unitary(2 * np.eye(2))
 

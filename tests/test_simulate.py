@@ -12,7 +12,7 @@ from adiapower.errors import (
 )
 from adiapower.families import example1_family, example1_unitary, spin_half_field_family
 from adiapower.linalg import BipartiteSplit, expm_skew, ket
-from adiapower.power import iso_spectral_family
+from adiapower.power import eigenstate_track, iso_spectral_family
 from adiapower.simulate import (
     _RAMPS,
     ParameterPath,
@@ -220,6 +220,15 @@ def test_berry_phase_zero_area_loop():
     fam = spin_half_field_family()
     loop = retrace_loop([0.0, 0.0, 1.0], [1.0, 0.0, 0.5], duration=1.0)
     assert abs(berry_phase(fam, 0, loop, samples=400)) < 1e-8
+
+
+@pytest.mark.parametrize("level", [-1, 4])
+def test_level_outside_the_spectrum_is_a_value_error(level):
+    fam = example1_family()
+    with pytest.raises(ValueError, match=f"level {level} is out of range 0..3"):
+        berry_phase(fam, level, circle_loop(np.pi / 3, 1.0, 1.0), samples=20)
+    with pytest.raises(ValueError, match=f"level {level} is out of range 0..3"):
+        eigenstate_track(fam, level, np.zeros((5, 3)))
 
 
 def test_berry_phase_solid_angle_oracle():

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adiapower.errors import DegeneracyMismatchError, NotConnectibleError
-from adiapower.linalg import ID2, SIGMA_X, SIGMA_Z, tensor
+from adiapower.linalg import ID2, SIGMA_X, SIGMA_Z, eig_unitary, expm_skew, tensor
 from adiapower.spectral import (
     _fix_phases,
     aligning_unitary,
@@ -181,20 +184,107 @@ def test_connecting_family_broadcasts_over_t_bit_for_bit(degeneracy):
         assert fam.eigenvalues_at(0.25).shape == (len(degeneracy),)
 
 
+def householder(rng, d):
+    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    v /= np.linalg.norm(v)
+    return np.eye(d) - 2.0 * np.outer(v, v.conj())
+
+
+@pytest.mark.parametrize("degeneracy", [(1, 1, 1, 1), (1, 2, 1), (2, 2), (3, 1)])
+def test_generator_exponentiates_to_the_aligning_unitary_up_to_a_phase(degeneracy):
+    rng = np.random.default_rng(sum(degeneracy) * 10 + len(degeneracy) + 1)
+    h0 = degenerate_hermitian(rng, degeneracy)
+    r = householder(rng, 4)
+    for h1 in (degenerate_hermitian(rng, degeneracy), r @ h0 @ r):
+        s0, s1 = spectral_resolution(h0), spectral_resolution(h1)
+        w = aligning_unitary(s0, s1)
+        fam = build_connecting_family(h0, h1)
+        u1 = fam.unitary_at(1.0)
+        phase = np.vdot(w, u1) / 4.0                  # tr(W^dag U_1) / D
+        assert abs(abs(phase) - 1.0) < 1e-12
+        assert np.linalg.norm(u1 - phase * w) < 1e-12
+        assert np.linalg.norm(expm_skew(fam.generator) - u1) < 1e-12
+        # the branch cut sits mid-way across the widest gap between W's eigenphases
+        ring = np.sort(eig_unitary(w)[0])
+        widest = np.diff(np.append(ring, ring[0] + 2.0 * np.pi)).max()
+        psi = np.linalg.eigvalsh(fam.generator)
+        assert abs(psi[0] - (widest / 2.0 - np.pi)) < 1e-12
+        assert abs(psi[-1] - (np.pi - widest / 2.0)) < 1e-12
+        for p0, p1 in zip(s0.projectors, s1.projectors):
+            assert np.linalg.norm(u1 @ p0 @ u1.conj().T - p1) < 1e-12
+
+
+def compositions(d):
+    """Degeneracy vectors of a D-dimensional space."""
+    return st.lists(st.booleans(), min_size=d - 1, max_size=d - 1).map(
+        lambda cut: tuple(np.diff([0, *(np.flatnonzero(cut) + 1), d]).tolist()))
+
+
+@st.composite
+def hermitian_pairs(draw):
+    """Two Hermitian D x D matrices, D <= 6.
+
+    h1 is an independent draw (own degeneracy vector, or h0's), h0 conjugated
+    by a Householder reflection, or, for a diagonal h0, h0 with its first and
+    last basis vectors swapped: the aligning unitary is then a permutation,
+    mostly with an eigenphase at pi.
+    """
+    d = draw(st.integers(1, 6))
+    deg0 = draw(compositions(d))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["independent", "same", "reflection", "swap"]))
+    if kind == "swap":
+        h0 = np.diag(np.repeat(np.cumsum(rng.uniform(0.5, 1.5, len(deg0))), deg0)).astype(complex)
+        perm = np.arange(d)
+        perm[[0, -1]] = perm[[-1, 0]]
+        r = np.eye(d)[perm]
+        return h0, r @ h0 @ r
+    h0 = degenerate_hermitian(rng, deg0)
+    if kind == "reflection":
+        r = householder(rng, d)
+        return h0, r @ h0 @ r
+    return h0, degenerate_hermitian(rng, deg0 if kind == "same" else draw(compositions(d)))
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(hermitian_pairs(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5))
+def test_connectibility_is_symmetric_and_the_family_is_exact(pair, ts):
+    h0, h1 = pair
+    assert is_adiabatically_connectible(h0, h0).connectible
+    d01 = is_adiabatically_connectible(h0, h1)
+    d10 = is_adiabatically_connectible(h1, h0)
+    assert d01.connectible == d10.connectible == (d01.d0 == d01.d1)
+    assert (d01.d0, d01.d1, d01.reason) == (d10.d1, d10.d0, d10.reason)
+    if not d01.connectible:
+        return
+    fam = build_connecting_family(h0, h1)
+    assert np.abs(fam.sample(0.0) - h0).max() < 1e-10
+    assert np.abs(fam.sample(1.0) - h1).max() < 1e-10
+    ts = np.array(ts)
+    levels = np.repeat(fam.eigenvalues_at(ts), fam.base.multiplicities, axis=-1)
+    assert np.abs(np.linalg.eigvalsh(fam.sample(ts)) - levels).max() < 1e-10
+
+
 def test_build_connecting_family_resolves_each_endpoint_once(monkeypatch):
     rng = np.random.default_rng(8)
     h0, h1 = (degenerate_hermitian(rng, (1, 2, 1)) for _ in range(2))
-    calls = []
-    eigh = np.linalg.eigh
+    calls = {"eigh": [], "eigvals": [], "schur": []}
 
-    def counted(a, *args, **kwargs):
-        calls.append(np.shape(a))
-        return eigh(a, *args, **kwargs)
+    def counted(module, name):
+        original = getattr(module, name)
 
-    monkeypatch.setattr(np.linalg, "eigh", counted)
+        def wrapper(a, *args, **kwargs):
+            calls[name].append(np.shape(a))
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(np.linalg, "eigh")
+    counted(np.linalg, "eigvals")
+    counted(scipy.linalg, "schur")
     build_connecting_family(h0, h1)
-    # one per endpoint, one for the generator
-    assert calls == [(4, 4)] * 3
+    # one eigh per endpoint, one Schur form of the aligning unitary
+    assert calls == {"eigh": [(4, 4)] * 2, "eigvals": [], "schur": [(4, 4)]}
 
 
 def test_fix_phases_matches_column_loop():
