@@ -456,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0,
-                        help="seed for any randomized refinement (default 0)")
+                        help="recorded in output manifests; no subcommand is random (default 0)")
 
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -13,6 +13,7 @@ from .errors import DimensionMismatchError
 from .linalg import SIGMA_Y, BipartiteSplit, tensor
 
 _CLAMP = -1e-12
+_MAX_ENTANGLED_TOL = 1e-9    # largest |lam_i - 1/min(d_a, d_b)| of a maximally entangled state
 SPIN_FLIP = tensor(SIGMA_Y, SIGMA_Y)     # also the YY term of the builtin families
 
 
@@ -94,8 +95,8 @@ def entropy_from_concurrence(c):
     return float(h) if h.ndim == 0 else h
 
 
-def max_entangled_check(psi, split: BipartiteSplit, tol: float = 1e-9) -> bool:
-    """True iff all Schmidt coefficients equal 1/min(d_a, d_b) within tol."""
+def max_entangled_check(psi, split: BipartiteSplit) -> bool:
+    """True iff all Schmidt coefficients equal 1/min(d_a, d_b) within _MAX_ENTANGLED_TOL."""
     lam = schmidt_spectrum(psi, split)
     target = 1.0 / min(split.dim_a, split.dim_b)
-    return bool(np.all(np.abs(lam - target) <= tol))
+    return bool(np.all(np.abs(lam - target) <= _MAX_ENTANGLED_TOL))

@@ -20,9 +20,11 @@ from .errors import (
     NotUnitaryError,
 )
 
-DEFAULT_TOL = 1e-10
+DEFAULT_TOL = 1e-10          # largest entry of H - H^dag, U^dag U - 1 or P^2 - P taken as 0
 # Eigenvalue gaps below DEFAULT_CLUSTER_TOL * max(1, max|E|) count as degenerate.
 DEFAULT_CLUSTER_TOL = 1e-8
+_BRANCH_TOL = 1e-12          # logm_unitary refuses eigenphases above pi - _BRANCH_TOL
+_DENSITY_TOL = 1e-8          # largest entry of rho - rho^dag that partial_trace accepts
 
 # Pauli matrices and ladder operators.  Note sigma_plus/minus here are
 # sigma_x +/- i*sigma_y, i.e. twice the usual raising/lowering operators;
@@ -76,16 +78,16 @@ def is_hermitian(h, tol: float = DEFAULT_TOL) -> bool:
             and np.max(np.abs(h - dagger(h))) <= tol)
 
 
-def is_unitary(u, tol: float = DEFAULT_TOL) -> bool:
+def is_unitary(u) -> bool:
     u = np.asarray(u)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         return False
-    return np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) <= tol
+    return np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) <= DEFAULT_TOL
 
 
-def is_projector(p, tol: float = DEFAULT_TOL) -> bool:
+def is_projector(p) -> bool:
     p = np.asarray(p)
-    return is_hermitian(p, tol) and np.max(np.abs(p @ p - p)) <= tol
+    return is_hermitian(p) and np.max(np.abs(p @ p - p)) <= DEFAULT_TOL
 
 
 def tensor(*factors) -> np.ndarray:
@@ -104,35 +106,36 @@ def normalize(psi) -> np.ndarray:
     return psi / n
 
 
-def eig_hermitian(h, tol: float = DEFAULT_TOL):
+def eig_hermitian(h):
     """Eigenvalues (ascending) and orthonormal eigenvector columns of a Hermitian h.
 
     A (..., D, D) stack gives (..., D) eigenvalues and (..., D, D) eigenvectors
-    from one batched LAPACK call; the Hermiticity check covers every matrix.
+    from one batched LAPACK call; the Hermiticity check (within DEFAULT_TOL)
+    covers every matrix.
     """
     h = _as_complex(h)
-    if not is_hermitian(h, tol):
+    if not is_hermitian(h):
         raise NotHermitianError("matrix is not Hermitian within tolerance")
     vals, vecs = np.linalg.eigh(h)
     return vals, vecs
 
 
-def expm_skew(k, tol: float = DEFAULT_TOL) -> np.ndarray:
+def expm_skew(k) -> np.ndarray:
     """exp(i*k) for Hermitian k, computed through the eigendecomposition.
 
     Broadcasts over a (..., D, D) stack; each matrix of the result equals
     expm_skew of the matching matrix alone, bit for bit.
     """
-    vals, vecs = eig_hermitian(k, tol)
+    vals, vecs = eig_hermitian(k)
     vd = dagger(vecs)                    # conj() copies, so vecs may be scaled in place
     vecs *= np.exp(1j * vals)[..., None, :]
     return vecs @ vd
 
 
-def eig_unitary(u, tol: float = DEFAULT_TOL):
+def eig_unitary(u):
     """Eigenphases in (-pi, pi] and orthonormal eigenvectors of a unitary, from one Schur form."""
     u = _as_complex(u)
-    if not is_unitary(u, tol):
+    if not is_unitary(u):
         raise NotUnitaryError("matrix is not unitary within tolerance")
     # u is normal, so its complex Schur form is diagonal with orthonormal q.
     t, q = scipy.linalg.schur(u, output="complex")
@@ -140,24 +143,23 @@ def eig_unitary(u, tol: float = DEFAULT_TOL):
     return np.where(phases <= -np.pi, np.pi, phases), q
 
 
-def logm_unitary(u, tol: float = DEFAULT_TOL, branch_tol: float = 1e-12) -> np.ndarray:
+def logm_unitary(u) -> np.ndarray:
     """Hermitian G with exp(i*G) = u, eigenphases in (-pi, pi].
 
-    Raises BranchAmbiguityError when an eigenphase sits within branch_tol of
+    Raises BranchAmbiguityError when an eigenphase sits within _BRANCH_TOL of
     pi, where the principal branch is ill-defined.
     """
-    phases, q = eig_unitary(u, tol)
-    if np.any(phases > np.pi - branch_tol):
+    phases, q = eig_unitary(u)
+    if np.any(phases > np.pi - _BRANCH_TOL):
         raise BranchAmbiguityError("eigenphase within tolerance of pi; perturb the input")
     return (q * phases) @ q.conj().T
 
 
-def partial_trace(rho, split: BipartiteSplit, keep: str = "A",
-                  tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Reduced density matrix of the kept factor ("A" or "B")."""
+def partial_trace(rho, split: BipartiteSplit, keep: str = "A") -> np.ndarray:
+    """Reduced density matrix of the kept factor ("A" or "B") of a Hermitian rho."""
     rho = _as_complex(rho)
     split.check(rho.shape[0])
-    if not is_hermitian(rho, max(tol, 1e-8)):
+    if not is_hermitian(rho, _DENSITY_TOL):
         raise NotHermitianError("density matrix is not Hermitian")
     r = rho.reshape(split.dim_a, split.dim_b, split.dim_a, split.dim_b)
     if keep == "A":

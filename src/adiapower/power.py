@@ -21,6 +21,7 @@ from .linalg import DEFAULT_CLUSTER_TOL, BipartiteSplit
 
 DEFAULT_GRID = 41
 DEFAULT_STARTS = 8
+_PRODUCT_BASE_TOL = 1e-9     # largest base-point eigenstate entropy (bits) of a product state
 
 # Most points (or screened states) per stacked unitary/entropy evaluation, so
 # peak memory does not grow with the grid.
@@ -62,11 +63,11 @@ class HamiltonianFamily:
     def dim(self) -> int:
         return self.split.dim
 
-    def eigensystem(self, lam, cluster_tol: float = DEFAULT_CLUSTER_TOL):
+    def eigensystem(self, lam):
         """(energies ascending, eigenvector columns) at a point or a stack of points.
 
         Iso-spectral families use the exact form U(lam) V0; generic families
-        diagonalize evaluate(lam) and enforce nondegeneracy at every point.
+        diagonalize evaluate(lam) and enforce DEFAULT_CLUSTER_TOL gaps at every point.
         """
         lam = np.asarray(lam, dtype=float)
         if self.iso_spectral_form is not None:
@@ -76,8 +77,13 @@ class HamiltonianFamily:
             energies[...] = iso.base_energies
             return energies, vecs
         vals, vecs = linalg.eig_hermitian(self.evaluate(lam))
-        _check_gaps(vals, cluster_tol, lam)
+        _check_gaps(vals, DEFAULT_CLUSTER_TOL, lam)
         return vals, vecs
+
+    def check_level(self, level) -> None:
+        """ValueError unless level is an integer in 0..D-1."""
+        if not isinstance(level, (int, np.integer)) or not 0 <= level < self.dim:
+            raise ValueError(f"level {level} is out of range 0..{self.dim - 1}")
 
 
 def _check_gaps(vals, cluster_tol, points):
@@ -139,16 +145,14 @@ def _entropies_many(states: np.ndarray, split: BipartiteSplit) -> np.ndarray:
     return entanglement.entropy(states, split)
 
 
-def eigenstate_track(fam: HamiltonianFamily, level: int, path,
-                     cluster_tol: float = DEFAULT_CLUSTER_TOL) -> list:
+def eigenstate_track(fam: HamiltonianFamily, level: int, path) -> list:
     """Gauge-aligned eigenvectors of one energy level along a parameter path.
 
     The path's points are diagonalized in one call.  Each vector's global
     phase is fixed so its overlap with the previous one is real positive.
     """
-    if not 0 <= level < fam.dim:
-        raise ValueError(f"level {level} is out of range 0..{fam.dim - 1}")
-    _, vecs = fam.eigensystem(np.asarray(path, dtype=float), cluster_tol)
+    fam.check_level(level)
+    _, vecs = fam.eigensystem(np.asarray(path, dtype=float))
     out = list(vecs[:1, :, level])
     for v in vecs[1:, :, level]:
         ov = np.vdot(out[-1], v)
@@ -166,7 +170,6 @@ class SweepResult:
 
 
 def entropy_sweep(fam: HamiltonianFamily, grid_per_axis: int = DEFAULT_GRID,
-                  cluster_tol: float = DEFAULT_CLUSTER_TOL,
                   sample_points=None) -> SweepResult:
     """Per-level eigenstate entanglement entropy over a parameter grid.
 
@@ -183,7 +186,7 @@ def entropy_sweep(fam: HamiltonianFamily, grid_per_axis: int = DEFAULT_GRID,
                          f"with n >= 1, got {pts.shape}")
     ent = np.empty((len(pts), fam.dim))
     for i in range(0, len(pts), SWEEP_CHUNK):
-        _, vecs = fam.eigensystem(pts[i:i + SWEEP_CHUNK], cluster_tol)
+        _, vecs = fam.eigensystem(pts[i:i + SWEEP_CHUNK])
         ent[i:i + SWEEP_CHUNK] = _entropies_many(np.swapaxes(vecs, -1, -2), fam.split)
     flat = np.argmax(ent)
     i, j = np.unravel_index(flat, ent.shape)
@@ -203,24 +206,23 @@ class PowerEstimate:
     converged: bool | None = None         # refine only: each polish's best start met the gain rule
 
 
-def has_product_base(fam: HamiltonianFamily, tol: float = 1e-9) -> bool:
+def has_product_base(fam: HamiltonianFamily) -> bool:
     """Certify that eigenvectors at the iso-form base point are product states."""
     iso = fam.iso_spectral_form
     if iso is None:
         return False
     _, vecs = fam.eigensystem(iso.base_point)
-    return float(np.max(_entropies_many(vecs.T, fam.split))) <= tol
+    return float(np.max(_entropies_many(vecs.T, fam.split))) <= _PRODUCT_BASE_TOL
 
 
-def _polish(fam: HamiltonianFamily, level: int, sign: float, seeds, incumbent,
-            cluster_tol: float):
+def _polish(fam: HamiltonianFamily, level: int, sign: float, seeds, incumbent):
     """One batched ascent from all seeds of one level's entropy, raised (sign +1)
     or lowered (-1) in the box; returns the strictly best (value, point) found,
     else the incumbent, and whether the best start stopped by the gain rule."""
     lo, hi = fam.bounds[:, 0], fam.bounds[:, 1]
 
     def objective(x):
-        _, vecs = fam.eigensystem(x, cluster_tol)
+        _, vecs = fam.eigensystem(x)
         return sign * _entropies_many(vecs[..., level], fam.split)
 
     def chart(x):
@@ -238,7 +240,6 @@ def _polish(fam: HamiltonianFamily, level: int, sign: float, seeds, incumbent,
 def adiabatic_entangling_power(fam: HamiltonianFamily,
                                grid_per_axis: int = DEFAULT_GRID,
                                refine: bool = False,
-                               cluster_tol: float = DEFAULT_CLUSTER_TOL,
                                starts: int = DEFAULT_STARTS,
                                sample_points=None) -> PowerEstimate:
     """Largest entanglement variation within one eigenstate track.
@@ -251,7 +252,7 @@ def adiabatic_entangling_power(fam: HamiltonianFamily,
     by the batched ascent from the ``starts`` (at least one) best grid points,
     which evaluates the family on point stacks, and sets ``converged``.
     """
-    sweep = entropy_sweep(fam, grid_per_axis, cluster_tol, sample_points)
+    sweep = entropy_sweep(fam, grid_per_axis, sample_points)
     product_base = has_product_base(fam)
     ent, pts = sweep.entropies, sweep.points
     level = sweep.argmax_level if product_base else \
@@ -263,11 +264,9 @@ def adiabatic_entangling_power(fam: HamiltonianFamily,
     converged = None
     if refine:
         count = max(starts, 1)
-        high, converged = _polish(fam, level, 1.0, pts[np.argsort(col)[::-1][:count]], high,
-                                  cluster_tol)
+        high, converged = _polish(fam, level, 1.0, pts[np.argsort(col)[::-1][:count]], high)
         if not product_base:
-            low, low_converged = _polish(fam, level, -1.0, pts[np.argsort(-col)[::-1][:count]],
-                                         low, cluster_tol)
+            low, low_converged = _polish(fam, level, -1.0, pts[np.argsort(-col)[::-1][:count]], low)
             converged = converged and low_converged
     return PowerEstimate(float(high[0] - low[0]), level, high[1], low[1],
                          "grid+refine" if refine else "grid", grid_per_axis,
@@ -411,8 +410,7 @@ class UnitaryPowerResult:
 def unitary_entangling_power(u, split: BipartiteSplit,
                              starts: int = DEFAULT_STARTS,
                              seed: int = 0,
-                             coarse: int = 512,
-                             tol: float = linalg.DEFAULT_TOL) -> UnitaryPowerResult:
+                             coarse: int = 512) -> UnitaryPowerResult:
     """Maximum entanglement entropy of U applied to product states.
 
     The best ``starts`` rows (at least one) of a random bank of ``coarse``
@@ -423,7 +421,7 @@ def unitary_entangling_power(u, split: BipartiteSplit,
     supremum, returned with its product witness.
     """
     u = np.asarray(u, dtype=complex)
-    if not linalg.is_unitary(u, tol):
+    if not linalg.is_unitary(u):
         raise NotUnitaryError("input is not unitary")
     split.check(u.shape[0])
     two_qubit = split.dim_a == 2 and split.dim_b == 2
@@ -461,8 +459,7 @@ class BoundReport:
     rhs_point: np.ndarray
 
 
-def family_unitaries(fam: HamiltonianFamily, points,
-                     cluster_tol: float = DEFAULT_CLUSTER_TOL) -> np.ndarray:
+def family_unitaries(fam: HamiltonianFamily, points) -> np.ndarray:
     """(n, D, D) unitaries U(lam) mapping the base-point eigenbasis to the one at lam.
 
     Iso-spectral families supply the whole stack with one call of their
@@ -479,7 +476,7 @@ def family_unitaries(fam: HamiltonianFamily, points,
             raise ValueError(f"family unitary returned shape {us.shape} for "
                              f"{len(points)} points, expected {expected}")
         return us
-    _, vecs = fam.eigensystem(np.concatenate([fam.bounds[None, :, 0], points]), cluster_tol)
+    _, vecs = fam.eigensystem(np.concatenate([fam.bounds[None, :, 0], points]))
     return vecs[1:] @ linalg.dagger(vecs[0])
 
 
@@ -489,7 +486,6 @@ _BOUND_SLACK = 1e-6                       # tolerance of its lhs <= rhs verdict
 
 def bound_check(fam: HamiltonianFamily,
                 grid_per_axis: int = DEFAULT_GRID,
-                cluster_tol: float = DEFAULT_CLUSTER_TOL,
                 seed: int = 0,
                 coarse: int = 256,
                 starts: int = 4) -> BoundReport:
@@ -500,12 +496,11 @@ def bound_check(fam: HamiltonianFamily,
     entropy call; the most promising points then get the full multi-start
     optimization.  Both sides are lower bounds on their suprema.
     """
-    lhs = adiabatic_entangling_power(fam, grid_per_axis, refine=True,
-                                     cluster_tol=cluster_tol).value
+    lhs = adiabatic_entangling_power(fam, grid_per_axis, refine=True).value
     rng = np.random.default_rng(seed)
     bank, _, _ = _random_product_bank(rng, fam.split, coarse)
     pts = grid_points(fam.bounds, grid_per_axis)
-    us = family_unitaries(fam, pts, cluster_tol)
+    us = family_unitaries(fam, pts)
     k = max(1, SWEEP_CHUNK // coarse)
     quick = np.concatenate([
         _entropies_many(bank @ us[i:i + k].swapaxes(-1, -2), fam.split).max(-1)

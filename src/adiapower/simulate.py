@@ -13,14 +13,15 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    ConstraintViolatedError,
-    NotAnEigenstateError,
-    NotClosedError,
-)
+from .errors import ConstraintViolatedError, NotAnEigenstateError, NotClosedError
 from .families import Example1Params, example1_family
-from .linalg import DEFAULT_CLUSTER_TOL, dagger
+from .linalg import dagger
 from .power import HamiltonianFamily
+
+_CLOSURE_TOL = 1e-12         # largest endpoint mismatch of a closed path
+_EIGENSTATE_TOL = 1e-6       # propagate's start overlaps an eigenstate by at least 1 - this
+_CONSTRAINT_TOL = 1e-9       # largest spread of |mu|^2 + mu_z^2 along a gate loop
+_ENTANGLING_TOL = 1e-3       # smallest |nontriviality| of an entangling gate
 
 
 @dataclass(frozen=True)
@@ -35,11 +36,11 @@ class ParameterPath:
     gamma: Callable[[np.ndarray], np.ndarray]   # s (...) -> points (..., p)
     closed: bool = False
 
-    def check_closed(self, tol: float = 1e-12) -> None:
+    def check_closed(self) -> None:
         if not self.closed:
             raise NotClosedError("path is not marked closed")
         ends = np.asarray(self.gamma(np.array([0.0, 1.0])))
-        if np.max(np.abs(ends[0] - ends[1])) > tol:
+        if np.max(np.abs(ends[0] - ends[1])) > _CLOSURE_TOL:
             raise NotClosedError("endpoints do not coincide")
 
 
@@ -152,8 +153,7 @@ def _points(fam: HamiltonianFamily, path: ParameterPath, s: np.ndarray) -> np.nd
     return pts
 
 
-def _step_unitaries(fam: HamiltonianFamily, path: ParameterPath, steps: int,
-                    cluster_tol: float) -> np.ndarray:
+def _step_unitaries(fam: HamiltonianFamily, path: ParameterPath, steps: int) -> np.ndarray:
     """(steps, D, D) steps V e^{-iE dt} V^dag, (E, V) = eigensystem at s = (k + 1/2) / steps.
 
     All midpoints are diagonalized in one call; callers take this stack before
@@ -165,35 +165,33 @@ def _step_unitaries(fam: HamiltonianFamily, path: ParameterPath, steps: int,
     if not 0 < path.duration < np.inf:
         raise ValueError(f"the duration must be positive and finite, got {path.duration}")
     dt = path.duration / steps
-    vals, vecs = fam.eigensystem(_points(fam, path, (np.arange(steps) + 0.5) / steps), cluster_tol)
+    vals, vecs = fam.eigensystem(_points(fam, path, (np.arange(steps) + 0.5) / steps))
     vd = dagger(vecs)                    # conj() copies, so vecs may be scaled in place
     vecs *= np.exp(-1j * vals * dt)[..., None, :]
     return vecs @ vd
 
 
 def propagate(fam: HamiltonianFamily, path: ParameterPath, psi0,
-              steps: int = 1000,
-              cluster_tol: float = DEFAULT_CLUSTER_TOL,
-              eigstate_tol: float = 1e-6) -> AdiabaticRunRecord:
+              steps: int = 1000) -> AdiabaticRunRecord:
     """Integrate the Schrodinger equation along the path from an eigenstate.
 
-    The initial state must be (within eigstate_tol) an eigenvector of the
-    Hamiltonian at the start of the path; the run tracks the matching
-    instantaneous eigenstate for the fidelity series.  Every Hamiltonian
-    the run needs (midpoint steps, the adiabaticity diagnostic) is built
-    from the family's eigensystem, taken in one call for the steps + 1
-    time nodes and one for the midpoints.
+    The initial state must overlap an eigenvector of the Hamiltonian at the
+    start of the path by at least 1 - _EIGENSTATE_TOL (NotAnEigenstateError
+    otherwise); the run tracks the matching instantaneous eigenstate for the
+    fidelity series.  Every Hamiltonian the run needs (midpoint steps, the
+    adiabaticity diagnostic) is built from the family's eigensystem, taken
+    in one call for the steps + 1 time nodes and one for the midpoints.
     """
-    step_unitaries = _step_unitaries(fam, path, steps, cluster_tol)
+    step_unitaries = _step_unitaries(fam, path, steps)
     psi = np.asarray(psi0, dtype=complex)
     psi = psi / np.linalg.norm(psi)
     t_total = path.duration
     dt = t_total / steps
 
-    vals, vecs = fam.eigensystem(_points(fam, path, np.arange(steps + 1) / steps), cluster_tol)
+    vals, vecs = fam.eigensystem(_points(fam, path, np.arange(steps + 1) / steps))
     overlaps = np.abs(dagger(vecs[0]) @ psi)
     level = int(np.argmax(overlaps))
-    if overlaps[level] < 1.0 - eigstate_tol:
+    if overlaps[level] < 1.0 - _EIGENSTATE_TOL:
         raise NotAnEigenstateError(
             f"initial state overlaps the closest eigenstate by only {overlaps[level]:.6f}"
         )
@@ -229,14 +227,13 @@ def propagate_unitary(fam: HamiltonianFamily, path: ParameterPath,
                       steps: int = 1000) -> np.ndarray:
     """Full evolution operator of the run (product of midpoint step unitaries)."""
     u = np.eye(fam.dim, dtype=complex)
-    for step in _step_unitaries(fam, path, steps, DEFAULT_CLUSTER_TOL):
+    for step in _step_unitaries(fam, path, steps):
         u = step @ u
     return u
 
 
 def berry_phase(fam: HamiltonianFamily, level: int, loop: ParameterPath,
-                samples: int = 2000,
-                cluster_tol: float = DEFAULT_CLUSTER_TOL) -> float:
+                samples: int = 2000) -> float:
     """Geometric phase of one level around a closed parameter loop.
 
     Computed as the closed-chain Pancharatnam product of instantaneous
@@ -245,11 +242,10 @@ def berry_phase(fam: HamiltonianFamily, level: int, loop: ParameterPath,
     """
     if samples < 3:
         raise ValueError(f"use at least 3 samples, got {samples}")
-    if not 0 <= level < fam.dim:
-        raise ValueError(f"level {level} is out of range 0..{fam.dim - 1}")
+    fam.check_level(level)
     pts = _points(fam, loop, np.arange(samples) / samples)
     loop.check_closed()
-    _, vecs = fam.eigensystem(pts, cluster_tol)
+    _, vecs = fam.eigensystem(pts)
     return pancharatnam_phase(vecs[..., level], closed=True)
 
 
@@ -262,15 +258,14 @@ class LevelPhaseReport:
 
 
 def decompose_uad(fam: HamiltonianFamily, path: ParameterPath,
-                  steps: int = 1000,
-                  cluster_tol: float = DEFAULT_CLUSTER_TOL) -> list:
+                  steps: int = 1000) -> list:
     """Split each level's adiabatic evolution into end-point rotation,
     dynamical phase and geometric phase; residual measures the mismatch.
     All levels share one evolution operator and one node eigensystem."""
     if fam.iso_spectral_form is None:
         raise ValueError("decompose_uad needs an iso-spectral family")
     u = propagate_unitary(fam, path, steps)
-    vals, vecs = fam.eigensystem(_points(fam, path, np.arange(steps + 1) / steps), cluster_tol)
+    vals, vecs = fam.eigensystem(_points(fam, path, np.arange(steps + 1) / steps))
     # Sequential sum, as in propagate.
     dynamical = 0.0 - np.cumsum(vals[1:] * (path.duration / steps), axis=0)[-1]
     geometric = pancharatnam_phase(np.moveaxis(vecs, -1, 0), closed=False)
@@ -292,8 +287,8 @@ class GateSynthesisResult:
     diagonal_residual: float             # worst off-diagonal leakage per basis state
     duration: float
 
-    def is_entangling(self, tol: float = 1e-3) -> bool:
-        return abs(self.nontriviality) > tol
+    def is_entangling(self) -> bool:
+        return abs(self.nontriviality) > _ENTANGLING_TOL
 
 
 def _wrap(x: float) -> float:
@@ -303,7 +298,6 @@ def _wrap(x: float) -> float:
 def synthesize_controlled_phase(loop: ParameterPath,
                                 steps: int = 4000,
                                 base: Example1Params = Example1Params(),
-                                constraint_tol: float = 1e-9,
                                 constraint_samples: int = 64,
                                 phase_samples: int = 2000) -> GateSynthesisResult:
     """Adiabatic diagonal gate from a closed loop of the transverse-coupling
@@ -322,7 +316,7 @@ def synthesize_controlled_phase(loop: ParameterPath,
     fam = example1_family(base)
     radii = np.sum(_points(fam, loop, np.linspace(0.0, 1.0, constraint_samples)) ** 2, axis=1)
     loop.check_closed()
-    if radii.max() - radii.min() > constraint_tol:
+    if radii.max() - radii.min() > _CONSTRAINT_TOL:
         raise ConstraintViolatedError("|mu|^2 + mu_z^2 varies along the loop")
 
     u_full = propagate_unitary(fam, loop, steps)

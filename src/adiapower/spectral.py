@@ -9,7 +9,7 @@ unitary rotation of the eigenprojectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,12 +24,17 @@ from .linalg import DEFAULT_CLUSTER_TOL
 
 @dataclass(frozen=True)
 class SpectralResolution:
-    """Distinct eigenvalues with projectors, ascending order."""
+    """Distinct eigenvalues, ascending, with eigenvector columns grouped by level."""
 
     energies: np.ndarray          # (R,) distinct cluster eigenvalues
-    projectors: list              # R projector matrices
     multiplicities: tuple         # R ranks
     vectors: np.ndarray           # (D, D) eigenvector columns grouped by level
+
+    @property
+    def projectors(self) -> list:
+        """The R level projectors, formed from ``vectors`` on each access."""
+        cols = np.split(self.vectors, np.cumsum(self.multiplicities)[:-1], axis=1)
+        return [v @ v.conj().T for v in cols]
 
 
 @dataclass(frozen=True)
@@ -61,7 +66,6 @@ def spectral_resolution(h, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> Spectral
     levels = list(zip(edges[:-1], edges[1:]))
     return SpectralResolution(
         energies=np.array([np.mean(vals[a:b]) for a, b in levels]),
-        projectors=[vecs[:, a:b] @ vecs[:, a:b].conj().T for a, b in levels],
         multiplicities=tuple(b - a for a, b in levels),
         vectors=vecs,
     )
@@ -113,20 +117,23 @@ class ConnectingFamily:
     times and return (..., R), (..., D, D) and (..., D, D).
     """
 
-    base: SpectralResolution
-    energies0: np.ndarray
+    base: SpectralResolution                 # the resolution of H(0)
     energies1: np.ndarray
-    generator: np.ndarray                    # Hermitian G, exp(iG) = e^{ia} W
-    _gen_phases: np.ndarray = field(repr=False, default=None)
-    _gen_vecs: np.ndarray = field(repr=False, default=None)
+    gen_phases: np.ndarray                   # (D,) eigenphases of G, in [-pi, pi)
+    gen_vecs: np.ndarray                     # (D, D) orthonormal eigenvectors of G
+
+    @property
+    def generator(self) -> np.ndarray:
+        """Hermitian G with exp(iG) = e^{ia} W."""
+        return (self.gen_vecs * self.gen_phases) @ self.gen_vecs.conj().T
 
     def eigenvalues_at(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)[..., None]
-        return (1.0 - t) * self.energies0 + t * self.energies1
+        return (1.0 - t) * self.base.energies + t * self.energies1
 
     def unitary_at(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)[..., None, None]
-        return (self._gen_vecs * np.exp(1j * t * self._gen_phases)) @ self._gen_vecs.conj().T
+        return (self.gen_vecs * np.exp(1j * t * self.gen_phases)) @ self.gen_vecs.conj().T
 
     def sample(self, t) -> np.ndarray:
         w = self.unitary_at(t) @ self.base.vectors
@@ -148,11 +155,9 @@ def build_connecting_family(h0, h1,
     psi = np.mod(phases - (ring[k] + gaps[k] / 2.0), 2.0 * np.pi) - np.pi
     return ConnectingFamily(
         base=s0,
-        energies0=s0.energies,
         energies1=s1.energies,
-        generator=(q * psi) @ q.conj().T,
-        _gen_phases=psi,
-        _gen_vecs=q,
+        gen_phases=psi,
+        gen_vecs=q,
     )
 
 

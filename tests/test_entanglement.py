@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adiapower.entanglement import (
     concurrence_2q,
@@ -125,3 +127,20 @@ def test_max_entangled_check_negatives():
     assert not max_entangled_check(ket("00"), SPLIT)
     assert not max_entangled_check(TILTED, SPLIT)
     assert max_entangled_check(BELL, SPLIT)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8))
+def test_the_three_two_qubit_entropy_routes_agree(seed, count):
+    """SVD entropy, and the entropy of either concurrence formula, within 8 eps."""
+    rng = np.random.default_rng(seed)
+    stack = np.array([random_state(rng) for _ in range(count)])
+    svd = entropy(stack, SPLIT)
+    routes = (entropy_from_concurrence(concurrence_coefficients(stack)),
+              entropy_from_concurrence(np.array([concurrence_2q(psi) for psi in stack])))
+    for other in routes:
+        assert np.max(np.abs(other - svd)) <= 8 * np.finfo(float).eps
+    psi = stack[0]
+    single = (entropy(psi, SPLIT), entropy_from_concurrence(concurrence_coefficients(psi)),
+              entropy_from_concurrence(concurrence_2q(psi)))
+    assert max(single) - min(single) <= 8 * np.finfo(float).eps

@@ -1,7 +1,9 @@
+import inspect
+
 import numpy as np
 import pytest
 
-from adiapower import linalg
+from adiapower import entanglement, linalg, power, simulate, spectral
 from adiapower.errors import (
     BranchAmbiguityError,
     DimensionMismatchError,
@@ -149,6 +151,16 @@ def test_logm_unitary_branch_and_input_checks():
         logm_unitary(2 * np.eye(2))
 
 
+@pytest.mark.parametrize("distance, accepted", [(1.1e-12, True), (0.9e-12, False)])
+def test_logm_unitary_branch_cut_is_1e12_wide(distance, accepted):
+    u = np.diag([np.exp(1j * (np.pi - distance)), 1.0])
+    if accepted:
+        assert abs(logm_unitary(u)[0, 0] - (np.pi - distance)) < 1e-14
+    else:
+        with pytest.raises(BranchAmbiguityError):
+            logm_unitary(u)
+
+
 def test_partial_trace_product_and_bell():
     split = BipartiteSplit(2, 2)
     rho = np.outer(ket("00"), ket("00").conj())
@@ -181,6 +193,17 @@ def test_partial_trace_preserves_trace():
         assert np.min(np.linalg.eigvalsh(red)) > -1e-10
 
 
+@pytest.mark.parametrize("skew, accepted", [(0.9e-8, True), (1.1e-8, False)])
+def test_partial_trace_accepts_hermiticity_errors_up_to_1e8(skew, accepted):
+    rho = np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex)
+    rho[0, 1], rho[1, 0] = skew / 2, -skew / 2        # rho - rho^dag has entries +-skew
+    if accepted:
+        assert np.allclose(partial_trace(rho, BipartiteSplit(2, 2), "B"), np.eye(2) / 2)
+    else:
+        with pytest.raises(NotHermitianError):
+            partial_trace(rho, BipartiteSplit(2, 2), "B")
+
+
 def test_partial_trace_dimension_check():
     with pytest.raises(DimensionMismatchError):
         partial_trace(np.eye(5) / 5, BipartiteSplit(2, 2), "A")
@@ -192,3 +215,28 @@ def test_structural_predicates():
     assert linalg.is_unitary(expm_skew(SIGMA_X))
     assert linalg.is_projector(np.diag([1.0, 0.0]))
     assert not linalg.is_projector(np.diag([0.5, 0.5]))
+
+
+def test_only_tolerances_a_caller_sets_are_parameters():
+    """Every other threshold is a constant inside the one function that applies it."""
+    found = set()
+    for module in (linalg, entanglement, power, simulate, spectral):
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = [(name, obj)]
+            if inspect.isclass(obj):
+                members = [(f"{name}.{m}", f) for m, f in vars(obj).items() if inspect.isfunction(f)]
+            for qualname, f in members:
+                if inspect.isfunction(f):
+                    found |= {f"{module.__name__.split('.')[-1]}.{qualname}({p})"
+                              for p in inspect.signature(f).parameters if "tol" in p}
+    assert found == {
+        "linalg.is_hermitian(tol)",
+        "power._check_gaps(cluster_tol)",
+        "power.iso_spectral_family(cluster_tol)",
+        "spectral._resolve_pair(cluster_tol)",
+        "spectral.build_connecting_family(cluster_tol)",
+        "spectral.is_adiabatically_connectible(cluster_tol)",
+        "spectral.spectral_resolution(cluster_tol)",
+    }

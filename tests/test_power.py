@@ -3,11 +3,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adiapower import cli, power
-from adiapower.entanglement import entropy
+from adiapower.entanglement import entropy, entropy_of_spectrum
 from adiapower.errors import DegeneracyError, NotUnitaryError
 from adiapower.families import (
     SPLIT_2Q,
@@ -184,6 +185,19 @@ def test_power_left_bilocal_invariance():
     v0 = adiabatic_entangling_power(base, grid_per_axis=11).value
     v1 = adiabatic_entangling_power(shifted, grid_per_axis=11).value
     assert abs(v0 - v1) < 1e-6
+
+
+@pytest.mark.parametrize("bits, certified", [(0.9e-9, True), (1.1e-9, False)])
+def test_product_base_certificate_allows_base_entropy_up_to_1e9_bits(bits, certified):
+    angle = scipy.optimize.brentq(
+        lambda a: entropy_of_spectrum([np.cos(a) ** 2, np.sin(a) ** 2]) - bits, 1e-9, 1e-3)
+    v = np.eye(4, dtype=complex)
+    v[[0, 0, 3, 3], [0, 3, 0, 3]] = np.cos(angle), -np.sin(angle), np.sin(angle), np.cos(angle)
+    xx = tensor(SIGMA_X, SIGMA_X)
+    fam = iso_spectral_family((v * np.arange(4.0)) @ v.conj().T,
+                              lambda lam: expm_skew(np.asarray(lam)[..., :1, None] * xx),
+                              [[0.0, 1.0]], SPLIT_2Q, [0.0])
+    assert has_product_base(fam) is certified
 
 
 def test_degenerate_family_aborts():
@@ -447,9 +461,9 @@ def test_polish_ascends_each_seed_as_it_would_alone(monkeypatch, make_family):
     runs = recorded_ascents(monkeypatch)
     for sign in (1.0, -1.0):
         runs.clear()
-        power._polish(fam, level, sign, seeds, (-sign * np.inf, None), 1e-8)
+        power._polish(fam, level, sign, seeds, (-sign * np.inf, None))
         for x0 in seeds:
-            power._polish(fam, level, sign, x0[None], (-sign * np.inf, None), 1e-8)
+            power._polish(fam, level, sign, x0[None], (-sign * np.inf, None))
         (batch,), values = runs[0]
         for k, ((alone,), value) in enumerate(runs[1:]):
             assert alone[0].tobytes() == batch[k].tobytes()
@@ -464,8 +478,7 @@ def test_polished_value_does_not_depend_on_the_seed_order(make_family):
     level = int(np.argmax(np.ptp(sweep.entropies, axis=0)))
     seeds = sweep.points[np.argsort(sweep.entropies[:, level])[::-1][:8]]
     for sign in (1.0, -1.0):
-        values = {power._polish(fam, level, sign, seeds[perm], (-sign * np.inf, None),
-                                1e-8)[0][0]
+        values = {power._polish(fam, level, sign, seeds[perm], (-sign * np.inf, None))[0][0]
                   for perm in (np.arange(8), np.arange(8)[::-1],
                                np.random.default_rng(2).permutation(8))}
         assert len(values) == 1

@@ -158,6 +158,20 @@ def test_propagate_input_checks():
         propagate(fam, path, ket("01"), steps=50)
 
 
+@pytest.mark.parametrize("miss, accepted", [(0.9e-6, True), (1.1e-6, False)])
+def test_propagate_accepts_an_overlap_down_to_one_minus_1e6(miss, accepted):
+    fam = example1_family()
+    path = line_path([0, 0, 0], [0.1, 0, 0], duration=10.0)
+    _, vecs = fam.eigensystem(path.gamma(np.zeros(1)))
+    c = 1.0 - miss
+    psi0 = c * vecs[0, :, 2] + np.sqrt(1.0 - c * c) * vecs[0, :, 1]
+    if accepted:
+        assert propagate(fam, path, psi0, steps=100).level == 2
+    else:
+        with pytest.raises(NotAnEigenstateError, match="0.999999"):
+            propagate(fam, path, psi0, steps=100)
+
+
 def test_unknown_schedule_is_rejected():
     with pytest.raises(ValueError, match="smoothstp"):
         line_path([0, 0, 0], [1, 0, 0], 1.0, schedule="smoothstp")
@@ -222,7 +236,7 @@ def test_berry_phase_zero_area_loop():
     assert abs(berry_phase(fam, 0, loop, samples=400)) < 1e-8
 
 
-@pytest.mark.parametrize("level", [-1, 4])
+@pytest.mark.parametrize("level", [-1, 4, 1.5, 1.0])
 def test_level_outside_the_spectrum_is_a_value_error(level):
     fam = example1_family()
     with pytest.raises(ValueError, match=f"level {level} is out of range 0..3"):
@@ -397,6 +411,24 @@ def test_step_consumers_reject_a_duration_that_is_not_positive():
                     lambda: synthesize_controlled_phase(loop, 200)):
             with pytest.raises(ValueError, match="duration must be positive and finite"):
                 run()
+
+
+@pytest.mark.parametrize("spread, accepted", [(0.9e-9, True), (1.1e-9, False)])
+def test_gate_constraint_accepts_a_radius_spread_up_to_1e9(spread, accepted):
+    circle = circle_loop(np.pi / 3, 1.0, 20.0)
+    radius = np.sum(circle.gamma(0.0) ** 2)
+    bump = np.sin(np.pi * np.linspace(0.0, 1.0, 64)) ** 2    # the 64 constraint samples
+    delta = spread / (radius * bump.max())
+
+    def gamma(s):
+        return circle.gamma(s) * np.sqrt(1.0 + delta * np.sin(np.pi * np.asarray(s)) ** 2)[..., None]
+
+    loop = ParameterPath(20.0, gamma, closed=True)
+    if accepted:
+        assert synthesize_controlled_phase(loop, 100, phase_samples=3).labels
+    else:
+        with pytest.raises(ConstraintViolatedError):
+            synthesize_controlled_phase(loop, 100, phase_samples=3)
 
 
 def test_gate_constraint_check():
