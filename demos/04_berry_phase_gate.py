@@ -27,7 +27,7 @@ for theta0 in (np.pi / 6, np.pi / 3, np.pi / 2):
                          np.sin(theta0) * np.sin(phi),
                          np.full_like(phi, np.cos(theta0))], axis=-1)
 
-    g = berry_phase(fam, 0, ParameterPath(1.0, gamma, closed=True), samples=2000)
+    g = berry_phase(fam, 0, ParameterPath(1.0, gamma), samples=2000)
     oracle = np.pi * (1 - np.cos(theta0))
     print(f"  theta0={theta0:.4f}: |gamma|={abs(g):.6f}  "
           f"solid-angle prediction={oracle:.6f}")

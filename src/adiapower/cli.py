@@ -396,7 +396,7 @@ def _retrace_circle_loop(theta0: float, field_norm: float,
                          duration: float) -> ParameterPath:
     """Zero-area loop on the constraint sphere: half the azimuth circle and back."""
     circle = circle_loop(theta0, field_norm, duration, schedule="linear")
-    return ParameterPath(duration, lambda s: circle.gamma(np.minimum(s, 1.0 - s)), closed=True)
+    return ParameterPath(duration, lambda s: circle.gamma(np.minimum(s, 1.0 - s)))
 
 
 def cmd_gate(args) -> int:

@@ -11,6 +11,7 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -37,7 +38,6 @@ EXAMPLE0_BOUNDS = np.array([[1.0, 1.4], [0.1, 0.3], [2.0, 2.4]])
 # Transverse-coupling sweep domain (Re mu, Im mu, mu_z); figure sweeps use
 # the Im mu = 0 slice.
 EXAMPLE1_BOUNDS = np.array([[0.0, 1.2], [0.0, 0.0], [0.0, 2.4]])
-FIG1_BOUNDS = np.array([[0.01, 1.2], [0.0, 0.0], [0.0, 2.4]])
 EXAMPLE2_BOUNDS = np.array([[0.0, np.pi], [0.0, np.pi]])
 
 # Constant two-qubit operators of the family Hamiltonians and generators,
@@ -64,7 +64,7 @@ def example0_family(bounds=EXAMPLE0_BOUNDS) -> HamiltonianFamily:
             h = h + lam[..., j, None, None] * t
         return h
 
-    return HamiltonianFamily(3, np.asarray(bounds, dtype=float), evaluate, SPLIT_2Q)
+    return HamiltonianFamily(np.asarray(bounds, dtype=float), evaluate, SPLIT_2Q)
 
 
 # ---------------------------------------------------------------------------
@@ -72,14 +72,11 @@ def example0_family(bounds=EXAMPLE0_BOUNDS) -> HamiltonianFamily:
 
 @dataclass(frozen=True)
 class Example1Params:
-    """Base splittings lam1 != lam2 of H_base = lam1 sz x 1 + lam2 1 x sz."""
+    """Base splittings of H_base = lam1 sz x 1 + lam2 1 x sz, degenerate when lam1 or
+    lam2 is 0 or |lam1| = |lam2| (iso_spectral_family's gap check decides)."""
 
     lam1: float = 1.0
     lam2: float = 0.5
-
-    def __post_init__(self):
-        if abs(self.lam1 - self.lam2) <= 1e-9:
-            raise ValueError("base Hamiltonian must be nondegenerate: lam1 != lam2")
 
     def base_hamiltonian(self) -> np.ndarray:
         return self.lam1 * tensor(SIGMA_Z, ID2) + self.lam2 * tensor(ID2, SIGMA_Z)
@@ -247,16 +244,12 @@ def example2_max_concurrence(p: Example2Params) -> Example2Maximum:
     enclosing the points exp(2i h_k) is supported on three of them.
     """
     h = p.magic_phases
-    best = (0.0, (0, 0))
-    for k in range(4):
-        for l in range(k + 1, 4):
-            c = abs(np.sin(h[k] - h[l]))
-            if c > best[0]:
-                best = (float(c), (k, l))
-    k, l = best[1]
+    # max keeps the first of equal pairs, so a zero maximum still names the pair (0, 1)
+    c, (k, l) = max(((abs(np.sin(h[k] - h[l])), (k, l)) for k, l in combinations(range(4), 2)),
+                    key=lambda pair: pair[0])
     m = magic_basis()
     state = (m[:, k] + 1j * m[:, l]) / np.sqrt(2.0)
-    return Example2Maximum(best[0], (k, l), state)
+    return Example2Maximum(float(c), (k, l), state)
 
 
 def _min_enclosing_radius(pts) -> float:
@@ -324,5 +317,4 @@ def spin_half_field_family(bounds=None) -> HamiltonianFamily:
         return (lam[..., 0, None, None] * SIGMA_X + lam[..., 1, None, None] * SIGMA_Y
                 + lam[..., 2, None, None] * SIGMA_Z)
 
-    return HamiltonianFamily(3, np.asarray(bounds, dtype=float), evaluate,
-                             BipartiteSplit(1, 2))
+    return HamiltonianFamily(np.asarray(bounds, dtype=float), evaluate, BipartiteSplit(1, 2))

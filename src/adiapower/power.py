@@ -53,11 +53,14 @@ class HamiltonianFamily:
     point alone, so a whole path or grid is diagonalized in one call.
     """
 
-    parameter_dim: int
-    bounds: np.ndarray                   # (n, 2) box, bounds[:,0] <= bounds[:,1]
+    bounds: np.ndarray                   # (p, 2) box, bounds[:,0] <= bounds[:,1]
     evaluate: Callable[[np.ndarray], np.ndarray]
     split: BipartiteSplit
     iso_spectral_form: IsoSpectralForm | None = None
+
+    @property
+    def parameter_dim(self) -> int:
+        return len(self.bounds)
 
     @property
     def dim(self) -> int:
@@ -122,7 +125,7 @@ def iso_spectral_family(h_base, unitary: Callable[[np.ndarray], np.ndarray],
 
     bounds = np.asarray(bounds, dtype=float)
     iso = IsoSpectralForm(energies, vectors, unitary, base_point)
-    return HamiltonianFamily(len(bounds), bounds, evaluate, split, iso)
+    return HamiltonianFamily(bounds, evaluate, split, iso)
 
 
 def grid_points(bounds, per_axis: int) -> np.ndarray:
@@ -240,7 +243,6 @@ def _polish(fam: HamiltonianFamily, level: int, sign: float, seeds, incumbent):
 def adiabatic_entangling_power(fam: HamiltonianFamily,
                                grid_per_axis: int = DEFAULT_GRID,
                                refine: bool = False,
-                               starts: int = DEFAULT_STARTS,
                                sample_points=None) -> PowerEstimate:
     """Largest entanglement variation within one eigenstate track.
 
@@ -249,7 +251,7 @@ def adiabatic_entangling_power(fam: HamiltonianFamily,
     over the grid (the baseline entropy is zero).  Otherwise the two-point
     difference max - min is taken on the level with the largest span.
     ``refine`` polishes each grid extremum that is not fixed by the baseline
-    by the batched ascent from the ``starts`` (at least one) best grid points,
+    by the batched ascent from the DEFAULT_STARTS best grid points,
     which evaluates the family on point stacks, and sets ``converged``.
     """
     sweep = entropy_sweep(fam, grid_per_axis, sample_points)
@@ -263,10 +265,11 @@ def adiabatic_entangling_power(fam: HamiltonianFamily,
         else (float(col.min()), pts[int(np.argmin(col))])
     converged = None
     if refine:
-        count = max(starts, 1)
-        high, converged = _polish(fam, level, 1.0, pts[np.argsort(col)[::-1][:count]], high)
+        seeds = pts[np.argsort(col)[::-1][:DEFAULT_STARTS]]
+        high, converged = _polish(fam, level, 1.0, seeds, high)
         if not product_base:
-            low, low_converged = _polish(fam, level, -1.0, pts[np.argsort(-col)[::-1][:count]], low)
+            seeds = pts[np.argsort(-col)[::-1][:DEFAULT_STARTS]]
+            low, low_converged = _polish(fam, level, -1.0, seeds, low)
             converged = converged and low_converged
     return PowerEstimate(float(high[0] - low[0]), level, high[1], low[1],
                          "grid+refine" if refine else "grid", grid_per_axis,
@@ -447,7 +450,7 @@ def unitary_entangling_power(u, split: BipartiteSplit,
     best_in = product_state(a[best], b[best])
     out = u @ best_in
     best_val = float(_entropies_many(out[None, :], split)[0])
-    conc = entanglement.concurrence_2q(out) if two_qubit else None
+    conc = entanglement.concurrence_coefficients(out) if two_qubit else None
     return UnitaryPowerResult(best_val, conc, best_in, out, converged=bool(not active[best]))
 
 
@@ -492,23 +495,27 @@ def bound_check(fam: HamiltonianFamily,
     """Check family power <= sup over the grid of per-unitary power.
 
     The right-hand side is screened with a shared bank of ``coarse`` random
-    product states, max(1, SWEEP_CHUNK // coarse) grid points per stacked
-    entropy call; the most promising points then get the full multi-start
+    product states, k = max(1, SWEEP_CHUNK // coarse) grid points per stacked
+    entropy call, from unitaries built at most SWEEP_CHUNK points (a multiple
+    of k) at a time; the most promising points then get the full multi-start
     optimization.  Both sides are lower bounds on their suprema.
     """
     lhs = adiabatic_entangling_power(fam, grid_per_axis, refine=True).value
     rng = np.random.default_rng(seed)
     bank, _, _ = _random_product_bank(rng, fam.split, coarse)
     pts = grid_points(fam.bounds, grid_per_axis)
-    us = family_unitaries(fam, pts)
     k = max(1, SWEEP_CHUNK // coarse)
-    quick = np.concatenate([
-        _entropies_many(bank @ us[i:i + k].swapaxes(-1, -2), fam.split).max(-1)
-        for i in range(0, len(us), k)])
+    chunk = SWEEP_CHUNK // k * k
+    quick = np.empty(len(pts))
+    for i in range(0, len(pts), chunk):
+        us = family_unitaries(fam, pts[i:i + chunk])
+        for j in range(0, len(us), k):
+            states = bank @ us[j:j + k].swapaxes(-1, -2)
+            quick[i + j:i + j + k] = _entropies_many(states, fam.split).max(-1)
     rhs = float(np.max(quick))
     rhs_point = pts[int(np.argmax(quick))]
     top = np.argsort(quick)[::-1][:_BOUND_POLISH_TOP]
-    for lam, u in zip(pts[top], us[top]):
+    for lam, u in zip(pts[top], family_unitaries(fam, pts[top])):
         res = unitary_entangling_power(u, fam.split, starts=starts, seed=seed,
                                        coarse=coarse)
         if res.value > rhs:

@@ -22,6 +22,8 @@ _CLOSURE_TOL = 1e-12         # largest endpoint mismatch of a closed path
 _EIGENSTATE_TOL = 1e-6       # propagate's start overlaps an eigenstate by at least 1 - this
 _CONSTRAINT_TOL = 1e-9       # largest spread of |mu|^2 + mu_z^2 along a gate loop
 _ENTANGLING_TOL = 1e-3       # smallest |nontriviality| of an entangling gate
+_CONSTRAINT_SAMPLES = 64     # gate-loop points checked against the constraint
+_PHASE_SAMPLES = 2000        # gate-loop points of the geometric-phase chains
 
 
 @dataclass(frozen=True)
@@ -34,13 +36,15 @@ class ParameterPath:
 
     duration: float
     gamma: Callable[[np.ndarray], np.ndarray]   # s (...) -> points (..., p)
-    closed: bool = False
+
+    @property
+    def closed(self) -> bool:
+        """Whether gamma(1) matches gamma(0) within _CLOSURE_TOL in every coordinate."""
+        ends = np.asarray(self.gamma(np.array([0.0, 1.0])))
+        return bool(np.max(np.abs(ends[0] - ends[1])) <= _CLOSURE_TOL)
 
     def check_closed(self) -> None:
         if not self.closed:
-            raise NotClosedError("path is not marked closed")
-        ends = np.asarray(self.gamma(np.array([0.0, 1.0])))
-        if np.max(np.abs(ends[0] - ends[1])) > _CLOSURE_TOL:
             raise NotClosedError("endpoints do not coincide")
 
 
@@ -59,7 +63,7 @@ def waypoint_path(waypoints, duration: float, schedule: str = "linear") -> Param
     """Piecewise-linear path through waypoints, equal time per segment.
 
     Each segment is traversed with the schedule's ramp; s is clipped to
-    [0, 1].  A single waypoint gives a constant, closed path.
+    [0, 1].  A single waypoint gives a constant path.
     """
     pts = np.asarray(waypoints, dtype=float)
     ramp = _ramp(schedule)
@@ -71,7 +75,7 @@ def waypoint_path(waypoints, duration: float, schedule: str = "linear") -> Param
         start = pts[seg]
         return start + ramp(x - seg)[..., None] * (pts[seg + 1] - start)
 
-    return ParameterPath(duration, gamma, closed=bool(np.allclose(pts[0], pts[-1])))
+    return ParameterPath(duration, gamma)
 
 
 def line_path(start, end, duration: float, schedule: str = "linear") -> ParameterPath:
@@ -86,7 +90,7 @@ def line_path(start, end, duration: float, schedule: str = "linear") -> Paramete
 def retrace_loop(start, end, duration: float) -> ParameterPath:
     """Zero-area loop: out along a segment and straight back."""
     line = line_path(start, end, duration)
-    return ParameterPath(duration, lambda s: line.gamma(2.0 * np.minimum(s, 1.0 - s)), closed=True)
+    return ParameterPath(duration, lambda s: line.gamma(2.0 * np.minimum(s, 1.0 - s)))
 
 
 def circle_loop(theta0: float, field_norm: float, duration: float,
@@ -107,7 +111,7 @@ def circle_loop(theta0: float, field_norm: float, duration: float,
         return np.stack([rho * np.cos(phi), rho * np.sin(phi), np.full_like(phi, mu_z)],
                         axis=-1)
 
-    return ParameterPath(duration, gamma, closed=True)
+    return ParameterPath(duration, gamma)
 
 
 def pancharatnam_phase(vectors, closed: bool = True):
@@ -297,31 +301,27 @@ def _wrap(x: float) -> float:
 
 def synthesize_controlled_phase(loop: ParameterPath,
                                 steps: int = 4000,
-                                base: Example1Params = Example1Params(),
-                                constraint_samples: int = 64,
-                                phase_samples: int = 2000) -> GateSynthesisResult:
+                                base: Example1Params = Example1Params()) -> GateSynthesisResult:
     """Adiabatic diagonal gate from a closed loop of the transverse-coupling
-    family at constant |mu|^2 + mu_z^2.
+    family at constant |mu|^2 + mu_z^2, checked at _CONSTRAINT_SAMPLES loop points.
 
     The four eigenstates of the loop's starting Hamiltonian are labelled by
     their dominant product-basis component; the reconstructed gate applies
     the measured phase to each of them.  Total phases come from the
     simulated propagator; the geometric parts are extracted separately by
-    the closed-chain Pancharatnam product over ``phase_samples`` loop
-    points (at least 3), which converges independently of the run duration.
+    the closed-chain Pancharatnam product over _PHASE_SAMPLES loop points,
+    which converges independently of the run duration.
     """
-    if constraint_samples < 2 or phase_samples < 3:
-        raise ValueError(f"use at least 2 constraint and 3 phase samples, got "
-                         f"{constraint_samples} and {phase_samples}")
     fam = example1_family(base)
-    radii = np.sum(_points(fam, loop, np.linspace(0.0, 1.0, constraint_samples)) ** 2, axis=1)
+    radii = np.sum(_points(fam, loop, np.linspace(0.0, 1.0, _CONSTRAINT_SAMPLES)) ** 2, axis=1)
     loop.check_closed()
     if radii.max() - radii.min() > _CONSTRAINT_TOL:
         raise ConstraintViolatedError("|mu|^2 + mu_z^2 varies along the loop")
 
     u_full = propagate_unitary(fam, loop, steps)
     # The loop's samples start at s = 0, so they give the starting eigenbasis too.
-    energies, chain = fam.eigensystem(_points(fam, loop, np.arange(phase_samples) / phase_samples))
+    s = np.arange(_PHASE_SAMPLES) / _PHASE_SAMPLES
+    energies, chain = fam.eigensystem(_points(fam, loop, s))
     energies, v_start = energies[0], chain[0]
 
     base_vecs = fam.iso_spectral_form.base_vectors

@@ -221,10 +221,10 @@ def test_criterion_06_right_bilocal_equality():
         u = unitary(lam)
         return u @ h0 @ u.conj().swapaxes(-1, -2)
 
-    fam = HamiltonianFamily(6, np.array([[-np.pi, np.pi]] * 6), evaluate, SPLIT_2Q,
+    fam = HamiltonianFamily(np.array([[-np.pi, np.pi]] * 6), evaluate, SPLIT_2Q,
                             IsoSpectralForm(energies, vectors, unitary, np.zeros(6)))
     pts = rng.uniform(-np.pi, np.pi, (1000, 6))
-    est = adiabatic_entangling_power(fam, refine=True, starts=8, sample_points=pts)
+    est = adiabatic_entangling_power(fam, refine=True, sample_points=pts)
     ep = unitary_entangling_power(u_fixed, SPLIT_2Q, starts=8, coarse=1024)
     diff = abs(est.value - ep.value)
     ok = report(6, "right-bilocal family equals e_p", diff < 1e-3,
@@ -242,7 +242,7 @@ def test_criterion_07_berry_phase_oracle():
                              np.sin(theta0) * np.sin(phi),
                              np.full_like(phi, np.cos(theta0))], axis=-1)
 
-        loop = ParameterPath(1.0, gamma, closed=True)
+        loop = ParameterPath(1.0, gamma)
         g = berry_phase(fam, 0, loop, samples=2000)
         worst = max(worst, abs(abs(g) - np.pi * (1 - np.cos(theta0))))
     ok_oracle = worst < 1e-4

@@ -479,6 +479,16 @@ def test_degeneracy_abort_exit_code(tmp_path):
     assert main(["power", spec, "--grid", "5"]) == 3
 
 
+@pytest.mark.parametrize("lam1, lam2", [(1.0, 1.0), (1.0, 0.0), (1.0, 1.0 + 5e-9)])
+def test_degenerate_builtin_example1_base_is_a_degeneracy_abort(tmp_path, capsys, lam1, lam2):
+    spec = write_json(tmp_path / "deg.json", {"kind": "builtin:example1",
+                                              "lam1": lam1, "lam2": lam2})
+    assert main(["power", spec, "--grid", "3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("degeneracy abort: eigenvalue gap collapsed at [0. 0. 0.]")
+
+
 def _run_module(*args):
     """Run ``python -m adiapower.cli`` with this checkout's package on the path."""
     src = os.path.dirname(os.path.dirname(cli.__file__))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from adiapower.entanglement import concurrence_2q, entropy
-from adiapower.errors import ZeroCouplingError
+from adiapower.errors import DegeneracyError, ZeroCouplingError
 from adiapower.families import (
     SPLIT_2Q,
     Example1Params,
@@ -139,8 +139,9 @@ def test_example1_max_condition():
 
 
 def test_example1_base_must_be_nondegenerate():
-    with pytest.raises(ValueError):
-        Example1Params(1.0, 1.0)
+    for lam1, lam2 in ((1.0, 1.0), (1.0, 0.0), (1.0, 1.0 + 5e-9)):
+        with pytest.raises(DegeneracyError, match="eigenvalue gap collapsed"):
+            example1_family(Example1Params(lam1, lam2))
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +189,11 @@ def test_example2_quarter_offset_reaches_maximal_entanglement():
 
 
 def test_example2_max_concurrence_closed_form():
-    assert example2_max_concurrence(Example2Params(0, 0, 0)).concurrence == 0.0
+    r = example2_max_concurrence(Example2Params(0, 0, 0))
+    assert r.concurrence == 0.0 and r.best_pair == (0, 1)
+    # with no entangling pair the witness is still a product state
+    assert entropy(r.best_input, SPLIT_2Q) <= 1e-12
+    assert concurrence_2q(example2_unitary(Example2Params(0, 0, 0)) @ r.best_input) == 0.0
     p = Example2Params(1.0, 0.3, 0.3 + np.pi / 4)
     r = example2_max_concurrence(p)
     assert abs(r.concurrence - 1.0) < 1e-12

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 
 import numpy as np
@@ -240,3 +241,15 @@ def test_only_tolerances_a_caller_sets_are_parameters():
         "spectral.is_adiabatically_connectible(cluster_tol)",
         "spectral.spectral_resolution(cluster_tol)",
     }
+
+
+def test_values_derived_from_inputs_or_fixed_are_not_parameters():
+    """Closure follows from gamma, the parameter count from the bounds, and the
+    family power's starts and the gate's sample counts are constants."""
+    assert [f.name for f in dataclasses.fields(simulate.ParameterPath)] == ["duration", "gamma"]
+    assert [f.name for f in dataclasses.fields(power.HamiltonianFamily)] == [
+        "bounds", "evaluate", "split", "iso_spectral_form"]
+    assert list(inspect.signature(power.adiabatic_entangling_power).parameters) == [
+        "fam", "grid_per_axis", "refine", "sample_points"]
+    assert list(inspect.signature(simulate.synthesize_controlled_phase).parameters) == [
+        "loop", "steps", "base"]

@@ -179,12 +179,28 @@ def test_power_left_bilocal_invariance():
         return u @ (iso.base_vectors * iso.base_energies) @ iso.base_vectors.conj().T @ u.conj().T
 
     shifted = HamiltonianFamily(
-        base.parameter_dim, base.bounds, evaluate, base.split,
+        base.bounds, evaluate, base.split,
         IsoSpectralForm(iso.base_energies, iso.base_vectors, unitary, iso.base_point))
     assert has_product_base(shifted)
     v0 = adiabatic_entangling_power(base, grid_per_axis=11).value
     v1 = adiabatic_entangling_power(shifted, grid_per_axis=11).value
     assert abs(v0 - v1) < 1e-6
+
+
+@settings(max_examples=8, derandomize=True, deadline=None)
+@given(st.sampled_from([example1_family, example2_family]), st.integers(0, 2 ** 32 - 1))
+def test_local_unitary_dressing_leaves_the_family_power_unchanged(make_family, seed):
+    base = make_family()
+    iso = base.iso_spectral_form
+    rng = np.random.default_rng(seed)
+    local = tensor(haar_unitary(rng, 2), haar_unitary(rng, 2))
+    h_base = (iso.base_vectors * iso.base_energies) @ iso.base_vectors.conj().T
+    dressed = iso_spectral_family(h_base, lambda lam: local @ iso.unitary(lam), base.bounds,
+                                  base.split, iso.base_point)
+    for refine, tol in ((False, 1e-12), (True, 1e-9)):
+        v0 = adiabatic_entangling_power(base, 11, refine).value
+        v1 = adiabatic_entangling_power(dressed, 11, refine).value
+        assert abs(v0 - v1) <= tol
 
 
 @pytest.mark.parametrize("bits, certified", [(0.9e-9, True), (1.1e-9, False)])
@@ -204,7 +220,7 @@ def test_degenerate_family_aborts():
     def evaluate(lam):
         return lam[..., 0, None, None] * tensor(SIGMA_Z, ID2)
 
-    fam = HamiltonianFamily(1, np.array([[0.5, 1.5]]), evaluate, SPLIT_2Q)
+    fam = HamiltonianFamily(np.array([[0.5, 1.5]]), evaluate, SPLIT_2Q)
     with pytest.raises(DegeneracyError) as exc:
         entropy_sweep(fam, 5)
     assert np.array_equal(exc.value.point, [0.5])
@@ -381,7 +397,26 @@ def generic_field_family():
                 + lam[..., 0, None, None] * tensor(SIGMA_X, SIGMA_X)
                 + lam[..., 1, None, None] * tensor(SIGMA_Y, ID2))
 
-    return HamiltonianFamily(2, np.array([[0.0, 1.0], [0.0, 1.0]]), evaluate, SPLIT_2Q)
+    return HamiltonianFamily(np.array([[0.0, 1.0], [0.0, 1.0]]), evaluate, SPLIT_2Q)
+
+
+@pytest.mark.parametrize("make_family", [example1_family, generic_field_family])
+def test_bound_check_builds_at_most_sweep_chunk_unitaries_per_call(monkeypatch, make_family):
+    fam = make_family()
+    whole = bound_check(fam, grid_per_axis=9, seed=3, coarse=8)
+    sizes = []
+    unitaries = power.family_unitaries
+
+    def recorded(fam, points):
+        sizes.append(len(points))
+        return unitaries(fam, points)
+
+    monkeypatch.setattr(power, "family_unitaries", recorded)
+    monkeypatch.setattr(power, "SWEEP_CHUNK", 20)      # stacks of 2 points, chunks of 20
+    chunked = bound_check(fam, grid_per_axis=9, seed=3, coarse=8)
+    assert sizes == [20, 20, 20, 20, 1, power._BOUND_POLISH_TOP]
+    assert (chunked.lhs, chunked.rhs, chunked.holds) == (whole.lhs, whole.rhs, whole.holds)
+    assert chunked.rhs_point.tobytes() == whole.rhs_point.tobytes()
 
 
 def test_generic_family_unitaries_do_not_depend_on_the_chunk():
@@ -556,7 +591,7 @@ def test_entropy_sweep_names_the_same_degenerate_point_in_any_chunking(monkeypat
     def evaluate(lam):
         return lam[..., 0, None, None] * tensor(SIGMA_Z, ID2) + 0.25 * tensor(ID2, SIGMA_Z)
 
-    fam = HamiltonianFamily(1, np.array([[-1.0, 1.0]]), evaluate, SPLIT_2Q)
+    fam = HamiltonianFamily(np.array([[-1.0, 1.0]]), evaluate, SPLIT_2Q)
     points = []
     for chunk in (power.SWEEP_CHUNK, 7):
         monkeypatch.setattr(power, "SWEEP_CHUNK", chunk)

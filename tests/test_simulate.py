@@ -38,7 +38,7 @@ def field_circle(theta0, r=1.0, duration=1.0):
                              np.sin(theta0) * np.sin(phi),
                              np.full_like(phi, np.cos(theta0))], axis=-1)
 
-    return ParameterPath(duration, gamma, closed=True)
+    return ParameterPath(duration, gamma)
 
 
 WAYPOINTS = [[0.0, 0.0, 0.0], [0.2, -0.1, 0.5], [0.5, 0.1, 0.9], [0.3, 0.0, 1.4]]
@@ -92,6 +92,22 @@ def test_waypoint_path_is_closed_when_its_ends_coincide():
     assert waypoint_path(WAYPOINTS[:1], 1.0).closed
     assert waypoint_path(WAYPOINTS[:1] * 3, 1.0).closed
     assert not waypoint_path(WAYPOINTS, 1.0).closed
+
+
+@pytest.mark.parametrize("gap, closed", [(0.9e-12, True), (1.1e-12, False), (1e-9, False),
+                                         (1e-6, False)])
+def test_one_closure_rule_decides_path_closed_berry_phase_and_propagate(gap, closed):
+    fam = spin_half_field_family()
+    path = waypoint_path([[0, 0, 1], [1, 0, 0], [0, 1, 0], [gap, 0, 1]], 5.0)
+    assert path.closed == closed
+    if closed:
+        assert berry_phase(fam, 0, path, samples=200) != 0.0
+    else:
+        with pytest.raises(NotClosedError, match="endpoints do not coincide"):
+            berry_phase(fam, 0, path, samples=200)
+    _, vecs = fam.eigensystem(path.gamma(0.0))
+    rec = propagate(fam, path, vecs[:, 0], steps=200)
+    assert (rec.geometric_phase != 0.0) == closed
 
 
 def test_propagate_stationary_state():
@@ -255,7 +271,7 @@ def test_berry_phase_solid_angle_oracle():
 def test_berry_phase_sign_flips_with_orientation():
     fam = spin_half_field_family()
     loop = field_circle(np.pi / 3)
-    rev = ParameterPath(loop.duration, lambda s: loop.gamma(1.0 - s), closed=True)
+    rev = ParameterPath(loop.duration, lambda s: loop.gamma(1.0 - s))
     g1 = berry_phase(fam, 0, loop, samples=800)
     g2 = berry_phase(fam, 0, rev, samples=800)
     assert abs(g1 + g2) < 1e-8
@@ -267,7 +283,7 @@ def test_berry_phase_sign_flips_with_orientation():
 def test_berry_phase_flips_sign_on_the_reversed_loop(theta0, samples):
     fam = spin_half_field_family()
     loop = field_circle(theta0)
-    rev = ParameterPath(loop.duration, lambda s: loop.gamma(1.0 - s), closed=True)
+    rev = ParameterPath(loop.duration, lambda s: loop.gamma(1.0 - s))
     total = berry_phase(fam, 0, loop, samples) + berry_phase(fam, 0, rev, samples)
     assert abs(np.angle(np.exp(1j * total))) < 1e-8
 
@@ -283,7 +299,7 @@ def _cone_point(s):
 ], ids=["points-last", "float", "branch"])
 def test_gamma_that_does_not_broadcast_is_rejected_before_any_eigensystem(monkeypatch, gamma):
     fam = spin_half_field_family()
-    path = ParameterPath(5.0, gamma, closed=True)
+    path = ParameterPath(5.0, gamma)
     calls = []
     monkeypatch.setattr(np.linalg, "eigh", lambda *args, **kwargs: calls.append(args))
     for run in (lambda: propagate(fam, path, [1.0, 0.0], steps=200),
@@ -295,15 +311,9 @@ def test_gamma_that_does_not_broadcast_is_rejected_before_any_eigensystem(monkey
 
 def test_too_few_phase_or_constraint_samples_are_rejected():
     fam = spin_half_field_family()
-    loop = circle_loop(np.pi / 3, 1.0, duration=5.0)
     for samples in (-1, 0, 1, 2):
         with pytest.raises(ValueError, match="at least 3 samples"):
             berry_phase(fam, 0, field_circle(np.pi / 3), samples=samples)
-        with pytest.raises(ValueError, match="at least 2 constraint and 3 phase samples"):
-            synthesize_controlled_phase(loop, 200, phase_samples=samples)
-    for samples in (-1, 0, 1):
-        with pytest.raises(ValueError, match="at least 2 constraint and 3 phase samples"):
-            synthesize_controlled_phase(loop, 200, constraint_samples=samples)
     assert berry_phase(fam, 0, field_circle(np.pi / 3), samples=3) != 0.0
 
 
@@ -423,18 +433,18 @@ def test_gate_constraint_accepts_a_radius_spread_up_to_1e9(spread, accepted):
     def gamma(s):
         return circle.gamma(s) * np.sqrt(1.0 + delta * np.sin(np.pi * np.asarray(s)) ** 2)[..., None]
 
-    loop = ParameterPath(20.0, gamma, closed=True)
+    loop = ParameterPath(20.0, gamma)
     if accepted:
-        assert synthesize_controlled_phase(loop, 100, phase_samples=3).labels
+        assert synthesize_controlled_phase(loop, 100).labels
     else:
         with pytest.raises(ConstraintViolatedError):
-            synthesize_controlled_phase(loop, 100, phase_samples=3)
+            synthesize_controlled_phase(loop, 100)
 
 
 def test_gate_constraint_check():
     bad = line_path([0.1, 0, 0.1], [0.3, 0, 0.1], duration=10.0)
     loop = ParameterPath(10.0, lambda s: bad.gamma(np.where(np.asarray(s) <= 0.5,
-                                                            2 * s, 2 - 2 * s)), closed=True)
+                                                            2 * s, 2 - 2 * s)))
     with pytest.raises(ConstraintViolatedError):
         synthesize_controlled_phase(loop, steps=200)
 
@@ -460,7 +470,7 @@ def test_cli_retrace_loop_matches_half_circle_bit_for_bit():
 
 
 def test_gate_zero_area_loop_has_no_geometric_phase():
-    loop = ParameterPath(40.0, retrace_half_circle, closed=True)
+    loop = ParameterPath(40.0, retrace_half_circle)
     res = synthesize_controlled_phase(loop, steps=1600)
     for label in ("00", "01", "10", "11"):
         assert abs(res.geometric[label]) < 1e-6
