@@ -5,9 +5,11 @@ it the balanced superposition of two magic vectors yields output concurrence
 |sin(h_k - h_l)|, and maximizing over pairs gives a simple closed form.
 That pair maximum is NOT the supremum over all product inputs, though: the
 true supremum is the radius of the smallest circle enclosing the four
-points exp(2i h_k), which can be supported by three points.  A direct
-numerical optimizer over product states confirms the circle radius, not the
-pair formula.
+points exp(2i h_k).  When the points lie in an open half-circle it is
+sin(arc / 2) for the arc they span, which is the pair formula; otherwise it
+is 1, which the pair formula reaches only when two points are antipodal.  A
+direct numerical optimizer over product states confirms the circle radius,
+not the pair formula.
 """
 
 import numpy as np

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .linalg import SIGMA_Y, BipartiteSplit, tensor
+from .linalg import SIGMA_Y, BipartiteSplit, dagger, tensor, widest_gap
 
 _CLAMP = -1e-12
 _MAX_ENTANGLED_TOL = 1e-9    # largest |lam_i - 1/min(d_a, d_b)| of a maximally entangled state
@@ -93,6 +93,34 @@ def entropy_from_concurrence(c):
     l1, l2 = lam[mixed], 1.0 - lam[mixed]
     h[mixed] = -(l1 * np.log2(l1) + l2 * np.log2(l2))
     return float(h) if h.ndim == 0 else h
+
+
+def magic_basis() -> np.ndarray:
+    """Columns are the phase-adjusted Bell states Psi_1..Psi_4.
+
+    In this basis local unitaries of determinant one are real orthogonal, and
+    a state with amplitudes w has concurrence |sum_k w_k^2|.
+    """
+    return np.array([[1, -1j, 0, 0], [0, 0, 1, -1j], [0, 0, -1, -1j], [1, 1j, 0, 0]]) \
+        * (1.0 / np.sqrt(2.0))
+
+
+def enclosing_radius(points):
+    """Radius (...) of the smallest circle enclosing points (..., n) on the unit circle (a
+    float for one set): sin(arc / 2) if their arc, 2 pi less their widest gap, is < pi, else 1."""
+    arc = 2.0 * np.pi - widest_gap(np.angle(points))[1]
+    r = np.where(arc < np.pi, np.sin(arc / 2.0), 1.0)
+    return float(r) if r.ndim == 0 else r
+
+
+def product_sup_concurrence(u):
+    """Supremum (...) over product inputs of the output concurrence of two-qubit
+    unitaries u (..., 4, 4): the enclosing_radius of the eigenvalues of U_B^T U_B,
+    U_B = M^dag U M in the magic basis M (Kraus and Cirac, PRA 63, 062309, 2001).
+    """
+    m = magic_basis()
+    ub = dagger(m) @ np.asarray(u, dtype=complex) @ m
+    return enclosing_radius(np.linalg.eigvals(np.swapaxes(ub, -1, -2) @ ub))
 
 
 def max_entangled_check(psi, split: BipartiteSplit) -> bool:

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import linalg
 from .entanglement import SPIN_FLIP as _YY
+from .entanglement import enclosing_radius, magic_basis
 from .errors import ZeroCouplingError
 from .linalg import (
     ID2,
@@ -159,16 +160,6 @@ def example1_max_condition(mu: complex, mu_z: float) -> MaxEntanglementCondition
 # ---------------------------------------------------------------------------
 # Magic-basis-diagonal family ("example 2").
 
-def magic_basis() -> np.ndarray:
-    """Columns are the phase-adjusted Bell states Psi_1..Psi_4."""
-    s = 1.0 / np.sqrt(2.0)
-    psi1 = s * np.array([1, 0, 0, 1], dtype=complex)
-    psi2 = -1j * s * np.array([1, 0, 0, -1], dtype=complex)
-    psi3 = s * np.array([0, 1, -1, 0], dtype=complex)
-    psi4 = -1j * s * np.array([0, 1, 1, 0], dtype=complex)
-    return np.stack([psi1, psi2, psi3, psi4], axis=1)
-
-
 @dataclass(frozen=True)
 class Example2Params:
     """Phase parameters of U = exp(i(lam1 sz x sz + lam2 sy x sy + lam3 sx x sx)).
@@ -239,9 +230,8 @@ def example2_max_concurrence(p: Example2Params) -> Example2Maximum:
     This is the pair formula: the best output concurrence over the product
     inputs (Psi_k + i Psi_l)/sqrt(2), returned in the computational basis;
     (k, l) index the magic-basis columns.  It is a lower bound on the
-    supremum over all product inputs, which example2_product_sup_concurrence
-    gives and which strictly exceeds it whenever the smallest circle
-    enclosing the points exp(2i h_k) is supported on three of them.
+    supremum over all product inputs (example2_product_sup_concurrence),
+    equal to it when the points exp(2i h_k) lie in an open half-circle.
     """
     h = p.magic_phases
     # max keeps the first of equal pairs, so a zero maximum still names the pair (0, 1)
@@ -252,49 +242,17 @@ def example2_max_concurrence(p: Example2Params) -> Example2Maximum:
     return Example2Maximum(float(c), (k, l), state)
 
 
-def _min_enclosing_radius(pts) -> float:
-    """Radius of the smallest circle covering a handful of complex points."""
-    pts = [complex(p) for p in pts]
-
-    def covers(c, r):
-        return all(abs(p - c) <= r + 1e-12 for p in pts)
-
-    best = np.inf
-    n = len(pts)
-    for i in range(n):
-        for j in range(i + 1, n):
-            c = (pts[i] + pts[j]) / 2
-            r = abs(pts[i] - c)
-            if r < best and covers(c, r):
-                best = r
-            for k in range(j + 1, n):
-                a, b, d3 = pts[i], pts[j], pts[k]
-                det = 2 * (a.real * (b.imag - d3.imag) + b.real * (d3.imag - a.imag)
-                           + d3.real * (a.imag - b.imag))
-                if abs(det) < 1e-14:
-                    continue
-                cx = (abs(a) ** 2 * (b.imag - d3.imag) + abs(b) ** 2 * (d3.imag - a.imag)
-                      + abs(d3) ** 2 * (a.imag - b.imag)) / det
-                cy = (abs(a) ** 2 * (d3.real - b.real) + abs(b) ** 2 * (a.real - d3.real)
-                      + abs(d3) ** 2 * (b.real - a.real)) / det
-                c = complex(cx, cy)
-                r = abs(a - c)
-                if r < best and covers(c, r):
-                    best = r
-    return float(best)
-
-
 def example2_product_sup_concurrence(p: Example2Params) -> float:
     """Supremum of output concurrence over ALL product inputs.
 
     A product state has magic-basis amplitudes w with sum w_k^2 = 0, and the
     output concurrence is |sum z_k exp(2i h_k)| with z_k = w_k^2, so the
     supremum over {sum z_k = 0, sum |z_k| = 1} is the radius of the smallest
-    circle enclosing the four points exp(2i h_k) (capped at 1).  This can
-    strictly exceed the best two-component input max_{k,l} |sin(h_k - h_l)|
-    whenever the smallest enclosing circle is supported on three points.
+    circle enclosing the four points exp(2i h_k): the pair formula
+    max_{k,l} |sin(h_k - h_l)| when they lie in an open half-circle, else 1,
+    which the pair formula reaches only if two of the points are antipodal.
     """
-    return min(_min_enclosing_radius(np.exp(2j * p.magic_phases)), 1.0)
+    return enclosing_radius(np.exp(2j * p.magic_phases))
 
 
 def example2_output_concurrence(p: Example2Params, w) -> float:

@@ -79,10 +79,10 @@ def is_hermitian(h, tol: float = DEFAULT_TOL) -> bool:
 
 
 def is_unitary(u) -> bool:
+    """True iff u, or every matrix of a (..., D, D) stack u, is unitary within DEFAULT_TOL."""
     u = np.asarray(u)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        return False
-    return np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) <= DEFAULT_TOL
+    return (u.ndim >= 2 and u.shape[-1] == u.shape[-2]
+            and np.max(np.abs(dagger(u) @ u - np.eye(u.shape[-1]))) <= DEFAULT_TOL)
 
 
 def is_projector(p) -> bool:
@@ -135,12 +135,21 @@ def expm_skew(k) -> np.ndarray:
 def eig_unitary(u):
     """Eigenphases in (-pi, pi] and orthonormal eigenvectors of a unitary, from one Schur form."""
     u = _as_complex(u)
-    if not is_unitary(u):
+    if u.ndim != 2 or not is_unitary(u):
         raise NotUnitaryError("matrix is not unitary within tolerance")
     # u is normal, so its complex Schur form is diagonal with orthonormal q.
     t, q = scipy.linalg.schur(u, output="complex")
     phases = np.angle(np.diagonal(t))
     return np.where(phases <= -np.pi, np.pi, phases), q
+
+
+def widest_gap(phases):
+    """Start angle and width (...) of the widest gap between angles (..., n) within one turn."""
+    ring = np.sort(phases, axis=-1)
+    gaps = np.diff(np.concatenate([ring, ring[..., :1] + 2.0 * np.pi], axis=-1), axis=-1)
+    k = np.argmax(gaps, axis=-1)[..., None]
+    return (np.take_along_axis(ring, k, axis=-1)[..., 0],
+            np.take_along_axis(gaps, k, axis=-1)[..., 0])
 
 
 def logm_unitary(u) -> np.ndarray:

@@ -3,8 +3,8 @@
 Suprema over family parameters are estimated by a dense grid, suprema over
 product inputs by a random product-state bank; both are then refined by one
 batched multi-start Newton ascent (``_ascend``), in the parameter box or over
-the unit factor vectors.  Every reported value is a lower bound on the true
-supremum and carries the witness attaining it.
+the unit factor vectors: lower bounds on the true suprema, with witnesses.
+``bound_check`` takes the two-qubit product-input supremum in closed form.
 """
 
 from __future__ import annotations
@@ -224,7 +224,7 @@ def _polish(fam: HamiltonianFamily, level: int, sign: float, seeds, incumbent):
     else the incumbent, and whether the best start stopped by the gain rule."""
     lo, hi = fam.bounds[:, 0], fam.bounds[:, 1]
 
-    def objective(x):
+    def objective(_, x):
         _, vecs = fam.eigensystem(x)
         return sign * _entropies_many(vecs[..., level], fam.split)
 
@@ -367,12 +367,13 @@ def _ascent_step(grad, hess, radius):
 def _ascend(objective, chart, state, n: int):
     """Damped-Newton ascent from all starts ``state`` (a tuple of arrays (k, ...),
     moved in place); ``chart(*rows)`` maps offsets z (..., m, n) around rows
-    to candidate tuples (k, m, ...) that ``objective`` scores as (k, m).  A
+    to candidate tuples (k, m, ...) that ``objective(starts, *candidates)``
+    scores as (k, m), ``starts`` (k,) being the indices of the rows.  A
     start stops once an accepted step gains at most 4 eps, or a rejected
     step's model promises no more; returns the values (k,) and which starts
     were still active at the iteration cap (k,)."""
     offsets = _stencil(n, _STENCIL_H)
-    value = objective(*(s[:, None] for s in state))[:, 0]
+    value = objective(np.arange(len(state[0])), *(s[:, None] for s in state))[:, 0]
     radius = np.full(len(value), _MAX_STEP)
     active = np.ones(len(value), dtype=bool)
     for _ in range(_ASCENT_ITERATIONS):
@@ -380,12 +381,12 @@ def _ascend(objective, chart, state, n: int):
         if not len(k):
             break
         move = chart(*(s[k] for s in state))
-        f = objective(*move(offsets[None]))
+        f = objective(k, *move(offsets[None]))
         grad, hess = _derivatives(f, n, _STENCIL_H)
         step, length, model_gain = _ascent_step(grad, hess, radius[k])
         # the full step and its backtrack, for every active start at once
         trial = move(np.stack([step, 0.5 * step], axis=1))
-        ft = objective(*trial)
+        ft = objective(k, *trial)
         rows, pick = np.arange(len(k)), np.where(ft[:, 0] > f[:, 0], 0, 1)
         gain = ft[rows, pick] - f[:, 0]
         moved = gain > 0
@@ -410,6 +411,36 @@ class UnitaryPowerResult:
         return self.value
 
 
+def _best_products(us, split: BipartiteSplit, starts: int, seed: int, coarse: int):
+    """unitary_entangling_power's inputs (m, D), outputs (m, D), entropies (m,)
+    and gain-rule stops (m,) for each of a stack of unitaries (m, D, D), from
+    one shared bank and one batched ascent of all starts."""
+    bank, fa, fb = _random_product_bank(np.random.default_rng(seed), split, coarse)
+    transposed = np.swapaxes(us, -1, -2)
+    scores = _entropies_many(bank @ transposed, split)
+    top = np.argsort(scores, axis=-1)[:, ::-1][:, :max(starts, 1)]
+    m, k = top.shape
+    a, b = fa[top].reshape(m * k, -1), fb[top].reshape(m * k, -1)
+    two_qubit = split.dim_a == 2 and split.dim_b == 2
+
+    def objective(starts, pa, pb):
+        outs = product_state(pa, pb) @ transposed[starts // k]     # k starts per unitary
+        if two_qubit:
+            return entanglement.concurrence_coefficients(outs)
+        return entanglement.entropy(outs, split)
+
+    def chart(a, b):
+        basis_a, basis_b = _tangent_basis(a), _tangent_basis(b)
+        return lambda z: (_chart(a, basis_a, z[..., :na]), _chart(b, basis_b, z[..., na:]))
+
+    na = 2 * (split.dim_a - 1)
+    value, active = _ascend(objective, chart, (a, b), na + 2 * (split.dim_b - 1))
+    best = np.arange(m) * k + np.argmax(value.reshape(m, k), axis=1)
+    inputs = product_state(a[best], b[best])
+    outputs = (us @ inputs[..., None])[..., 0]
+    return inputs, outputs, _entropies_many(outputs, split), ~active[best]
+
+
 def unitary_entangling_power(u, split: BipartiteSplit,
                              starts: int = DEFAULT_STARTS,
                              seed: int = 0,
@@ -424,42 +455,22 @@ def unitary_entangling_power(u, split: BipartiteSplit,
     supremum, returned with its product witness.
     """
     u = np.asarray(u, dtype=complex)
-    if not linalg.is_unitary(u):
+    if u.ndim != 2 or not linalg.is_unitary(u):
         raise NotUnitaryError("input is not unitary")
     split.check(u.shape[0])
-    two_qubit = split.dim_a == 2 and split.dim_b == 2
-
-    bank, fa, fb = _random_product_bank(np.random.default_rng(seed), split, coarse)
-    scores = _entropies_many(bank @ u.T, split)
-    top = np.argsort(scores)[::-1][:max(starts, 1)]
-    a, b = fa[top], fb[top]
-
-    def objective(pa, pb):
-        outs = product_state(pa, pb) @ u.T
-        if two_qubit:
-            return entanglement.concurrence_coefficients(outs)
-        return entanglement.entropy(outs, split)
-
-    def chart(a, b):
-        basis_a, basis_b = _tangent_basis(a), _tangent_basis(b)
-        return lambda z: (_chart(a, basis_a, z[..., :na]), _chart(b, basis_b, z[..., na:]))
-
-    na = 2 * (split.dim_a - 1)
-    value, active = _ascend(objective, chart, (a, b), na + 2 * (split.dim_b - 1))
-    best = int(np.argmax(value))
-    best_in = product_state(a[best], b[best])
-    out = u @ best_in
-    best_val = float(_entropies_many(out[None, :], split)[0])
-    conc = entanglement.concurrence_coefficients(out) if two_qubit else None
-    return UnitaryPowerResult(best_val, conc, best_in, out, converged=bool(not active[best]))
+    inputs, outputs, values, converged = _best_products(u[None], split, starts, seed, coarse)
+    conc = entanglement.concurrence_coefficients(outputs[0]) \
+        if split.dim_a == 2 and split.dim_b == 2 else None
+    return UnitaryPowerResult(float(values[0]), conc, inputs[0], outputs[0],
+                              converged=bool(converged[0]))
 
 
 @dataclass(frozen=True)
 class BoundReport:
     lhs: float                            # adiabatic entangling power of the family
-    rhs: float                            # max over the grid of per-unitary entangling power
-    holds: bool
-    rhs_point: np.ndarray
+    rhs: float                            # max over the grid of per-unitary power (exact for 2 x 2)
+    holds: bool                           # lhs <= rhs + _BOUND_SLACK
+    rhs_point: np.ndarray                 # the first grid point attaining rhs
 
 
 def family_unitaries(fam: HamiltonianFamily, points) -> np.ndarray:
@@ -483,8 +494,7 @@ def family_unitaries(fam: HamiltonianFamily, points) -> np.ndarray:
     return vecs[1:] @ linalg.dagger(vecs[0])
 
 
-_BOUND_POLISH_TOP = 3                     # screened points bound_check fully optimizes
-_BOUND_SLACK = 1e-6                       # tolerance of its lhs <= rhs verdict
+_BOUND_SLACK = 1e-6                       # tolerance of bound_check's lhs <= rhs verdict
 
 
 def bound_check(fam: HamiltonianFamily,
@@ -494,30 +504,24 @@ def bound_check(fam: HamiltonianFamily,
                 starts: int = 4) -> BoundReport:
     """Check family power <= sup over the grid of per-unitary power.
 
-    The right-hand side is screened with a shared bank of ``coarse`` random
-    product states, k = max(1, SWEEP_CHUNK // coarse) grid points per stacked
-    entropy call, from unitaries built at most SWEEP_CHUNK points (a multiple
-    of k) at a time; the most promising points then get the full multi-start
-    optimization.  Both sides are lower bounds on their suprema.
+    The right-hand side is the largest power of U(lam) over the grid, from
+    unitaries built SWEEP_CHUNK points at a time: exact for a 2 x 2 split
+    (the entropy of entanglement.product_sup_concurrence), else a lower bound
+    from one ascent per chunk as in unitary_entangling_power, the only use of
+    ``seed``, ``coarse`` and ``starts``.  The left-hand side is the refined
+    adiabatic_entangling_power, a lower bound; ``holds`` is lhs <= rhs + 1e-6.
     """
     lhs = adiabatic_entangling_power(fam, grid_per_axis, refine=True).value
-    rng = np.random.default_rng(seed)
-    bank, _, _ = _random_product_bank(rng, fam.split, coarse)
     pts = grid_points(fam.bounds, grid_per_axis)
-    k = max(1, SWEEP_CHUNK // coarse)
-    chunk = SWEEP_CHUNK // k * k
-    quick = np.empty(len(pts))
-    for i in range(0, len(pts), chunk):
-        us = family_unitaries(fam, pts[i:i + chunk])
-        for j in range(0, len(us), k):
-            states = bank @ us[j:j + k].swapaxes(-1, -2)
-            quick[i + j:i + j + k] = _entropies_many(states, fam.split).max(-1)
-    rhs = float(np.max(quick))
-    rhs_point = pts[int(np.argmax(quick))]
-    top = np.argsort(quick)[::-1][:_BOUND_POLISH_TOP]
-    for lam, u in zip(pts[top], family_unitaries(fam, pts[top])):
-        res = unitary_entangling_power(u, fam.split, starts=starts, seed=seed,
-                                       coarse=coarse)
-        if res.value > rhs:
-            rhs, rhs_point = res.value, lam
-    return BoundReport(lhs, rhs, lhs <= rhs + _BOUND_SLACK, rhs_point)
+    two_qubit = fam.split.dim_a == 2 and fam.split.dim_b == 2
+    powers = np.empty(len(pts))
+    for i in range(0, len(pts), SWEEP_CHUNK):
+        us = family_unitaries(fam, pts[i:i + SWEEP_CHUNK])
+        if not linalg.is_unitary(us):
+            raise NotUnitaryError("a family unitary is not unitary")
+        powers[i:i + SWEEP_CHUNK] = \
+            entanglement.entropy_from_concurrence(entanglement.product_sup_concurrence(us)) \
+            if two_qubit else _best_products(us, fam.split, starts, seed, coarse)[2]
+    best = int(np.argmax(powers))
+    rhs = float(powers[best])
+    return BoundReport(lhs, rhs, lhs <= rhs + _BOUND_SLACK, pts[best])

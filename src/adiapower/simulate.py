@@ -18,9 +18,9 @@ from .families import Example1Params, example1_family
 from .linalg import dagger
 from .power import HamiltonianFamily
 
-_CLOSURE_TOL = 1e-12         # largest endpoint mismatch of a closed path
+_CLOSURE_TOL = 1e-12         # largest endpoint mismatch of a closed path, per unit of scale
 _EIGENSTATE_TOL = 1e-6       # propagate's start overlaps an eigenstate by at least 1 - this
-_CONSTRAINT_TOL = 1e-9       # largest spread of |mu|^2 + mu_z^2 along a gate loop
+_CONSTRAINT_TOL = 1e-9       # largest spread of |mu|^2 + mu_z^2 on a gate loop, per unit of scale
 _ENTANGLING_TOL = 1e-3       # smallest |nontriviality| of an entangling gate
 _CONSTRAINT_SAMPLES = 64     # gate-loop points checked against the constraint
 _PHASE_SAMPLES = 2000        # gate-loop points of the geometric-phase chains
@@ -39,9 +39,10 @@ class ParameterPath:
 
     @property
     def closed(self) -> bool:
-        """Whether gamma(1) matches gamma(0) within _CLOSURE_TOL in every coordinate."""
+        """Whether gamma(1) matches gamma(0) within _CLOSURE_TOL * max(1, max|end coordinate|)."""
         ends = np.asarray(self.gamma(np.array([0.0, 1.0])))
-        return bool(np.max(np.abs(ends[0] - ends[1])) <= _CLOSURE_TOL)
+        scale = max(1.0, np.max(np.abs(ends)))
+        return bool(np.max(np.abs(ends[0] - ends[1])) <= _CLOSURE_TOL * scale)
 
     def check_closed(self) -> None:
         if not self.closed:
@@ -303,7 +304,8 @@ def synthesize_controlled_phase(loop: ParameterPath,
                                 steps: int = 4000,
                                 base: Example1Params = Example1Params()) -> GateSynthesisResult:
     """Adiabatic diagonal gate from a closed loop of the transverse-coupling
-    family at constant |mu|^2 + mu_z^2, checked at _CONSTRAINT_SAMPLES loop points.
+    family at constant |mu|^2 + mu_z^2, checked at _CONSTRAINT_SAMPLES loop points
+    to vary by at most _CONSTRAINT_TOL * max(1, |mu|^2 + mu_z^2).
 
     The four eigenstates of the loop's starting Hamiltonian are labelled by
     their dominant product-basis component; the reconstructed gate applies
@@ -315,7 +317,7 @@ def synthesize_controlled_phase(loop: ParameterPath,
     fam = example1_family(base)
     radii = np.sum(_points(fam, loop, np.linspace(0.0, 1.0, _CONSTRAINT_SAMPLES)) ** 2, axis=1)
     loop.check_closed()
-    if radii.max() - radii.min() > _CONSTRAINT_TOL:
+    if radii.max() - radii.min() > _CONSTRAINT_TOL * max(1.0, radii.max()):
         raise ConstraintViolatedError("|mu|^2 + mu_z^2 varies along the loop")
 
     u_full = propagate_unitary(fam, loop, steps)

@@ -149,10 +149,8 @@ def build_connecting_family(h0, h1,
         raise NotConnectibleError(decision.reason, decision)
     phases, q = linalg.eig_unitary(aligning_unitary(s0, s1))
     # Cut mid-way across the widest eigenphase gap; e^{ia} W aligns the same projectors.
-    ring = np.sort(phases)
-    gaps = np.diff(np.append(ring, ring[0] + 2.0 * np.pi))
-    k = int(np.argmax(gaps))
-    psi = np.mod(phases - (ring[k] + gaps[k] / 2.0), 2.0 * np.pi) - np.pi
+    start, gap = linalg.widest_gap(phases)
+    psi = np.mod(phases - (start + gap / 2.0), 2.0 * np.pi) - np.pi
     return ConnectingFamily(
         base=s0,
         energies1=s1.energies,

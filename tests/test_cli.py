@@ -406,6 +406,10 @@ def test_gate_circle_and_retrace(tmp_path):
     assert main(["gate", "--loop", "square", theta0, "1.0"]) == 1
 
 
+def test_gate_accepts_a_circle_at_field_norm_20000():
+    assert main(["gate", "--loop", "circle", "1.0472", "20000", "--steps", "200"]) == 0
+
+
 def test_custom_spec_power(tmp_path, capsys):
     h = 2 * tensor(SIGMA_Z, ID2) + tensor(ID2, SIGMA_Z)
     spec = write_json(tmp_path / "custom.json", {

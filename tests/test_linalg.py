@@ -139,8 +139,9 @@ def test_eig_unitary_reconstructs_with_phases_in_half_open_interval():
     # -1 - 0j has np.angle -pi; the eigenphase is reported as +pi
     phases, _ = eig_unitary(np.diag([complex(-1.0, -0.0), 1.0]))
     assert np.array_equal(np.sort(phases), [0.0, np.pi])
-    with pytest.raises(NotUnitaryError):
-        eig_unitary(2 * np.eye(2))
+    for not_one_unitary in (2 * np.eye(2), np.stack([np.eye(2)] * 2)):
+        with pytest.raises(NotUnitaryError):
+            eig_unitary(not_one_unitary)
 
 
 def test_logm_unitary_branch_and_input_checks():
@@ -214,8 +215,19 @@ def test_structural_predicates():
     assert linalg.is_hermitian(SIGMA_Y)
     assert not linalg.is_hermitian(SIGMA_Y + 1e-6 * np.array([[0, 1], [0, 0]]))
     assert linalg.is_unitary(expm_skew(SIGMA_X))
+    assert linalg.is_unitary(expm_skew(np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])))
+    assert not linalg.is_unitary(np.stack([expm_skew(SIGMA_X), 1.01 * np.eye(2)]))
+    assert not linalg.is_unitary(np.ones(2))
     assert linalg.is_projector(np.diag([1.0, 0.0]))
     assert not linalg.is_projector(np.diag([0.5, 0.5]))
+
+
+def test_widest_gap_of_angle_stacks():
+    phases = np.array([[0.1, -3.0, 2.9, 1.0], [0.0, 0.0, 0.0, 0.0]])
+    start, width = linalg.widest_gap(phases)
+    assert np.allclose(start, [-3.0, 0.0]) and np.allclose(width, [3.1, 2.0 * np.pi])
+    for row, s, w in zip(phases, start, width):
+        assert (s, w) == linalg.widest_gap(row)
 
 
 def test_only_tolerances_a_caller_sets_are_parameters():

@@ -1,6 +1,3 @@
-import math
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 import scipy.optimize
@@ -8,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adiapower import cli, power
-from adiapower.entanglement import entropy, entropy_of_spectrum
+from adiapower.entanglement import entropy, entropy_of_spectrum, product_sup_concurrence
 from adiapower.errors import DegeneracyError, NotUnitaryError
 from adiapower.families import (
     SPLIT_2Q,
@@ -266,8 +263,9 @@ def test_iso_spectral_family_rejects_a_degenerate_base():
 def test_unitary_power_identity_and_witnesses():
     r = unitary_entangling_power(np.eye(4), SPLIT_2Q, starts=4)
     assert r.value < 1e-9
-    with pytest.raises(NotUnitaryError):
-        unitary_entangling_power(2 * np.eye(4), SPLIT_2Q)
+    for not_one_unitary in (2 * np.eye(4), np.stack([np.eye(4)] * 4)):
+        with pytest.raises(NotUnitaryError):
+            unitary_entangling_power(not_one_unitary, SPLIT_2Q)
 
 
 def test_unitary_power_quarter_phase():
@@ -316,6 +314,37 @@ def test_unitary_power_is_local_unitary_invariant(seed):
     assert abs(r.concurrence - example2_product_sup_concurrence(p)) <= 1e-9
 
 
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_optimizer_reaches_but_never_exceeds_the_two_qubit_closed_form(seed):
+    u = haar_unitary(np.random.default_rng(seed), 4)
+    closed = product_sup_concurrence(u)
+    r = unitary_entangling_power(u, SPLIT_2Q, seed=seed % 1000)
+    assert closed - 1e-9 <= r.concurrence <= closed + 1e-12
+
+
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_two_qubit_closed_form_is_local_unitary_invariant(seed):
+    rng = np.random.default_rng(seed)
+    u = haar_unitary(rng, 4) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+    a, b, c, d = (haar_unitary(rng, 2) for _ in range(4))
+    moved = tensor(a, b) @ u @ tensor(c, d)
+    assert abs(product_sup_concurrence(moved) - product_sup_concurrence(u)) <= 1e-12
+
+
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_two_qubit_closed_form_equals_the_example2_oracle_on_stacks(seed):
+    rng = np.random.default_rng(seed)
+    params = [Example2Params(*rng.uniform(-np.pi, np.pi, 3)) for _ in range(12)]
+    stack = np.stack([example2_unitary(p) for p in params]).reshape(3, 4, 4, 4)
+    closed = product_sup_concurrence(stack)
+    oracle = np.reshape([example2_product_sup_concurrence(p) for p in params], (3, 4))
+    assert closed.shape == (3, 4)
+    assert np.max(np.abs(closed - oracle)) <= 1e-12
+
+
 def test_unitary_power_qutrit_csum_reaches_log2_3():
     csum = np.zeros((9, 9))
     for x in range(3):
@@ -357,36 +386,33 @@ def test_bound_holds_on_builtins_small_grid():
     assert abs(rep.lhs - 1.0) < 1e-6 and rep.rhs >= rep.lhs - 1e-6
 
 
-def test_bound_check_screens_stacks_of_grid_points(monkeypatch):
-    fam, seed, coarse = example1_family(), 3, 256
-    calls = []
-    entropies_many = power._entropies_many
+def test_two_qubit_bound_check_draws_no_product_bank(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("power._random_product_bank called")
 
-    def recorded(states, split):
-        out = entropies_many(states, split)
-        calls.append((np.shape(states), out))
-        return out
+    monkeypatch.setattr(power, "_random_product_bank", forbidden)
+    for fam in (example0_family(), example1_family(), example2_family()):
+        assert bound_check(fam, grid_per_axis=9).holds
 
-    monkeypatch.setattr(power, "_entropies_many", recorded)
-    monkeypatch.setattr(power, "adiabatic_entangling_power",
-                        lambda *args, **kwargs: SimpleNamespace(value=0.0))
-    rep = bound_check(fam, grid_per_axis=9, seed=seed, coarse=coarse)
-    pts = power.grid_points(fam.bounds, 9)
-    k = max(1, power.SWEEP_CHUNK // coarse)
-    # each polished point's product-state optimization scores its own bank once
-    # and its witness once
-    assert len(calls) == math.ceil(len(pts) / k) + 2 * power._BOUND_POLISH_TOP
-    screen = [out for shape, out in calls if len(shape) == 3]
-    assert [len(out) for out in screen] == [min(k, len(pts) - i)
-                                            for i in range(0, len(pts), k)]
 
-    monkeypatch.undo()
-    bank, _, _ = power._random_product_bank(np.random.default_rng(seed), fam.split, coarse)
-    reference = [np.max(power._entropies_many(bank @ u.T, fam.split))
-                 for u in family_unitaries(fam, pts)]
-    quick = np.concatenate([out.max(-1) for out in screen])
-    assert quick.tobytes() == np.array(reference).tobytes()
-    assert rep.rhs >= max(reference)
+def test_bound_check_rejects_a_family_unitary_that_is_not_unitary():
+    fam = example2_family()
+    iso = fam.iso_spectral_form
+    scaled = IsoSpectralForm(iso.base_energies, iso.base_vectors,
+                             lambda lam: 1.01 * iso.unitary(lam), iso.base_point)
+    with pytest.raises(NotUnitaryError):
+        bound_check(HamiltonianFamily(fam.bounds, fam.evaluate, fam.split, scaled), 5)
+
+
+def test_two_qubit_bound_check_is_exact_where_the_sampled_bound_fell_short():
+    # a random-bank and polish rhs gave 0.999994 < lhs = 1 here
+    rep = bound_check(example2_family(1.101), grid_per_axis=21, seed=11)
+    assert rep.lhs == 1.0 and rep.rhs == 1.0 and rep.holds
+    fam = example2_family(1.101)
+    pts = power.grid_points(fam.bounds, 21)
+    sampled = [unitary_entangling_power(u, fam.split, starts=4, seed=11, coarse=256).value
+               for u in family_unitaries(fam, pts[::20])]
+    assert max(sampled) <= rep.rhs + 1e-12
 
 
 def generic_field_family():
@@ -400,7 +426,24 @@ def generic_field_family():
     return HamiltonianFamily(np.array([[0.0, 1.0], [0.0, 1.0]]), evaluate, SPLIT_2Q)
 
 
-@pytest.mark.parametrize("make_family", [example1_family, generic_field_family])
+def plane_2x3_family():
+    """Custom 2 x 3 family with two parameters."""
+    return random_custom_family(1, BipartiteSplit(2, 3))
+
+
+def test_non_two_qubit_bound_check_is_the_best_per_point_ascent():
+    fam = plane_2x3_family()
+    rep = bound_check(fam, grid_per_axis=5, seed=3, coarse=64, starts=2)
+    pts = power.grid_points(fam.bounds, 5)
+    values = [unitary_entangling_power(u, fam.split, starts=2, seed=3, coarse=64).value
+              for u in family_unitaries(fam, pts)]
+    # the stacked ascent moves each start as the per-unitary one does: deviation 0
+    assert rep.rhs == max(values)
+    assert rep.rhs_point.tobytes() == pts[int(np.argmax(values))].tobytes()
+
+
+@pytest.mark.parametrize("make_family", [example1_family, generic_field_family,
+                                         plane_2x3_family])
 def test_bound_check_builds_at_most_sweep_chunk_unitaries_per_call(monkeypatch, make_family):
     fam = make_family()
     whole = bound_check(fam, grid_per_axis=9, seed=3, coarse=8)
@@ -412,9 +455,9 @@ def test_bound_check_builds_at_most_sweep_chunk_unitaries_per_call(monkeypatch, 
         return unitaries(fam, points)
 
     monkeypatch.setattr(power, "family_unitaries", recorded)
-    monkeypatch.setattr(power, "SWEEP_CHUNK", 20)      # stacks of 2 points, chunks of 20
+    monkeypatch.setattr(power, "SWEEP_CHUNK", 20)
     chunked = bound_check(fam, grid_per_axis=9, seed=3, coarse=8)
-    assert sizes == [20, 20, 20, 20, 1, power._BOUND_POLISH_TOP]
+    assert sizes == [20, 20, 20, 20, 1]
     assert (chunked.lhs, chunked.rhs, chunked.holds) == (whole.lhs, whole.rhs, whole.holds)
     assert chunked.rhs_point.tobytes() == whole.rhs_point.tobytes()
 

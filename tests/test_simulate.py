@@ -441,6 +441,22 @@ def test_gate_constraint_accepts_a_radius_spread_up_to_1e9(spread, accepted):
             synthesize_controlled_phase(loop, 100)
 
 
+@pytest.mark.parametrize("field_norm", [1e-3, 1e-1, 1.0, 1e2, 2e4, 1e5])
+def test_loop_closure_and_constraint_are_judged_relative_to_the_loop_scale(field_norm):
+    fam = example1_family()
+    for loop in (circle_loop(np.pi / 3, field_norm, 1.0),
+                 _retrace_circle_loop(np.pi / 3, field_norm, 1.0)):
+        assert loop.closed
+        berry_phase(fam, 0, loop, samples=50)
+        assert synthesize_controlled_phase(loop, 100).labels
+    circle = circle_loop(np.pi / 3, field_norm, 1.0)
+    scale = max(1.0, np.max(np.abs(circle.gamma(np.array([0.0, 1.0])))))
+    for mismatch, closed in ((0.5e-12, True), (2e-12, False)):
+        shift = np.array([mismatch * scale, 0.0, 0.0])
+        path = ParameterPath(1.0, lambda s: circle.gamma(s) + np.asarray(s)[..., None] * shift)
+        assert path.closed == closed
+
+
 def test_gate_constraint_check():
     bad = line_path([0.1, 0, 0.1], [0.3, 0, 0.1], duration=10.0)
     loop = ParameterPath(10.0, lambda s: bad.gamma(np.where(np.asarray(s) <= 0.5,
