@@ -43,6 +43,7 @@ from .power import (
     bound_check,
     eigenstate_track,
     entropy_sweep,
+    input_state_sweep,
     iso_spectral_family,
     unitary_entangling_power,
 )

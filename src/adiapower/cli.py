@@ -53,21 +53,20 @@ from .families import (
 from .linalg import DEFAULT_CLUSTER_TOL, BipartiteSplit
 from .power import (
     DEFAULT_GRID,
-    SWEEP_CHUNK,
     adiabatic_entangling_power,
     entropy_sweep,  # unused here; perfbench traces this binding
-    family_unitaries,
-    grid_points,
+    input_state_sweep,
     iso_spectral_family,
 )
 from .simulate import (
-    ParameterPath,
+    DEFAULT_GATE_STEPS,
     circle_loop,
     propagate,
+    retrace_circle_loop,
     synthesize_controlled_phase,
     waypoint_path,
 )
-from .spectral import build_connecting_family, spectra_along
+from .spectral import DEFAULT_SAMPLES, build_connecting_family, spectra_along
 
 
 # ---------------------------------------------------------------------------
@@ -150,19 +149,21 @@ BUILTIN_BOUNDS = {
 }
 
 
-def _spec_number(spec: dict, key: str, default: float):
-    """spec[key] (default when absent), which must be a JSON number."""
-    value = spec.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{key} must be a number, got {value!r}")
-    return value
+def _spec_numbers(spec: dict, *keys: str) -> dict:
+    """The given keys present in spec, whose values must be JSON numbers."""
+    numbers = {key: spec[key] for key in keys if key in spec}
+    for key, value in numbers.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"{key} must be a number, got {value!r}")
+    return numbers
 
 
 def _spec_bounds(value, rows: int) -> np.ndarray:
-    """A spec's parameter box, which must be ``rows`` finite [lo, hi] rows."""
+    """A spec's parameter box, which must be ``rows`` [lo, hi] rows (the
+    family checks that they are finite with lo <= hi)."""
     bounds = np.asarray(value, dtype=float)
-    if bounds.shape != (rows, 2) or not np.all(np.isfinite(bounds)):
-        raise ValueError(f"bounds must be {rows} finite [lo, hi] rows, got {value!r}")
+    if bounds.shape != (rows, 2):
+        raise ValueError(f"bounds must be {rows} [lo, hi] rows, got {value!r}")
     return bounds
 
 
@@ -179,11 +180,9 @@ def load_family_spec(path: str):
         if kind == "builtin:example0":
             fam = example0_family(bounds)
         elif kind == "builtin:example1":
-            p = Example1Params(_spec_number(spec, "lam1", 1.0),
-                               _spec_number(spec, "lam2", 0.5))
-            fam = example1_family(p, bounds)
+            fam = example1_family(Example1Params(**_spec_numbers(spec, "lam1", "lam2")), bounds)
         else:
-            fam = example2_family(_spec_number(spec, "lam1_fixed", 1.0), bounds)
+            fam = example2_family(**_spec_numbers(spec, "lam1_fixed"), bounds=bounds)
         config = dict(spec)
         config["bounds"] = bounds.tolist()
         return fam, config
@@ -332,11 +331,7 @@ def cmd_power(args) -> int:
 def cmd_sweep(args) -> int:
     _check_at_least("--grid", args.grid, 1)
     fam, spec_config = load_family_spec(args.spec_file)
-    psi = parse_state(args.input_state, fam.split)
-    pts = grid_points(fam.bounds, args.grid)
-    values = np.concatenate([
-        entanglement.entropy(family_unitaries(fam, pts[i:i + SWEEP_CHUNK]) @ psi, fam.split)
-        for i in range(0, len(pts), SWEEP_CHUNK)])
+    pts, values = input_state_sweep(fam, parse_state(args.input_state, fam.split), args.grid)
     config = {"spec_file": args.spec_file, "spec": spec_config,
               "input_state": args.input_state, "grid": args.grid,
               "format": args.out_format}
@@ -392,19 +387,12 @@ def cmd_evolve(args) -> int:
     return 0
 
 
-def _retrace_circle_loop(theta0: float, field_norm: float,
-                         duration: float) -> ParameterPath:
-    """Zero-area loop on the constraint sphere: half the azimuth circle and back."""
-    circle = circle_loop(theta0, field_norm, duration, schedule="linear")
-    return ParameterPath(duration, lambda s: circle.gamma(np.minimum(s, 1.0 - s)))
-
-
 def cmd_gate(args) -> int:
     kind, theta0, radius = args.loop[0], float(args.loop[1]), float(args.loop[2])
     if kind == "circle":
         loop = circle_loop(theta0, radius, args.T)
     elif kind == "retrace":
-        loop = _retrace_circle_loop(theta0, radius, args.T)
+        loop = retrace_circle_loop(theta0, radius, args.T)
     else:
         raise ValueError(f"unknown loop kind {kind!r}; use circle or retrace")
     res = synthesize_controlled_phase(loop, steps=args.steps)
@@ -423,9 +411,9 @@ def cmd_gate(args) -> int:
         _write_json(args.out, {
             "manifest": make_manifest("gate", config, args.seed),
             "labels": list(res.labels),
-            "phases": {k: res.phases[k] for k in sorted(res.phases)},
-            "dynamical": {k: res.dynamical[k] for k in sorted(res.dynamical)},
-            "geometric": {k: res.geometric[k] for k in sorted(res.geometric)},
+            "phases": res.phases,
+            "dynamical": res.dynamical,
+            "geometric": res.geometric,
             "nontriviality": res.nontriviality,
             "diagonal_residual": res.diagonal_residual,
             "entangling": res.is_entangling(),
@@ -465,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("h0_file")
     p.add_argument("h1_file")
     p.add_argument("--cluster-tol", type=float, default=DEFAULT_CLUSTER_TOL)
-    p.add_argument("--samples", type=int, default=101)
+    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     p.add_argument("--out", help="write a JSON report here")
     p.set_defaults(func=cmd_connectible)
 
@@ -508,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default=("circle", str(np.pi / 3.0), "1.0"),
                    help="loop kind (circle | retrace), polar angle, field norm")
     p.add_argument("--T", type=float, default=200.0)
-    p.add_argument("--steps", type=int, default=4000)
+    p.add_argument("--steps", type=int, default=DEFAULT_GATE_STEPS)
     p.add_argument("--out", help="write a JSON report here")
     p.set_defaults(func=cmd_gate)
     return parser

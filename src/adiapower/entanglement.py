@@ -12,7 +12,6 @@ import numpy as np
 from .errors import DimensionMismatchError
 from .linalg import SIGMA_Y, BipartiteSplit, dagger, tensor, widest_gap
 
-_CLAMP = -1e-12
 _MAX_ENTANGLED_TOL = 1e-9    # largest |lam_i - 1/min(d_a, d_b)| of a maximally entangled state
 SPIN_FLIP = tensor(SIGMA_Y, SIGMA_Y)     # also the YY term of the builtin families
 
@@ -29,8 +28,6 @@ def schmidt_spectrum(psi, split: BipartiteSplit) -> np.ndarray:
     lam = np.linalg.svd(m, compute_uv=False) ** 2
     lam.sort(axis=-1)
     lam = lam[..., ::-1]
-    if (lam < _CLAMP).any():
-        raise ValueError("reduced density eigenvalue significantly negative")
     lam = lam.clip(0.0, 1.0)
     return lam / lam.sum(axis=-1, keepdims=True)
 

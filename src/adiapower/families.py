@@ -65,7 +65,7 @@ def example0_family(bounds=EXAMPLE0_BOUNDS) -> HamiltonianFamily:
             h = h + lam[..., j, None, None] * t
         return h
 
-    return HamiltonianFamily(np.asarray(bounds, dtype=float), evaluate, SPLIT_2Q)
+    return HamiltonianFamily(bounds, evaluate, SPLIT_2Q)
 
 
 # ---------------------------------------------------------------------------
@@ -261,18 +261,16 @@ def example2_output_concurrence(p: Example2Params, w) -> float:
     return float(abs(np.sum((w * np.exp(1j * p.magic_phases)) ** 2)))
 
 
-def spin_half_field_family(bounds=None) -> HamiltonianFamily:
+def spin_half_field_family(bounds=((-2.0, 2.0),) * 3) -> HamiltonianFamily:
     """Two-level family H(B) = B . sigma, parameters (Bx, By, Bz).
 
     Used as the analytic oracle for geometric phases: a loop of B at polar
     angle theta0 gives the lower level a phase of magnitude pi(1 - cos theta0).
     """
-    if bounds is None:
-        bounds = np.array([[-2.0, 2.0]] * 3)
 
     def evaluate(lam):
         lam = np.asarray(lam, dtype=float)
         return (lam[..., 0, None, None] * SIGMA_X + lam[..., 1, None, None] * SIGMA_Y
                 + lam[..., 2, None, None] * SIGMA_Z)
 
-    return HamiltonianFamily(np.asarray(bounds, dtype=float), evaluate, BipartiteSplit(1, 2))
+    return HamiltonianFamily(bounds, evaluate, BipartiteSplit(1, 2))

@@ -23,8 +23,7 @@ DEFAULT_GRID = 41
 DEFAULT_STARTS = 8
 _PRODUCT_BASE_TOL = 1e-9     # largest base-point eigenstate entropy (bits) of a product state
 
-# Most points (or screened states) per stacked unitary/entropy evaluation, so
-# peak memory does not grow with the grid.
+# Most grid points per stacked evaluation, so peak memory does not grow with the grid.
 SWEEP_CHUNK = 1024
 
 
@@ -51,12 +50,22 @@ class HamiltonianFamily:
     shape (..., p) give Hamiltonians (..., D, D), or energies (..., D) with
     eigenvector columns (..., D, D), each equal to the result for that
     point alone, so a whole path or grid is diagonalized in one call.
+    ``bounds``, stored as floats, must be a finite (p, 2) box with lo <= hi
+    on every row (ValueError otherwise); a row with lo == hi fixes its parameter.
     """
 
     bounds: np.ndarray                   # (p, 2) box, bounds[:,0] <= bounds[:,1]
     evaluate: Callable[[np.ndarray], np.ndarray]
     split: BipartiteSplit
     iso_spectral_form: IsoSpectralForm | None = None
+
+    def __post_init__(self):
+        bounds = np.asarray(self.bounds, dtype=float)
+        if bounds.ndim != 2 or bounds.shape[1] != 2 or not np.all(np.isfinite(bounds)) \
+                or np.any(bounds[:, 0] > bounds[:, 1]):
+            raise ValueError(f"bounds must be finite [lo, hi] rows with lo <= hi, "
+                             f"got {bounds.tolist()}")
+        object.__setattr__(self, "bounds", bounds)
 
     @property
     def parameter_dim(self) -> int:
@@ -114,8 +123,11 @@ def iso_spectral_family(h_base, unitary: Callable[[np.ndarray], np.ndarray],
     otherwise, gaps judged by cluster_tol); ``eigensystem`` then returns the
     exact pair (E0, U(lam) V0) and ``evaluate`` rebuilds H(lam) from U(lam).
     ``unitary`` maps points (..., p) to unitaries (..., D, D).  base_point
-    is the parameter point whose eigenvectors are products.
+    is the parameter point whose eigenvectors are products.  cluster_tol
+    must be positive and finite (ValueError otherwise).
     """
+    if not 0.0 < cluster_tol < np.inf:
+        raise ValueError(f"cluster_tol must be positive and finite, got {cluster_tol!r}")
     energies, vectors = linalg.eig_hermitian(h_base)
     _check_gaps(energies, cluster_tol, np.asarray(base_point, dtype=float))
 
@@ -123,21 +135,23 @@ def iso_spectral_family(h_base, unitary: Callable[[np.ndarray], np.ndarray],
         u = unitary(lam)
         return u @ h_base @ linalg.dagger(u)
 
-    bounds = np.asarray(bounds, dtype=float)
     iso = IsoSpectralForm(energies, vectors, unitary, base_point)
     return HamiltonianFamily(bounds, evaluate, split, iso)
 
 
 def grid_points(bounds, per_axis: int) -> np.ndarray:
-    """Cartesian grid over a box; zero-width axes contribute a single point."""
-    axes = []
-    for lo, hi in np.asarray(bounds, dtype=float):
-        if hi - lo < 1e-15:
-            axes.append(np.array([lo]))
-        else:
-            axes.append(np.linspace(lo, hi, per_axis))
+    """Cartesian grid (n, p) over a box: the single point lo on an axis with
+    lo == hi, else ``per_axis`` evenly spaced points from lo to hi."""
+    axes = [np.array([lo]) if lo == hi else np.linspace(lo, hi, per_axis)
+            for lo, hi in np.asarray(bounds, dtype=float)]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
+def _chunked(fn: Callable[[np.ndarray], np.ndarray], points: np.ndarray) -> np.ndarray:
+    """fn on SWEEP_CHUNK points at a time, in order, its results joined in point order."""
+    return np.concatenate([fn(points[i:i + SWEEP_CHUNK])
+                           for i in range(0, len(points), SWEEP_CHUNK)])
 
 
 def _entropies_many(states: np.ndarray, split: BipartiteSplit) -> np.ndarray:
@@ -187,10 +201,8 @@ def entropy_sweep(fam: HamiltonianFamily, grid_per_axis: int = DEFAULT_GRID,
     if pts.ndim != 2 or pts.shape[1] != fam.parameter_dim or not len(pts):
         raise ValueError(f"sample_points must have shape (n, {fam.parameter_dim}) "
                          f"with n >= 1, got {pts.shape}")
-    ent = np.empty((len(pts), fam.dim))
-    for i in range(0, len(pts), SWEEP_CHUNK):
-        _, vecs = fam.eigensystem(pts[i:i + SWEEP_CHUNK])
-        ent[i:i + SWEEP_CHUNK] = _entropies_many(np.swapaxes(vecs, -1, -2), fam.split)
+    ent = _chunked(lambda chunk: _entropies_many(
+        np.swapaxes(fam.eigensystem(chunk)[1], -1, -2), fam.split), pts)
     flat = np.argmax(ent)
     i, j = np.unravel_index(flat, ent.shape)
     return SweepResult(pts, ent, int(j), pts[i], float(ent[i, j]))
@@ -494,6 +506,13 @@ def family_unitaries(fam: HamiltonianFamily, points) -> np.ndarray:
     return vecs[1:] @ linalg.dagger(vecs[0])
 
 
+def input_state_sweep(fam: HamiltonianFamily, psi, grid_per_axis: int) -> tuple:
+    """Grid points (n, p) and the entropies (n,) of U(lam) psi there, SWEEP_CHUNK at a time."""
+    pts = grid_points(fam.bounds, grid_per_axis)
+    return pts, _chunked(
+        lambda chunk: entanglement.entropy(family_unitaries(fam, chunk) @ psi, fam.split), pts)
+
+
 _BOUND_SLACK = 1e-6                       # tolerance of bound_check's lhs <= rhs verdict
 
 
@@ -513,15 +532,16 @@ def bound_check(fam: HamiltonianFamily,
     """
     lhs = adiabatic_entangling_power(fam, grid_per_axis, refine=True).value
     pts = grid_points(fam.bounds, grid_per_axis)
-    two_qubit = fam.split.dim_a == 2 and fam.split.dim_b == 2
-    powers = np.empty(len(pts))
-    for i in range(0, len(pts), SWEEP_CHUNK):
-        us = family_unitaries(fam, pts[i:i + SWEEP_CHUNK])
+
+    def unitary_powers(chunk):
+        us = family_unitaries(fam, chunk)
         if not linalg.is_unitary(us):
             raise NotUnitaryError("a family unitary is not unitary")
-        powers[i:i + SWEEP_CHUNK] = \
-            entanglement.entropy_from_concurrence(entanglement.product_sup_concurrence(us)) \
-            if two_qubit else _best_products(us, fam.split, starts, seed, coarse)[2]
+        if fam.split.dim_a == 2 and fam.split.dim_b == 2:
+            return entanglement.entropy_from_concurrence(entanglement.product_sup_concurrence(us))
+        return _best_products(us, fam.split, starts, seed, coarse)[2]
+
+    powers = _chunked(unitary_powers, pts)
     best = int(np.argmax(powers))
     rhs = float(powers[best])
     return BoundReport(lhs, rhs, lhs <= rhs + _BOUND_SLACK, pts[best])

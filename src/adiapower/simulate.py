@@ -24,6 +24,7 @@ _CONSTRAINT_TOL = 1e-9       # largest spread of |mu|^2 + mu_z^2 on a gate loop,
 _ENTANGLING_TOL = 1e-3       # smallest |nontriviality| of an entangling gate
 _CONSTRAINT_SAMPLES = 64     # gate-loop points checked against the constraint
 _PHASE_SAMPLES = 2000        # gate-loop points of the geometric-phase chains
+DEFAULT_GATE_STEPS = 4000    # propagation steps of synthesize_controlled_phase
 
 
 @dataclass(frozen=True)
@@ -113,6 +114,12 @@ def circle_loop(theta0: float, field_norm: float, duration: float,
                         axis=-1)
 
     return ParameterPath(duration, gamma)
+
+
+def retrace_circle_loop(theta0: float, field_norm: float, duration: float) -> ParameterPath:
+    """Zero-area loop on the constraint sphere: half the azimuth circle and back."""
+    circle = circle_loop(theta0, field_norm, duration, schedule="linear")
+    return ParameterPath(duration, lambda s: circle.gamma(np.minimum(s, 1.0 - s)))
 
 
 def pancharatnam_phase(vectors, closed: bool = True):
@@ -301,7 +308,7 @@ def _wrap(x: float) -> float:
 
 
 def synthesize_controlled_phase(loop: ParameterPath,
-                                steps: int = 4000,
+                                steps: int = DEFAULT_GATE_STEPS,
                                 base: Example1Params = Example1Params()) -> GateSynthesisResult:
     """Adiabatic diagonal gate from a closed loop of the transverse-coupling
     family at constant |mu|^2 + mu_z^2, checked at _CONSTRAINT_SAMPLES loop points

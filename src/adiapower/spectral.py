@@ -21,6 +21,8 @@ from .errors import (
 )
 from .linalg import DEFAULT_CLUSTER_TOL
 
+DEFAULT_SAMPLES = 101         # times t in [0, 1] at which spectra_along diagonalizes H(t)
+
 
 @dataclass(frozen=True)
 class SpectralResolution:
@@ -56,8 +58,11 @@ def spectral_resolution(h, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> Spectral
     """Cluster the spectrum of Hermitian h into distinct levels.
 
     Consecutive eigenvalues whose gap is below cluster_tol * max(1, ||h||)
-    are merged into one degenerate level.
+    are merged into one degenerate level; cluster_tol must be positive and
+    finite (ValueError otherwise).
     """
+    if not 0.0 < cluster_tol < np.inf:
+        raise ValueError(f"cluster_tol must be positive and finite, got {cluster_tol!r}")
     vals, vecs = linalg.eig_hermitian(h)
     vecs = _fix_phases(vecs)
     scale = max(1.0, np.max(np.abs(vals)) if len(vals) else 1.0)
@@ -159,7 +164,7 @@ def build_connecting_family(h0, h1,
     )
 
 
-def spectra_along(fam, samples: int = 101):
+def spectra_along(fam, samples: int = DEFAULT_SAMPLES):
     """(t, (samples, D) ascending eigenvalues of H(t), min gap) over t = linspace(0, 1).
 
     ``fam`` is a ConnectingFamily or a callable mapping a (n,) array of times
@@ -180,6 +185,6 @@ def spectra_along(fam, samples: int = 101):
     return ts, spectra, float((levels[:, 1:] - levels[:, :-1]).min(initial=np.inf))
 
 
-def min_gap_along(fam, samples: int = 101) -> float:
+def min_gap_along(fam, samples: int = DEFAULT_SAMPLES) -> float:
     """Minimum gap between consecutive distinct levels of H(t); see spectra_along."""
     return spectra_along(fam, samples)[2]

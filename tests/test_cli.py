@@ -242,7 +242,7 @@ def test_sweep_diagonalizes_one_stack_per_chunk(tmp_path, eigh_shapes):
                  "--out", str(tmp_path / "sweep.csv")]) == 0
     npoints = 41 * 41
     # one diagonalization of the base Hamiltonian, then one per chunk of grid points
-    assert len(eigh_shapes) <= 1 + math.ceil(npoints / cli.SWEEP_CHUNK)
+    assert len(eigh_shapes) <= 1 + math.ceil(npoints / power.SWEEP_CHUNK)
     assert sum(math.prod(s[:-2]) for s in eigh_shapes) == 1 + npoints
 
 
@@ -456,6 +456,34 @@ def test_invalid_specs_are_input_errors(tmp_path, capsys):
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("input error: "), (change, err)
     assert main(["power", write_json(tmp_path / "good.json", good), "--grid", "3"]) == 0
+
+
+@pytest.mark.parametrize("bounds", [[[1.2, 0.0], [0.0, 0.0], [2.4, 0.0]],
+                                    [[0.0, 1.2], [0.0, 0.0], [0.0, float("inf")]],
+                                    [[0.0, 1.2], [float("nan"), 0.0], [0.0, 2.4]]])
+def test_inverted_or_non_finite_box_is_an_input_error(tmp_path, capsys, bounds):
+    spec = write_json(tmp_path / "box.json", {"kind": "builtin:example1", "bounds": bounds})
+    for argv in (["power", spec, "--grid", "5"],
+                 ["sweep", spec, "--input-state", "01", "--grid", "5"]):
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("input error: bounds must be finite"), err
+
+
+@pytest.mark.parametrize("cluster_tol", ["nan", "inf", "0", "-1"])
+def test_cluster_tol_not_positive_and_finite_is_an_input_error(tmp_path, capsys, cluster_tol):
+    h0 = write_json(tmp_path / "h0.json", pairs(np.diag([0.0, 0, 1, 2])))
+    h1 = write_json(tmp_path / "h1.json", pairs(np.diag([0.0, 1, 1, 2])))
+    spec = write_json(tmp_path / "spec.json", {
+        "kind": "custom", "base_hamiltonian": pairs(np.diag([0.0, 1e-3, 1.0, 2.0])),
+        "generators": [pairs(tensor(SIGMA_X, SIGMA_X))], "bounds": [[0.0, 1.0]],
+        "split": [2, 2], "cluster_tol": float(cluster_tol)})
+    for argv in (["connectible", h0, h1, "--cluster-tol", cluster_tol],
+                 ["power", spec, "--grid", "3"]):
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(
+            "input error: cluster_tol must be positive and finite"), err
 
 
 def test_custom_spec_degenerate_base_aborts(tmp_path, capsys):

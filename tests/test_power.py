@@ -37,6 +37,7 @@ from adiapower.power import (
     entropy_sweep,
     family_unitaries,
     has_product_base,
+    input_state_sweep,
     iso_spectral_family,
     product_state,
     unitary_entangling_power,
@@ -228,13 +229,13 @@ def test_family_unitaries_stack_equals_per_point_unitaries(make_family):
     fam = make_family()
     rng = np.random.default_rng(7)
     lo, hi = fam.bounds[:, 0], fam.bounds[:, 1]
-    pts = lo + (hi - lo) * rng.random((cli.SWEEP_CHUNK + 5, fam.parameter_dim))
+    pts = lo + (hi - lo) * rng.random((power.SWEEP_CHUNK + 5, fam.parameter_dim))
     pts[0] = fam.iso_spectral_form.base_point
     us = family_unitaries(fam, pts)
     assert us.shape == (len(pts), 4, 4)
     assert np.array_equal(us, [fam.iso_spectral_form.unitary(p) for p in pts])
-    chunked = np.concatenate([family_unitaries(fam, pts[i:i + cli.SWEEP_CHUNK])
-                              for i in range(0, len(pts), cli.SWEEP_CHUNK)])
+    chunked = np.concatenate([family_unitaries(fam, pts[i:i + power.SWEEP_CHUNK])
+                              for i in range(0, len(pts), power.SWEEP_CHUNK)])
     assert np.array_equal(chunked, us)
 
 
@@ -626,6 +627,67 @@ def test_entropy_sweep_does_not_depend_on_the_chunk(monkeypatch, make_family, gr
     assert chunked.entropies.tobytes() == whole.entropies.tobytes()
     assert (chunked.argmax_level, chunked.argmax_value) == (whole.argmax_level,
                                                             whole.argmax_value)
+
+
+def random_state(fam, seed=3):
+    rng = np.random.default_rng(seed)
+    psi = rng.standard_normal(fam.dim) + 1j * rng.standard_normal(fam.dim)
+    return psi / np.linalg.norm(psi)
+
+
+@pytest.mark.parametrize("make_family, grid", SWEPT_FAMILIES)
+def test_input_state_sweep_equals_the_per_point_entropies(make_family, grid):
+    fam = make_family()
+    psi = random_state(fam)
+    pts, values = input_state_sweep(fam, psi, grid)
+    assert pts.tobytes() == power.grid_points(fam.bounds, grid).tobytes()
+    per_point = [entropy(family_unitaries(fam, [p])[0] @ psi, fam.split) for p in pts]
+    assert values.tobytes() == np.array(per_point).tobytes()
+
+
+@pytest.mark.parametrize("make_family, grid", SWEPT_FAMILIES)
+def test_input_state_sweep_does_not_depend_on_the_chunk(monkeypatch, make_family, grid):
+    fam = make_family()
+    psi = random_state(fam)
+    pts, whole = input_state_sweep(fam, psi, grid)
+    assert len(pts) % 7 and len(pts) <= power.SWEEP_CHUNK
+    monkeypatch.setattr(power, "SWEEP_CHUNK", 7)
+    sizes = []
+
+    def recorded(fam, points):
+        sizes.append(len(points))
+        return family_unitaries(fam, points)
+
+    monkeypatch.setattr(power, "family_unitaries", recorded)
+    _, chunked = input_state_sweep(fam, psi, grid)
+    assert sizes == [7] * (len(pts) // 7) + [len(pts) % 7]
+    assert chunked.tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("bounds", [
+    [[1.2, 0.0], [0.0, 0.0], [2.4, 0.0]], [[0.0, 1.2], [0.0, 0.0], [0.0, np.inf]],
+    [[0.0, 1.2], [np.nan, 0.0], [0.0, 2.4]], [[0.0, 1.2, 2.4]], [0.0, 1.2]])
+def test_family_rejects_an_inverted_or_non_finite_box(bounds):
+    with pytest.raises(ValueError, match="bounds must be finite"):
+        HamiltonianFamily(bounds, example0_family().evaluate, SPLIT_2Q)
+    with pytest.raises(ValueError, match="bounds must be finite"):
+        example1_family(bounds=bounds)
+
+
+def test_grid_points_gives_one_point_exactly_on_an_axis_with_lo_equal_to_hi():
+    pts = power.grid_points([[0.0, 1.0], [0.3, 0.3], [0.0, 1e-16]], 5)
+    assert pts.shape == (25, 3)
+    assert np.all(pts[:, 1] == 0.3)
+    assert len(np.unique(pts[:, 2])) == 5          # a narrow axis is not a point
+    fam = example0_family([[1.0, 1.0], [0.2, 0.2], [2.0, 2.0]])
+    assert entropy_sweep(fam, 9).points.tolist() == [[1.0, 0.2, 2.0]]
+
+
+@pytest.mark.parametrize("cluster_tol", [np.nan, np.inf, 0.0, -1.0])
+def test_cluster_tol_must_be_positive_and_finite(cluster_tol):
+    with pytest.raises(ValueError, match="cluster_tol must be positive and finite"):
+        iso_spectral_family(np.diag([0.0, 1e-3, 1.0, 2.0]), lambda lam: np.eye(4),
+                            [[0.0, 1.0]], SPLIT_2Q, [0.0], cluster_tol)
 
 
 def test_entropy_sweep_names_the_same_degenerate_point_in_any_chunking(monkeypatch):

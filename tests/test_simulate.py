@@ -4,7 +4,6 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adiapower.cli import _retrace_circle_loop
 from adiapower.errors import (
     ConstraintViolatedError,
     NotAnEigenstateError,
@@ -23,6 +22,7 @@ from adiapower.simulate import (
     pancharatnam_phase,
     propagate,
     propagate_unitary,
+    retrace_circle_loop,
     retrace_loop,
     synthesize_controlled_phase,
     waypoint_path,
@@ -62,7 +62,7 @@ PATHS = {
     **{f"circle-{sched}": circle_loop(0.7, 1.3, 1.0, sched) for sched in ("linear", "smoothstep")},
     **{f"waypoints{n}-{sched}": waypoint_path(WAYPOINTS[:n], 1.0, sched)
        for n in (1, 2, 3, 4) for sched in ("linear", "smoothstep")},
-    "cli-retrace": _retrace_circle_loop(np.pi / 3, 1.0, 40.0),
+    "cli-retrace": retrace_circle_loop(np.pi / 3, 1.0, 40.0),
 }
 
 
@@ -445,7 +445,7 @@ def test_gate_constraint_accepts_a_radius_spread_up_to_1e9(spread, accepted):
 def test_loop_closure_and_constraint_are_judged_relative_to_the_loop_scale(field_norm):
     fam = example1_family()
     for loop in (circle_loop(np.pi / 3, field_norm, 1.0),
-                 _retrace_circle_loop(np.pi / 3, field_norm, 1.0)):
+                 retrace_circle_loop(np.pi / 3, field_norm, 1.0)):
         assert loop.closed
         berry_phase(fam, 0, loop, samples=50)
         assert synthesize_controlled_phase(loop, 100).labels
@@ -475,7 +475,7 @@ def retrace_half_circle(s):
 
 
 def test_cli_retrace_loop_matches_half_circle_bit_for_bit():
-    loop = _retrace_circle_loop(np.pi / 3, 1.0, 40.0)
+    loop = retrace_circle_loop(np.pi / 3, 1.0, 40.0)
     assert loop.closed
     s = np.linspace(0.0, 1.0, 4001)
     per_point = np.stack([loop.gamma(x) for x in s])

@@ -311,3 +311,10 @@ def test_fix_phases_matches_column_loop():
         top = np.abs(got).argmax(axis=0)
         nonzero = np.abs(m).max(axis=0) > 0
         assert np.all(got[top, np.arange(d)][nonzero].real > 0)
+
+
+@pytest.mark.parametrize("cluster_tol", [np.nan, np.inf, 0.0, -1.0])
+def test_cluster_tol_must_be_positive_and_finite(cluster_tol):
+    for call in (spectral_resolution, lambda h, tol: build_connecting_family(h, h, tol)):
+        with pytest.raises(ValueError, match="cluster_tol must be positive and finite"):
+            call(np.diag([0.0, 0.0, 1.0, 2.0]), cluster_tol)
