@@ -36,7 +36,7 @@ fam = build_connecting_family(h0, h1)
 print("  endpoint errors:",
       f"{np.linalg.norm(fam.sample(0.0) - h0):.2e}",
       f"{np.linalg.norm(fam.sample(1.0) - h1):.2e}")
-print("  minimum gap along the family:", f"{min_gap_along(fam, 201):.4f}")
+print("  minimum gap along the family:", f"{min_gap_along(fam):.4f}")
 
 # a (1,3) pattern against a (3,1) pattern is not connectible: the ordered
 # multiplicities differ even though the multisets agree

@@ -123,8 +123,6 @@ def parse_state(text: str, split: BipartiteSplit) -> np.ndarray:
         if i >= split.dim_a or j >= split.dim_b:
             raise ValueError(f"basis label {text!r} out of range for split {split}")
         return linalg.basis_state(i * split.dim_b + j, split.dim)
-    if text.isdigit():
-        return linalg.basis_state(int(text), split.dim)
     raise ValueError(f"cannot parse input state {text!r}")
 
 

@@ -50,8 +50,8 @@ class HamiltonianFamily:
     shape (..., p) give Hamiltonians (..., D, D), or energies (..., D) with
     eigenvector columns (..., D, D), each equal to the result for that
     point alone, so a whole path or grid is diagonalized in one call.
-    ``bounds``, stored as floats, must be a finite (p, 2) box with lo <= hi
-    on every row (ValueError otherwise); a row with lo == hi fixes its parameter.
+    ``bounds`` (kept as a read-only float copy) must be a finite (p, 2) box with
+    lo <= hi on every row (ValueError otherwise); a row with lo == hi fixes its parameter.
     """
 
     bounds: np.ndarray                   # (p, 2) box, bounds[:,0] <= bounds[:,1]
@@ -60,7 +60,8 @@ class HamiltonianFamily:
     iso_spectral_form: IsoSpectralForm | None = None
 
     def __post_init__(self):
-        bounds = np.asarray(self.bounds, dtype=float)
+        bounds = np.array(self.bounds, dtype=float)
+        bounds.setflags(write=False)
         if bounds.ndim != 2 or bounds.shape[1] != 2 or not np.all(np.isfinite(bounds)) \
                 or np.any(bounds[:, 0] > bounds[:, 1]):
             raise ValueError(f"bounds must be finite [lo, hi] rows with lo <= hi, "
@@ -141,7 +142,10 @@ def iso_spectral_family(h_base, unitary: Callable[[np.ndarray], np.ndarray],
 
 def grid_points(bounds, per_axis: int) -> np.ndarray:
     """Cartesian grid (n, p) over a box: the single point lo on an axis with
-    lo == hi, else ``per_axis`` evenly spaced points from lo to hi."""
+    lo == hi, else ``per_axis`` evenly spaced points from lo to hi.
+    ``per_axis`` below 1 is a ValueError."""
+    if per_axis < 1:
+        raise ValueError(f"grid needs at least 1 point per axis, got {per_axis}")
     axes = [np.array([lo]) if lo == hi else np.linspace(lo, hi, per_axis)
             for lo, hi in np.asarray(bounds, dtype=float)]
     mesh = np.meshgrid(*axes, indexing="ij")

@@ -24,6 +24,7 @@ _CONSTRAINT_TOL = 1e-9       # largest spread of |mu|^2 + mu_z^2 on a gate loop,
 _ENTANGLING_TOL = 1e-3       # smallest |nontriviality| of an entangling gate
 _CONSTRAINT_SAMPLES = 64     # gate-loop points checked against the constraint
 _PHASE_SAMPLES = 2000        # gate-loop points of the geometric-phase chains
+DEFAULT_STEPS = 1000         # propagation steps of propagate, propagate_unitary and decompose_uad
 DEFAULT_GATE_STEPS = 4000    # propagation steps of synthesize_controlled_phase
 
 
@@ -184,7 +185,7 @@ def _step_unitaries(fam: HamiltonianFamily, path: ParameterPath, steps: int) -> 
 
 
 def propagate(fam: HamiltonianFamily, path: ParameterPath, psi0,
-              steps: int = 1000) -> AdiabaticRunRecord:
+              steps: int = DEFAULT_STEPS) -> AdiabaticRunRecord:
     """Integrate the Schrodinger equation along the path from an eigenstate.
 
     The initial state must overlap an eigenvector of the Hamiltonian at the
@@ -236,7 +237,7 @@ def propagate(fam: HamiltonianFamily, path: ParameterPath, psi0,
 
 
 def propagate_unitary(fam: HamiltonianFamily, path: ParameterPath,
-                      steps: int = 1000) -> np.ndarray:
+                      steps: int = DEFAULT_STEPS) -> np.ndarray:
     """Full evolution operator of the run (product of midpoint step unitaries)."""
     u = np.eye(fam.dim, dtype=complex)
     for step in _step_unitaries(fam, path, steps):
@@ -270,7 +271,7 @@ class LevelPhaseReport:
 
 
 def decompose_uad(fam: HamiltonianFamily, path: ParameterPath,
-                  steps: int = 1000) -> list:
+                  steps: int = DEFAULT_STEPS) -> list:
     """Split each level's adiabatic evolution into end-point rotation,
     dynamical phase and geometric phase; residual measures the mismatch.
     All levels share one evolution operator and one node eigensystem."""

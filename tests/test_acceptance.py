@@ -171,7 +171,7 @@ def test_criterion_04_connectibility_decision_and_construction():
         ok = ok and d.connectible
         ok = ok and np.linalg.norm(fam.sample(0.0) - h0) < 1e-8
         ok = ok and np.linalg.norm(fam.sample(1.0) - h1) < 1e-8
-        ok = ok and min_gap_along(fam, 101) > 0
+        ok = ok and min_gap_along(fam) > 0
         if not ok:
             break
     patterns = ([0.0, 1, 1, 1], [0.0, 0, 0, 1]), ([0.0, 0, 1, 2], [0.0, 1, 2, 2])

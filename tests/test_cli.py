@@ -84,7 +84,7 @@ def test_connectible_random_pair_report(tmp_path, capsys):
     assert report["manifest"]["command"] == "connectible"
 
 
-def test_connectible_diagonalizes_its_samples_in_one_pass(tmp_path, monkeypatch):
+def test_connectible_diagonalizes_no_sample(tmp_path, monkeypatch):
     rng = np.random.default_rng(4)
     files = []
     for name in ("h0", "h1"):
@@ -101,14 +101,14 @@ def test_connectible_diagonalizes_its_samples_in_one_pass(tmp_path, monkeypatch)
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     out_file = tmp_path / "conn.json"
     assert main(["connectible", *files, "--samples", "57", "--out", str(out_file)]) == 0
-    assert shapes == [(57, 4, 4)]
+    assert shapes == []
     payload = json.loads(out_file.read_text())
     assert len(payload["spectra"]) == 57
     h0, h1 = (cli.load_hermitian(f) for f in files)
-    assert payload["min_gap"] == min_gap_along(build_connecting_family(h0, h1), 57)
+    assert payload["min_gap"] == min_gap_along(build_connecting_family(h0, h1))
 
 
-def test_connectible_samples_its_family_once(tmp_path, monkeypatch):
+def test_connectible_never_samples_its_family(tmp_path, monkeypatch):
     rng = np.random.default_rng(5)
     files = []
     for name in ("h0", "h1"):
@@ -123,7 +123,7 @@ def test_connectible_samples_its_family_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(ConnectingFamily, "sample", counted)
     assert main(["connectible", *files, "--samples", "101"]) == 0
-    assert shapes == [(101,)]
+    assert shapes == []
 
 
 @pytest.mark.parametrize("d0, d1", [
@@ -327,6 +327,15 @@ def test_sweep_json_output_and_state_parsing(specs, tmp_path):
 
     assert main(["sweep", specs["example1"], "--input-state", "bogus",
                  "--grid", "5"]) == 1
+
+
+@pytest.mark.parametrize("state", ["7", "123", "3"])
+def test_input_state_other_than_a_label_or_amplitude_list_is_an_input_error(
+        specs, capsys, state):
+    assert main(["sweep", specs["example1"], "--input-state", state, "--grid", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cannot parse input state" in captured.err
 
 
 def test_evolve_constant_and_driven(specs, tmp_path, capsys):

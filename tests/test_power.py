@@ -4,7 +4,7 @@ import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adiapower import cli, power
+from adiapower import cli, families, power
 from adiapower.entanglement import entropy, entropy_of_spectrum, product_sup_concurrence
 from adiapower.errors import DegeneracyError, NotUnitaryError
 from adiapower.families import (
@@ -681,6 +681,30 @@ def test_grid_points_gives_one_point_exactly_on_an_axis_with_lo_equal_to_hi():
     assert len(np.unique(pts[:, 2])) == 5          # a narrow axis is not a point
     fam = example0_family([[1.0, 1.0], [0.2, 0.2], [2.0, 2.0]])
     assert entropy_sweep(fam, 9).points.tolist() == [[1.0, 0.2, 2.0]]
+
+
+@pytest.mark.parametrize("per_axis", [0, -3])
+def test_grid_of_fewer_than_one_point_per_axis_is_rejected_by_name(per_axis):
+    fam = example1_family()
+    for call in (lambda: power.grid_points(fam.bounds, per_axis),
+                 lambda: entropy_sweep(fam, per_axis),
+                 lambda: input_state_sweep(fam, ket("01"), per_axis)):
+        with pytest.raises(ValueError, match=f"grid needs at least 1 point per axis, "
+                                             f"got {per_axis}"):
+            call()
+
+
+@pytest.mark.parametrize("make, default", [(example0_family, families.EXAMPLE0_BOUNDS),
+                                           (example1_family, families.EXAMPLE1_BOUNDS),
+                                           (example2_family, families.EXAMPLE2_BOUNDS)])
+def test_a_family_keeps_a_read_only_copy_of_its_box(make, default):
+    before = default.copy()
+    fam = make()
+    assert fam.bounds is not default and np.array_equal(fam.bounds, default)
+    with pytest.raises(ValueError, match="read-only"):
+        fam.bounds[0, 0] = -5.0
+    assert np.array_equal(default, before)
+    assert np.array_equal(make().bounds, before)
 
 
 @pytest.mark.parametrize("cluster_tol", [np.nan, np.inf, 0.0, -1.0])

@@ -13,6 +13,7 @@ from adiapower.spectral import (
     degeneracy_vector,
     is_adiabatically_connectible,
     min_gap_along,
+    spectra_along,
     spectral_resolution,
 )
 
@@ -114,7 +115,7 @@ def test_connecting_family_endpoints_and_gap():
         fam = build_connecting_family(h0, h1)
         assert np.linalg.norm(fam.sample(0.0) - h0) < 1e-8
         assert np.linalg.norm(fam.sample(1.0) - h1) < 1e-8
-        assert min_gap_along(fam, 101) > 0
+        assert min_gap_along(fam) > 0
 
 
 def test_connecting_family_constant_case():
@@ -152,10 +153,12 @@ def test_build_rejects_not_connectible():
 
 def test_min_gap_constant_and_naive_crossing():
     fam = build_connecting_family(np.diag([0.0, 1.0]), np.diag([0.0, 1.0]))
-    assert abs(min_gap_along(fam, 11) - 1.0) < 1e-12
-    # naive entrywise interpolation diag(0,1) -> diag(1,0) crosses at t = 1/2
-    naive = lambda t: np.stack([t, 1 - t], -1)[..., None] * np.eye(2)
-    assert min_gap_along(naive, 101) < 1e-12
+    assert abs(min_gap_along(fam) - 1.0) < 1e-12
+    # entrywise interpolation diag(0,1) -> diag(1,0) crosses at t = 1/2; the
+    # connecting family rotates the eigenvectors instead and keeps the gap
+    assert min_gap_along(build_connecting_family(np.diag([0.0, 1.0]), np.diag([1.0, 0.0]))) == 1.0
+    # a single level has no gap
+    assert min_gap_along(build_connecting_family(np.eye(2), 2.0 * np.eye(2))) == np.inf
 
 
 def degenerate_hermitian(rng, degeneracy):
@@ -182,6 +185,22 @@ def test_connecting_family_broadcasts_over_t_bit_for_bit(degeneracy):
         d = sum(degeneracy)
         assert fam.sample(0.25).shape == fam.unitary_at(0.25).shape == (d, d)
         assert fam.eigenvalues_at(0.25).shape == (len(degeneracy),)
+
+
+@pytest.mark.parametrize("degeneracy", [(1, 1, 1, 1), (2, 1, 1), (1, 2, 1), (1, 1, 2), (2, 2),
+                                        (3, 1), (1, 3)])
+def test_spectra_along_reads_the_spectrum_and_gap_from_the_construction(degeneracy):
+    rng = np.random.default_rng(sum(degeneracy) * 10 + len(degeneracy) + 2)
+    edges = np.cumsum(degeneracy)[:-1]
+    for _ in range(5):
+        h0, h1 = degenerate_hermitian(rng, degeneracy), degenerate_hermitian(rng, degeneracy)
+        fam = build_connecting_family(h0, h1)
+        ts, spectra, gap = spectra_along(fam, 41)
+        sampled = np.linalg.eigvalsh(fam.sample(ts))
+        assert np.abs(spectra - sampled).max() <= 1e-12 * max(1.0, np.abs(sampled).max())
+        ends = [np.diff(spectral_resolution(h).energies).min() for h in (h0, h1)]
+        assert gap == min(ends) == min_gap_along(fam)
+        assert (sampled[:, edges] - sampled[:, edges - 1]).min() >= gap - 1e-12
 
 
 def householder(rng, d):
