@@ -7,6 +7,8 @@ eigenvalue of a two-qubit pure state is then lam = (1 + sqrt(1 - C^2)) / 2.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 
 from .errors import DimensionMismatchError
@@ -75,6 +77,31 @@ def concurrence_coefficients(psi):
     a00, a01, a10, a11 = psi.T
     c = 2.0 * abs(a00 * a11 - a01 * a10)
     return float(min(c, 1.0)) if psi.ndim == 1 else np.minimum(c, 1.0).T
+
+
+def qubit_concurrence(psi, split: BipartiteSplit):
+    """Concurrence 2 sqrt(det rho_qubit) of a pure state on a split with a qubit factor.
+
+    The qubit's reduced determinant is the sum of |M[0,j] M[1,l] - M[0,l] M[1,j]|^2
+    over the 2 x 2 minors (j < l) of the 2 x d amplitude matrix M (Cauchy-Binet),
+    so no SVD is taken; entropy_from_concurrence of the result is the entropy
+    (Rungta et al., PRA 64, 042315, 2001).  On 2 x 2 stacks it is
+    concurrence_coefficients bit for bit.  A 1-D state gives a float; a (..., D)
+    stack gives an array (...).
+    """
+    psi = np.asarray(psi, dtype=complex)
+    split.check(psi.shape[-1])
+    if 2 not in (split.dim_a, split.dim_b):
+        raise DimensionMismatchError(f"split {split.dim_a} x {split.dim_b} has no qubit factor")
+    stack = np.atleast_2d(psi)            # one state as a stack of one, rounded alike
+    m = stack.reshape(stack.shape[:-1] + (split.dim_a, split.dim_b))
+    if split.dim_a != 2:
+        m = np.swapaxes(m, -1, -2)
+    c = 0.0
+    for j, l in combinations(range(m.shape[-1]), 2):
+        c = np.hypot(c, abs(m[..., 0, j] * m[..., 1, l] - m[..., 0, l] * m[..., 1, j]))
+    c = np.minimum(2.0 * c, 1.0)
+    return float(c[0]) if psi.ndim == 1 else c
 
 
 def entropy_from_concurrence(c):

@@ -4,12 +4,16 @@ Suprema over family parameters are estimated by a dense grid, suprema over
 product inputs by a random product-state bank; both are then refined by one
 batched multi-start Newton ascent (``_ascend``), in the parameter box or over
 the unit factor vectors: lower bounds on the true suprema, with witnesses.
-``bound_check`` takes the two-qubit product-input supremum in closed form.
+On a split with a qubit factor the product-input ascent climbs the
+concurrence (entanglement.qubit_concurrence), which takes no SVD; the
+reported values are entropies.  ``bound_check`` takes the two-qubit
+product-input supremum in closed form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -311,6 +315,11 @@ def product_state(a, b) -> np.ndarray:
     return states.reshape(states.shape[:-2] + (-1,))
 
 
+def _check_bank_size(coarse: int) -> None:
+    if coarse < 1:
+        raise ValueError(f"coarse must be at least 1, got {coarse}")
+
+
 def _random_product_bank(rng, split: BipartiteSplit, count: int) -> np.ndarray:
     a = rng.standard_normal((count, split.dim_a)) + 1j * rng.standard_normal((count, split.dim_a))
     b = rng.standard_normal((count, split.dim_b)) + 1j * rng.standard_normal((count, split.dim_b))
@@ -342,23 +351,25 @@ def _chart(x, basis, z):
     return y / np.linalg.norm(y, axis=-1, keepdims=True)
 
 
-def _stencil(n: int, h: float) -> np.ndarray:
-    """Offsets (1 + n + n^2, n): the centre, +-h e_i, and +-h (e_i + e_j) for i < j."""
+def _stencil(n: int, h: float, pairs) -> np.ndarray:
+    """Offsets (1 + n + n^2, n): the centre, +-h e_i, and +-h (e_i + e_j) for the
+    index pairs (i, j) = np.triu_indices(n, 1)."""
     eye = h * np.eye(n)
-    i, j = np.triu_indices(n, 1)
+    i, j = pairs
     pair = eye[i] + eye[j]
     return np.concatenate([np.zeros((1, n)), eye, -eye, pair, -pair])
 
 
-def _derivatives(f: np.ndarray, n: int, h: float):
-    """Central-difference gradient (k, n) and Hessian (k, n, n) from stencil values (k, m)."""
+def _derivatives(f: np.ndarray, n: int, h: float, pairs):
+    """Central-difference gradient (k, n) and Hessian (k, n, n) from stencil values
+    (k, m) at the offsets of _stencil(n, h, pairs)."""
     f0 = f[:, :1]
     fp, fm = f[:, 1:1 + n], f[:, 1 + n:1 + 2 * n]
     grad = (fp - fm) / (2.0 * h)
     hess = np.empty((len(f), n, n))
-    i, j = np.triu_indices(n, 1)
-    pairs = len(i)
-    fpp, fmm = f[:, 1 + 2 * n:1 + 2 * n + pairs], f[:, 1 + 2 * n + pairs:]
+    i, j = pairs
+    npairs = len(i)
+    fpp, fmm = f[:, 1 + 2 * n:1 + 2 * n + npairs], f[:, 1 + 2 * n + npairs:]
     axis = fp + fm
     hess[:, i, j] = hess[:, j, i] = (fpp + fmm - axis[:, i] - axis[:, j] + 2.0 * f0) / (2.0 * h * h)
     d = np.arange(n)
@@ -388,7 +399,8 @@ def _ascend(objective, chart, state, n: int):
     start stops once an accepted step gains at most 4 eps, or a rejected
     step's model promises no more; returns the values (k,) and which starts
     were still active at the iteration cap (k,)."""
-    offsets = _stencil(n, _STENCIL_H)
+    pairs = np.triu_indices(n, 1)
+    offsets = _stencil(n, _STENCIL_H, pairs)
     value = objective(np.arange(len(state[0])), *(s[:, None] for s in state))[:, 0]
     radius = np.full(len(value), _MAX_STEP)
     active = np.ones(len(value), dtype=bool)
@@ -398,7 +410,7 @@ def _ascend(objective, chart, state, n: int):
             break
         move = chart(*(s[k] for s in state))
         f = objective(k, *move(offsets[None]))
-        grad, hess = _derivatives(f, n, _STENCIL_H)
+        grad, hess = _derivatives(f, n, _STENCIL_H, pairs)
         step, length, model_gain = _ascent_step(grad, hess, radius[k])
         # the full step and its backtrack, for every active start at once
         trial = move(np.stack([step, 0.5 * step], axis=1))
@@ -431,19 +443,18 @@ def _best_products(us, split: BipartiteSplit, starts: int, seed: int, coarse: in
     """unitary_entangling_power's inputs (m, D), outputs (m, D), entropies (m,)
     and gain-rule stops (m,) for each of a stack of unitaries (m, D, D), from
     one shared bank and one batched ascent of all starts."""
+    # one score ranks the bank and is ascended: monotone in the entropy, and
+    # free of SVDs (the concurrence) on any split with a qubit factor
+    score = partial(entanglement.qubit_concurrence if 2 in (split.dim_a, split.dim_b)
+                    else entanglement.entropy, split=split)
     bank, fa, fb = _random_product_bank(np.random.default_rng(seed), split, coarse)
     transposed = np.swapaxes(us, -1, -2)
-    scores = _entropies_many(bank @ transposed, split)
-    top = np.argsort(scores, axis=-1)[:, ::-1][:, :max(starts, 1)]
+    top = np.argsort(score(bank @ transposed), axis=-1)[:, ::-1][:, :max(starts, 1)]
     m, k = top.shape
     a, b = fa[top].reshape(m * k, -1), fb[top].reshape(m * k, -1)
-    two_qubit = split.dim_a == 2 and split.dim_b == 2
 
     def objective(starts, pa, pb):
-        outs = product_state(pa, pb) @ transposed[starts // k]     # k starts per unitary
-        if two_qubit:
-            return entanglement.concurrence_coefficients(outs)
-        return entanglement.entropy(outs, split)
+        return score(product_state(pa, pb) @ transposed[starts // k])     # k starts per unitary
 
     def chart(a, b):
         basis_a, basis_b = _tangent_basis(a), _tangent_basis(b)
@@ -464,16 +475,19 @@ def unitary_entangling_power(u, split: BipartiteSplit,
     """Maximum entanglement entropy of U applied to product states.
 
     The best ``starts`` rows (at least one) of a random bank of ``coarse``
-    product states seed the batched ascent of the objective (concurrence for
-    two qubits, SVD entropy otherwise) in the tangent chart of each factor;
-    ``converged`` reports whether the winning start stopped by the gain rule
-    rather than at the iteration cap.  The value is a lower bound on the
+    product states (at least one, else ValueError) seed the batched ascent of
+    the objective in the tangent chart of each factor; the bank is ranked and
+    ascended by the concurrence for any split with a qubit factor (no SVD), by
+    the SVD entropy otherwise.  ``converged`` reports whether the winning
+    start stopped by the gain rule rather than at the iteration cap.  The
+    value, the entropy of the witness output, is a lower bound on the
     supremum, returned with its product witness.
     """
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or not linalg.is_unitary(u):
         raise NotUnitaryError("input is not unitary")
     split.check(u.shape[0])
+    _check_bank_size(coarse)
     inputs, outputs, values, converged = _best_products(u[None], split, starts, seed, coarse)
     conc = entanglement.concurrence_coefficients(outputs[0]) \
         if split.dim_a == 2 and split.dim_b == 2 else None
@@ -530,10 +544,15 @@ def bound_check(fam: HamiltonianFamily,
     The right-hand side is the largest power of U(lam) over the grid, from
     unitaries built SWEEP_CHUNK points at a time: exact for a 2 x 2 split
     (the entropy of entanglement.product_sup_concurrence), else a lower bound
-    from one ascent per chunk as in unitary_entangling_power, the only use of
-    ``seed``, ``coarse`` and ``starts``.  The left-hand side is the refined
+    from one ascent per chunk as in unitary_entangling_power (by the
+    concurrence, without SVDs, when one factor is a qubit), the only use of
+    ``seed``, ``coarse`` and ``starts``; there ``coarse`` below 1 is a
+    ValueError, raised before any work.  The left-hand side is the refined
     adiabatic_entangling_power, a lower bound; ``holds`` is lhs <= rhs + 1e-6.
     """
+    exact = fam.split.dim_a == 2 and fam.split.dim_b == 2
+    if not exact:
+        _check_bank_size(coarse)
     lhs = adiabatic_entangling_power(fam, grid_per_axis, refine=True).value
     pts = grid_points(fam.bounds, grid_per_axis)
 
@@ -541,7 +560,7 @@ def bound_check(fam: HamiltonianFamily,
         us = family_unitaries(fam, chunk)
         if not linalg.is_unitary(us):
             raise NotUnitaryError("a family unitary is not unitary")
-        if fam.split.dim_a == 2 and fam.split.dim_b == 2:
+        if exact:
             return entanglement.entropy_from_concurrence(entanglement.product_sup_concurrence(us))
         return _best_products(us, fam.split, starts, seed, coarse)[2]
 

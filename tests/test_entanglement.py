@@ -9,6 +9,7 @@ from adiapower.entanglement import (
     entropy,
     entropy_from_concurrence,
     max_entangled_check,
+    qubit_concurrence,
     schmidt_spectrum,
 )
 from adiapower.errors import DimensionMismatchError
@@ -144,3 +145,61 @@ def test_the_three_two_qubit_entropy_routes_agree(seed, count):
     single = (entropy(psi, SPLIT), entropy_from_concurrence(concurrence_coefficients(psi)),
               entropy_from_concurrence(concurrence_2q(psi)))
     assert max(single) - min(single) <= 8 * np.finfo(float).eps
+
+
+def special_two_qubit_states(rng):
+    """Product states, Bell states and states whose minors are near 1e-150 or 1e-300."""
+    a, b = random_state(rng, 2), random_state(rng, 2)
+    tiny = np.array([1.0, 1e-150, 1e-150, 1e-150j])
+    return np.array([ket("00"), ket("10"), np.kron(a, b), BELL, (ket("01") - ket("10")) / np.sqrt(2),
+                     (ket("00") + 1j * ket("11")) / np.sqrt(2), tiny / np.linalg.norm(tiny),
+                     1e-150 * random_state(rng), np.kron(a, 1e-150 * b)])
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8))
+def test_qubit_concurrence_is_concurrence_coefficients_bit_for_bit_on_two_qubits(seed, count):
+    rng = np.random.default_rng(seed)
+    stack = np.concatenate([[random_state(rng) for _ in range(count)],
+                            special_two_qubit_states(rng)])
+    assert qubit_concurrence(stack, SPLIT).tobytes() == concurrence_coefficients(stack).tobytes()
+    shaped = stack[:count].reshape(count, 1, 4)
+    assert (qubit_concurrence(shaped, SPLIT).tobytes()
+            == concurrence_coefficients(shaped).tobytes())
+    for psi in stack:
+        c = qubit_concurrence(psi, SPLIT)
+        assert type(c) is float and repr(c) == repr(float(qubit_concurrence(psi[None], SPLIT)[0]))
+        assert abs(c - concurrence_coefficients(psi)) <= 4 * np.finfo(float).eps
+
+
+QUBIT_SPLITS = [BipartiteSplit(2, 3), BipartiteSplit(3, 2), BipartiteSplit(2, 5)]
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(QUBIT_SPLITS))
+def test_entropy_of_the_qubit_concurrence_is_the_svd_entropy(seed, split):
+    rng = np.random.default_rng(seed)
+    stack = np.array([random_state(rng, split.dim) for _ in range(6)])
+    product = np.kron(random_state(rng, split.dim_a), random_state(rng, split.dim_b))
+    stack = np.concatenate([stack, product[None]])
+    ent = entropy_from_concurrence(qubit_concurrence(stack, split))
+    assert np.max(np.abs(ent - entropy(stack, split))) <= 1e-14
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([SPLIT] + QUBIT_SPLITS))
+def test_qubit_concurrence_is_local_unitary_invariant(seed, split):
+    rng = np.random.default_rng(seed)
+    stack = np.array([random_state(rng, split.dim) for _ in range(6)])
+    k = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+         for d in (split.dim_a, split.dim_b)]
+    local = tensor(*(expm_skew((x + x.conj().T) / 2) for x in k))
+    moved = stack @ local.T
+    assert np.max(np.abs(qubit_concurrence(moved, split) - qubit_concurrence(stack, split))) <= 1e-12
+
+
+def test_qubit_concurrence_needs_a_qubit_factor_and_a_matching_dimension():
+    with pytest.raises(DimensionMismatchError):
+        qubit_concurrence(np.ones(9) / 3.0, BipartiteSplit(3, 3))
+    with pytest.raises(DimensionMismatchError):
+        qubit_concurrence(np.ones(4) / 2.0, BipartiteSplit(2, 3))

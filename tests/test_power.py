@@ -346,26 +346,96 @@ def test_two_qubit_closed_form_equals_the_example2_oracle_on_stacks(seed):
     assert np.max(np.abs(closed - oracle)) <= 1e-12
 
 
-def test_unitary_power_qutrit_csum_reaches_log2_3():
+def recorded_svd_calls(monkeypatch):
+    """Shapes passed to each np.linalg.svd call."""
+    shapes = []
+    svd = np.linalg.svd
+
+    def recorded(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    return shapes
+
+
+def test_unitary_power_qutrit_csum_reaches_log2_3(monkeypatch):
     csum = np.zeros((9, 9))
     for x in range(3):
         for y in range(3):
             csum[3 * x + (x + y) % 3, 3 * x + y] = 1.0
+    svds = recorded_svd_calls(monkeypatch)
     r = unitary_entangling_power(csum, BipartiteSplit(3, 3))
     assert abs(r.value - np.log2(3)) <= 1e-9
     assert r.concurrence is None and r.converged
+    assert len(svds) > 2                     # no qubit factor: the bank and ascent take SVDs
 
 
-def test_unitary_power_2x3_witness_is_an_exact_product():
+@pytest.mark.parametrize("dims", [(2, 3), (3, 2), (2, 4)], ids=["2x3", "3x2", "2x4"])
+def test_unitary_power_qubit_split_witness_is_an_exact_product(dims):
     rng = np.random.default_rng(23)
-    split = BipartiteSplit(2, 3)
+    split = BipartiteSplit(*dims)
     for _ in range(6):
-        u = haar_unitary(rng, 6)
+        u = haar_unitary(rng, split.dim)
         r = unitary_entangling_power(u, split)
-        s = np.linalg.svd(r.input_state.reshape(2, 3), compute_uv=False)
+        s = np.linalg.svd(r.input_state.reshape(dims), compute_uv=False)
         assert s[1] <= 1e-12
         assert abs(entropy(u @ r.input_state, split) - r.value) <= 1e-12
         assert r.converged
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (3, 2)])
+def test_a_qubit_split_ascent_takes_no_svd(monkeypatch, dims):
+    u = haar_unitary(np.random.default_rng(5), 6)
+    svds = recorded_svd_calls(monkeypatch)
+    r = unitary_entangling_power(u, BipartiteSplit(*dims))
+    assert svds == [(1, *dims)]              # the reported value only
+    assert r.converged
+
+
+def test_the_ascent_takes_its_pair_indices_once(monkeypatch):
+    calls = []
+    triu_indices = np.triu_indices
+
+    def recorded(*args, **kwargs):
+        calls.append(args)
+        return triu_indices(*args, **kwargs)
+
+    monkeypatch.setattr(np, "triu_indices", recorded)
+    for dims in ((2, 2), (2, 3)):
+        calls.clear()
+        unitary_entangling_power(haar_unitary(np.random.default_rng(6), dims[0] * dims[1]),
+                                 BipartiteSplit(*dims))
+        assert calls == [(2 * (dims[0] - 1) + 2 * (dims[1] - 1), 1)]
+    calls.clear()
+    adiabatic_entangling_power(generic_field_family(), grid_per_axis=5, refine=True)
+    assert calls == [(2, 1), (2, 1)]        # one polish raises the level, one lowers it
+
+
+@pytest.mark.parametrize("coarse", [0, -3])
+def test_an_empty_or_negative_product_bank_is_rejected_by_name(monkeypatch, coarse):
+    message = f"coarse must be at least 1, got {coarse}"
+    with pytest.raises(ValueError, match=message):
+        unitary_entangling_power(np.eye(4), SPLIT_2Q, coarse=coarse)
+    with pytest.raises(ValueError, match=message):
+        unitary_entangling_power(np.eye(6), BipartiteSplit(3, 2), coarse=coarse)
+    # a 2 x 2 bound_check draws no bank and ignores coarse
+    assert bound_check(example1_family(), grid_per_axis=5, coarse=coarse).holds
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("bound_check worked before rejecting coarse")
+
+    monkeypatch.setattr(power, "adiabatic_entangling_power", forbidden)
+    with pytest.raises(ValueError, match=message):
+        bound_check(plane_2x3_family(), grid_per_axis=3, coarse=coarse)
+
+
+def test_fewer_than_one_start_is_one_start():
+    u = haar_unitary(np.random.default_rng(8), 6)
+    one = unitary_entangling_power(u, BipartiteSplit(2, 3), starts=1)
+    for starts in (0, -2):
+        r = unitary_entangling_power(u, BipartiteSplit(2, 3), starts=starts)
+        assert r.input_state.tobytes() == one.input_state.tobytes() and r.value == one.value
 
 
 def test_unitary_power_reports_the_iteration_cap(monkeypatch):
