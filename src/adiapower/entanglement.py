@@ -86,8 +86,9 @@ def qubit_concurrence(psi, split: BipartiteSplit):
     over the 2 x 2 minors (j < l) of the 2 x d amplitude matrix M (Cauchy-Binet),
     so no SVD is taken; entropy_from_concurrence of the result is the entropy
     (Rungta et al., PRA 64, 042315, 2001).  On 2 x 2 stacks it is
-    concurrence_coefficients bit for bit.  A 1-D state gives a float; a (..., D)
-    stack gives an array (...).
+    concurrence_coefficients bit for bit.  A qubit beside a trivial factor
+    (1 x 2 or 2 x 1) leaves no minors, so C = 0.  A 1-D state gives a float; a
+    (..., D) stack gives an array (...).
     """
     psi = np.asarray(psi, dtype=complex)
     split.check(psi.shape[-1])
@@ -97,7 +98,7 @@ def qubit_concurrence(psi, split: BipartiteSplit):
     m = stack.reshape(stack.shape[:-1] + (split.dim_a, split.dim_b))
     if split.dim_a != 2:
         m = np.swapaxes(m, -1, -2)
-    c = 0.0
+    c = np.zeros(m.shape[:-2])           # no minors (a trivial factor): a product, C = 0
     for j, l in combinations(range(m.shape[-1]), 2):
         c = np.hypot(c, abs(m[..., 0, j] * m[..., 1, l] - m[..., 0, l] * m[..., 1, j]))
     c = np.minimum(2.0 * c, 1.0)

@@ -4,7 +4,7 @@ Suprema over family parameters are estimated by a dense grid, suprema over
 product inputs by a random product-state bank; both are then refined by one
 batched multi-start Newton ascent (``_ascend``), in the parameter box or over
 the unit factor vectors: lower bounds on the true suprema, with witnesses.
-On a split with a qubit factor the product-input ascent climbs the
+On a 2 x d or d x 2 split (2 <= d <= 12) the product-input ascent climbs the
 concurrence (entanglement.qubit_concurrence), which takes no SVD; the
 reported values are entropies.  ``bound_check`` takes the two-qubit
 product-input supremum in closed form.
@@ -307,6 +307,11 @@ _MIN_CURVATURE = 1e-6
 _MAX_STEP = 0.5
 _ASCENT_ITERATIONS = 300
 _ASCENT_GAIN = 4.0 * np.finfo(float).eps
+# Largest qudit beside a qubit whose product inputs are scored by the
+# concurrence: its d(d-1)/2 minors beat one batched SVD up to here, and lose
+# beyond (per unitary_entangling_power call on a 2-vCPU Xeon with OpenBLAS:
+# 2 x 12 73-93 ms against the SVD's 121-128 ms, 2 x 16 286-293 against 230-232).
+_MINORS_MAX_DIM = 12
 
 
 def product_state(a, b) -> np.ndarray:
@@ -444,9 +449,10 @@ def _best_products(us, split: BipartiteSplit, starts: int, seed: int, coarse: in
     and gain-rule stops (m,) for each of a stack of unitaries (m, D, D), from
     one shared bank and one batched ascent of all starts."""
     # one score ranks the bank and is ascended: monotone in the entropy, and
-    # free of SVDs (the concurrence) on any split with a qubit factor
-    score = partial(entanglement.qubit_concurrence if 2 in (split.dim_a, split.dim_b)
-                    else entanglement.entropy, split=split)
+    # free of SVDs (the concurrence) when the smaller factor is a qubit
+    small, large = sorted((split.dim_a, split.dim_b))
+    minors = small == 2 and large <= _MINORS_MAX_DIM
+    score = partial(entanglement.qubit_concurrence if minors else entanglement.entropy, split=split)
     bank, fa, fb = _random_product_bank(np.random.default_rng(seed), split, coarse)
     transposed = np.swapaxes(us, -1, -2)
     top = np.argsort(score(bank @ transposed), axis=-1)[:, ::-1][:, :max(starts, 1)]
@@ -477,10 +483,10 @@ def unitary_entangling_power(u, split: BipartiteSplit,
     The best ``starts`` rows (at least one) of a random bank of ``coarse``
     product states (at least one, else ValueError) seed the batched ascent of
     the objective in the tangent chart of each factor; the bank is ranked and
-    ascended by the concurrence for any split with a qubit factor (no SVD), by
-    the SVD entropy otherwise.  ``converged`` reports whether the winning
-    start stopped by the gain rule rather than at the iteration cap.  The
-    value, the entropy of the witness output, is a lower bound on the
+    ascended by the concurrence on a 2 x d or d x 2 split with 2 <= d <= 12
+    (no SVD), by the SVD entropy otherwise.  ``converged`` reports whether the
+    winning start stopped by the gain rule rather than at the iteration cap.
+    The value, the entropy of the witness output, is a lower bound on the
     supremum, returned with its product witness.
     """
     u = np.asarray(u, dtype=complex)
@@ -545,9 +551,9 @@ def bound_check(fam: HamiltonianFamily,
     unitaries built SWEEP_CHUNK points at a time: exact for a 2 x 2 split
     (the entropy of entanglement.product_sup_concurrence), else a lower bound
     from one ascent per chunk as in unitary_entangling_power (by the
-    concurrence, without SVDs, when one factor is a qubit), the only use of
-    ``seed``, ``coarse`` and ``starts``; there ``coarse`` below 1 is a
-    ValueError, raised before any work.  The left-hand side is the refined
+    concurrence, without SVDs, on a 2 x d or d x 2 split with 2 <= d <= 12),
+    the only use of ``seed``, ``coarse`` and ``starts``; there ``coarse``
+    below 1 is a ValueError, raised before any work.  The left-hand side is the refined
     adiabatic_entangling_power, a lower bound; ``holds`` is lhs <= rhs + 1e-6.
     """
     exact = fam.split.dim_a == 2 and fam.split.dim_b == 2

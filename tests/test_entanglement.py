@@ -198,6 +198,17 @@ def test_qubit_concurrence_is_local_unitary_invariant(seed, split):
     assert np.max(np.abs(qubit_concurrence(moved, split) - qubit_concurrence(stack, split))) <= 1e-12
 
 
+@pytest.mark.parametrize("dims", [(1, 2), (2, 1)])
+def test_qubit_concurrence_beside_a_trivial_factor_is_zero(dims):
+    rng = np.random.default_rng(3)
+    stack = np.array([random_state(rng, 2) for _ in range(6)]).reshape(2, 3, 2)
+    split = BipartiteSplit(*dims)
+    c = qubit_concurrence(stack, split)
+    assert c.shape == (2, 3) and not c.any()
+    one = qubit_concurrence(stack[0, 0], split)
+    assert type(one) is float and one == 0.0
+
+
 def test_qubit_concurrence_needs_a_qubit_factor_and_a_matching_dimension():
     with pytest.raises(DimensionMismatchError):
         qubit_concurrence(np.ones(9) / 3.0, BipartiteSplit(3, 3))

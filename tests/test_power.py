@@ -384,13 +384,35 @@ def test_unitary_power_qubit_split_witness_is_an_exact_product(dims):
         assert r.converged
 
 
-@pytest.mark.parametrize("dims", [(2, 3), (3, 2)])
+@pytest.mark.parametrize("dims", [(2, 3), (3, 2), (12, 2)])
 def test_a_qubit_split_ascent_takes_no_svd(monkeypatch, dims):
-    u = haar_unitary(np.random.default_rng(5), 6)
+    u = haar_unitary(np.random.default_rng(5), dims[0] * dims[1])
     svds = recorded_svd_calls(monkeypatch)
     r = unitary_entangling_power(u, BipartiteSplit(*dims))
     assert svds == [(1, *dims)]              # the reported value only
     assert r.converged
+
+
+@pytest.mark.parametrize("dims", [(1, 2), (2, 1)])
+def test_a_qubit_beside_a_trivial_factor_keeps_the_svd_score(monkeypatch, dims):
+    u = haar_unitary(np.random.default_rng(5), 2)
+    svds = recorded_svd_calls(monkeypatch)
+    r = unitary_entangling_power(u, BipartiteSplit(*dims))
+    assert abs(r.value) <= 1e-15 and r.converged and r.concurrence is None
+    assert r.input_state.shape == (2,)
+    assert len(svds) > 1                     # the bank and the ascent score by SVD entropy
+
+
+def test_a_qubit_beside_a_wide_qudit_keeps_the_svd_score(monkeypatch):
+    svds = recorded_svd_calls(monkeypatch)
+    r = unitary_entangling_power(haar_unitary(np.random.default_rng(5), 26), BipartiteSplit(2, 13),
+                                 starts=2, coarse=32)
+    assert len(svds) > 1 and r.converged     # 78 minors would cost more than the SVD
+
+
+def test_bound_check_runs_on_a_qubit_beside_a_trivial_factor():
+    rep = bound_check(spin_half_field_family(), grid_per_axis=2)   # corners only: no B = 0
+    assert abs(rep.lhs) <= 1e-15 and abs(rep.rhs) <= 1e-15 and rep.holds
 
 
 def test_the_ascent_takes_its_pair_indices_once(monkeypatch):
