@@ -60,6 +60,7 @@ from .power import (
 )
 from .simulate import (
     DEFAULT_GATE_STEPS,
+    DEFAULT_STEPS,
     circle_loop,
     propagate,
     retrace_circle_loop,
@@ -244,15 +245,23 @@ def _write_json(path, payload):
 def _write_csv(path, manifest, header, table):
     """Manifest comment, header line, then one line per row of a 2-D float array.
 
-    Each field is the repr of its float; repr runs once per distinct bit
-    pattern (so -0.0 and 0.0 stay apart), and rows are joined from the table
-    of those strings.
+    Each field is the repr of its float.  The table is formatted one column
+    at a time: repr runs once per distinct bit pattern in the column (so -0.0
+    and 0.0 stay apart), and rows are joined from the columns' string lists.
     """
     lines = ["# manifest " + json.dumps(manifest, sort_keys=True), ",".join(header)]
-    bits, index = np.unique(table.view(np.uint64), return_inverse=True)
-    text = np.array([repr(x) for x in bits.view(float).tolist()], dtype=object)
-    lines += map(",".join, text[index.reshape(table.shape)].tolist())
+    lines += map(",".join, zip(*[_column_text(col) for col in table.T]))
     _write_text(path, "\n".join(lines) + "\n")
+
+
+def _column_text(col) -> list:
+    """repr strings of a 1-D float array, one repr call per distinct bit pattern.
+
+    The index and object arrays are dropped on return; only the list stays.
+    """
+    bits, index = np.unique(col.view(np.uint64), return_inverse=True)
+    text = np.array([repr(x) for x in bits.view(float).tolist()], dtype=object)
+    return text[index].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--path", required=True,
                    help="JSON list of parameter points, e.g. [[0,0,0],[0.2,0,0]]")
     p.add_argument("--T", type=float, default=50.0)
-    p.add_argument("--steps", type=int, default=2000)
+    p.add_argument("--steps", type=int, default=DEFAULT_STEPS)
     p.add_argument("--level", type=int, default=0)
     p.add_argument("--schedule", choices=["linear", "smoothstep"],
                    default="smoothstep")

@@ -165,8 +165,7 @@ def _chunked(fn: Callable[[np.ndarray], np.ndarray], points: np.ndarray) -> np.n
 def _entropies_many(states: np.ndarray, split: BipartiteSplit) -> np.ndarray:
     """Entanglement entropies (...) of a (..., D) stack of pure states."""
     if split.dim_a == 2 and split.dim_b == 2:
-        return entanglement.entropy_from_concurrence(
-            entanglement.concurrence_coefficients(states))
+        return entanglement.entropy_from_concurrence(entanglement.qubit_concurrence(states, split))
     return entanglement.entropy(states, split)
 
 
@@ -495,7 +494,7 @@ def unitary_entangling_power(u, split: BipartiteSplit,
     split.check(u.shape[0])
     _check_bank_size(coarse)
     inputs, outputs, values, converged = _best_products(u[None], split, starts, seed, coarse)
-    conc = entanglement.concurrence_coefficients(outputs[0]) \
+    conc = entanglement.qubit_concurrence(outputs[0], split) \
         if split.dim_a == 2 and split.dim_b == 2 else None
     return UnitaryPowerResult(float(values[0]), conc, inputs[0], outputs[0],
                               converged=bool(converged[0]))

@@ -238,11 +238,17 @@ def propagate(fam: HamiltonianFamily, path: ParameterPath, psi0,
 
 def propagate_unitary(fam: HamiltonianFamily, path: ParameterPath,
                       steps: int = DEFAULT_STEPS) -> np.ndarray:
-    """Full evolution operator of the run (product of midpoint step unitaries)."""
-    u = np.eye(fam.dim, dtype=complex)
-    for step in _step_unitaries(fam, path, steps):
-        u = step @ u
-    return u
+    """Full evolution operator of the run (product of midpoint step unitaries).
+
+    The product is taken pairwise, later steps on the left: each pass halves
+    the stack with one batched matmul and carries an odd last step, so
+    ``steps`` steps take about log2(steps) calls.
+    """
+    m = _step_unitaries(fam, path, steps)
+    while len(m) > 1:
+        pairs = m[1::2] @ m[:len(m) - 1:2]
+        m = np.concatenate([pairs, m[-1:]]) if len(m) % 2 else pairs
+    return m[0]
 
 
 def berry_phase(fam: HamiltonianFamily, level: int, loop: ParameterPath,

@@ -9,6 +9,7 @@ import pytest
 
 import adiapower.cli as cli
 import adiapower.power as power
+import adiapower.simulate as simulate
 from adiapower.cli import build_parser, main
 from adiapower.entanglement import entropy
 from adiapower.linalg import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, ket, tensor
@@ -305,14 +306,49 @@ def test_write_csv_equals_the_per_field_repr(tmp_path):
     ])
     rng = np.random.default_rng(11)
     random_bits = rng.integers(0, 2**64, size=(40, 4), dtype=np.uint64).view(float)
-    manifest, header = {"command": "test"}, ["a", "b", "c", "d"]
-    path = tmp_path / "t.csv"
-    for t in (table, np.concatenate([table, random_bits, random_bits[::-1]]),
-              np.empty((0, 4))):
+    big = np.concatenate([table, random_bits, random_bits[::-1]])
+    pts = rng.uniform(-1.0, 1.0, (6, 2))
+    # as cmd_power builds it: repeated points, tiled levels, raveled entropies
+    power_like = np.column_stack([np.repeat(pts, 4, axis=0),
+                                  np.tile(np.arange(4, dtype=float), 6), random_bits[:24, 0]])
+    tables = [
+        table, big, np.empty((0, 4)),
+        np.asfortranarray(big), big[::3, ::-1], power_like,  # column-major, strided, cmd_power's
+        np.array([[0.1 + 0.2, 0.1 + 0.2], [2.5, 2.5]]),      # one bit pattern in two columns
+        np.array([[-0.0, 0.0], [-0.0, 0.0]]),                # -0.0 in one column, 0.0 in the other
+        table[2:3], table[:, 1:2], np.array([[np.pi]]),      # a single row, a single column
+    ]
+    manifest, path = {"command": "test"}, tmp_path / "t.csv"
+    for t in tables:
+        header = [f"c{j}" for j in range(t.shape[1])]
         cli._write_csv(str(path), manifest, header, t)
         assert path.read_text() == per_row_csv(manifest, header, t)
-    cli._write_csv(str(path), manifest, header, table)
+    cli._write_csv(str(path), manifest, ["a", "b", "c", "d"], table)
     assert "\n0.0,-0.0,nan,1e-05\n-0.0,0.0,inf,0.30000000000000004\n" in path.read_text()
+    cli._write_csv(str(path), manifest, ["a", "b"], tables[7])
+    assert path.read_text().endswith("\na,b\n-0.0,0.0\n-0.0,0.0\n")
+
+
+def test_power_out_equals_the_per_field_repr_of_its_table(specs, tmp_path, monkeypatch):
+    written, write_csv = [], cli._write_csv
+
+    def recorded(*args):
+        written.append(args)
+        write_csv(*args)
+
+    monkeypatch.setattr(cli, "_write_csv", recorded)
+    out = tmp_path / "power.csv"
+    assert main(["power", specs["example0"], "--grid", "3", "--out", str(out)]) == 0
+    [(_, manifest, header, table)] = written
+    assert header == ["lam1", "lam2", "lam3", "level", "entropy"] and table.shape == (27 * 4, 5)
+    assert out.read_text() == per_row_csv(manifest, header, table)
+
+
+def test_step_defaults_come_from_the_library():
+    parser = build_parser()
+    evolve = parser.parse_args(["evolve", "spec.json", "--path", "[[0,0,0],[0.1,0,0]]"])
+    assert evolve.steps == simulate.DEFAULT_STEPS
+    assert parser.parse_args(["gate"]).steps == simulate.DEFAULT_GATE_STEPS
 
 
 def test_sweep_json_output_and_state_parsing(specs, tmp_path):

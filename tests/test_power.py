@@ -5,7 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adiapower import cli, families, power
-from adiapower.entanglement import entropy, entropy_of_spectrum, product_sup_concurrence
+from adiapower.entanglement import (
+    entropy,
+    entropy_from_concurrence,
+    entropy_of_spectrum,
+    product_sup_concurrence,
+    qubit_concurrence,
+)
 from adiapower.errors import DegeneracyError, NotUnitaryError
 from adiapower.families import (
     SPLIT_2Q,
@@ -302,6 +308,15 @@ def test_unitary_power_matches_the_example2_supremum():
         assert r.converged
         worst = max(worst, abs(r.concurrence - example2_product_sup_concurrence(p)))
     assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_two_qubit_witness_concurrence_is_the_climbed_score(seed):
+    u = haar_unitary(np.random.default_rng(seed), 4)
+    r = unitary_entangling_power(u, SPLIT_2Q, seed=seed)
+    climbed = qubit_concurrence(r.output_state[None], SPLIT_2Q)   # the ascent's stacked score
+    assert r.concurrence == climbed[0]
+    assert r.value == entropy_from_concurrence(climbed)[0]
 
 
 @settings(max_examples=6, derandomize=True, deadline=None)

@@ -15,6 +15,7 @@ from adiapower.power import eigenstate_track, iso_spectral_family
 from adiapower.simulate import (
     _RAMPS,
     ParameterPath,
+    _step_unitaries,
     berry_phase,
     circle_loop,
     decompose_uad,
@@ -395,6 +396,17 @@ def test_decompose_uad_propagates_once_and_matches_per_level_runs(monkeypatch, s
         _, v_end = fam.eigensystem(path.gamma(1.0))
         predicted = v_end[:, rep.level] * np.exp(1j * (rep.dynamical + rep.geometric))
         assert abs(rep.residual - np.linalg.norm(rec.final_state - predicted)) < 1e-12
+
+
+@pytest.mark.parametrize("steps", [100, 101, 4001])
+@pytest.mark.parametrize("split", [BipartiteSplit(1, 2), BipartiteSplit(2, 2), BipartiteSplit(2, 3)])
+def test_pairwise_propagate_unitary_equals_the_sequential_product(split, steps):
+    fam = random_iso_family(np.random.default_rng(split.dim), split)
+    path = line_path([0.0, 0.0], [0.3, 0.2], duration=20.0, schedule="smoothstep")
+    expected = np.eye(fam.dim, dtype=complex)
+    for step in _step_unitaries(fam, path, steps):
+        expected = step @ expected
+    assert np.max(np.abs(propagate_unitary(fam, path, steps) - expected)) < 1e-13
 
 
 def test_step_consumers_reject_too_few_steps():
