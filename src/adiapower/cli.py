@@ -308,8 +308,8 @@ def cmd_power(args) -> int:
     _check_at_least("--grid", args.grid, 1)
     fam, spec_config = load_family_spec(args.spec_file)
     level = None if args.level == "all" else int(args.level)
-    if level is not None and not 0 <= level < fam.dim:
-        raise ValueError(f"--level {level} is out of range 0..{fam.dim - 1}")
+    if level is not None:
+        fam.check_level(level)
     est = adiabatic_entangling_power(fam, grid_per_axis=args.grid,
                                      refine=args.refine)
     print(f"adiabatic entangling power: {fmt(est.value)}")
@@ -358,8 +358,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_evolve(args) -> int:
     fam, spec_config = load_family_spec(args.spec_file)
-    if not 0 <= args.level < fam.dim:
-        raise ValueError(f"--level {args.level} is out of range 0..{fam.dim - 1}")
+    fam.check_level(args.level)
     waypoints = json.loads(args.path)
     if not (waypoints and isinstance(waypoints, list) and all(
             isinstance(w, list) and len(w) == fam.parameter_dim for w in waypoints)):

@@ -138,14 +138,74 @@ def enclosing_radius(points):
     return float(r) if r.ndim == 0 else r
 
 
+def _magic_symmetric(u):
+    """The symmetric unitaries S = U_B^T U_B (..., 4, 4), U_B = M^dag U M in the
+    magic basis M: the output concurrence of an input with magic amplitudes w is |w^T S w|."""
+    m = magic_basis()
+    ub = dagger(m) @ np.asarray(u, dtype=complex) @ m
+    return np.swapaxes(ub, -1, -2) @ ub
+
+
 def product_sup_concurrence(u):
     """Supremum (...) over product inputs of the output concurrence of two-qubit
     unitaries u (..., 4, 4): the enclosing_radius of the eigenvalues of U_B^T U_B,
     U_B = M^dag U M in the magic basis M (Kraus and Cirac, PRA 63, 062309, 2001).
     """
-    m = magic_basis()
-    ub = dagger(m) @ np.asarray(u, dtype=complex) @ m
-    return enclosing_radius(np.linalg.eigvals(np.swapaxes(ub, -1, -2) @ ub))
+    return enclosing_radius(np.linalg.eigvals(_magic_symmetric(u)))
+
+
+# Candidate supports of the smallest circle enclosing four points: each pair
+# (k, l), with its edge e_k - e_l, and each triangle (a, b, c), with its edges
+# e_a - e_b and e_a - e_c.
+_PAIRS = np.array(list(combinations(range(4), 2)))
+_TRIANGLES = np.array(list(combinations(range(4), 3)))
+_EDGES = np.eye(4)[_PAIRS[:, 0]] - np.eye(4)[_PAIRS[:, 1]]
+_TRIANGLE_AB = np.eye(4)[_TRIANGLES[:, 0]] - np.eye(4)[_TRIANGLES[:, 1]]
+_TRIANGLE_AC = np.eye(4)[_TRIANGLES[:, 0]] - np.eye(4)[_TRIANGLES[:, 2]]
+# Tilts e^{-i psi}, psi = k pi / 7.  At least one psi lies pi/14 or more (mod pi)
+# from the direction of every difference p_k - p_l of four points; there the
+# eigenvalues Im(e^{-i psi} p_k) of distinct p_k are >= sin(pi/14) |p_k - p_l| apart.
+_TILTS = np.exp(-1j * np.pi * np.arange(7) / 7)[:, None, None]
+_OFF_DIAGONAL = ~np.eye(4, dtype=bool)
+
+
+def product_sup_witness(u):
+    """Product inputs (..., 4) attaining product_sup_concurrence of two-qubit
+    unitaries u (..., 4, 4), each an exact product a x b of unit vectors.
+
+    S = O diag(p) O^T with O real orthogonal (S is a symmetric unitary); O is
+    the eigenbasis of Im(e^{-i psi} S), over the _TILTS, that leaves the
+    smallest off-diagonal in O^T S O.  An input with magic amplitudes O x and
+    z = x^2 is a product iff sum z = 0, and its output concurrence is
+    |sum p z| / sum |z|.  Each pair (z_k = -z_l, phased by p_k - p_l) and each
+    triangle (z_j = w_j conj(p_j), w the barycentric weights of the origin, the
+    first z set to minus the others) gives such a z; the best of them attains
+    the smallest enclosing circle's radius.  M O sqrt(z), a product up to
+    rounding, is then replaced by a x b, b its larger row and a = psi conj(b),
+    both normalized.
+    """
+    s = _magic_symmetric(u)[..., None, :, :]
+    o = np.linalg.eigh((_TILTS * s).imag)[1]
+    d = np.swapaxes(o, -1, -2) @ s @ o
+    pick = np.argmin(np.abs(d[..., _OFF_DIAGONAL]).max(axis=-1), axis=-1)[..., None, None, None]
+    o = np.take_along_axis(o, pick, axis=-3)[..., 0, :, :]
+    q = np.diagonal(np.take_along_axis(d, pick, axis=-3)[..., 0, :, :], axis1=-2, axis2=-1)
+    pairs = np.exp(-1j * np.angle(q @ _EDGES.T))[..., None] * _EDGES
+    qa, qb, qc = np.moveaxis(q[..., _TRIANGLES], -1, 0)
+    triangles = -((qc.conj() * qa).imag * qb.conj())[..., None] * _TRIANGLE_AB \
+        - ((qa.conj() * qb).imag * qc.conj())[..., None] * _TRIANGLE_AC
+    z = np.concatenate([pairs, triangles], axis=-2)
+    size = np.abs(z).sum(axis=-1)
+    reach = np.divide(np.abs(z @ q[..., None])[..., 0], size,
+                      out=np.full(size.shape, -1.0), where=size > 0)
+    best = np.take_along_axis(z, np.argmax(reach, axis=-1)[..., None, None], axis=-2)[..., 0, :]
+    psi = (magic_basis() @ (o @ np.sqrt(best)[..., None])).reshape(best.shape[:-1] + (2, 2))
+    larger = np.argmax(np.linalg.norm(psi, axis=-1), axis=-1)[..., None, None]
+    b = np.take_along_axis(psi, larger, axis=-2)[..., 0, :]
+    b = b / np.linalg.norm(b, axis=-1, keepdims=True)
+    a = (psi @ b.conj()[..., None])[..., 0]
+    a = a / np.linalg.norm(a, axis=-1, keepdims=True)
+    return (a[..., :, None] * b[..., None, :]).reshape(best.shape)
 
 
 def max_entangled_check(psi, split: BipartiteSplit) -> bool:

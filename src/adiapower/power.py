@@ -1,13 +1,16 @@
 """Adiabatic entangling power of Hamiltonian families and of single unitaries.
 
-Suprema over family parameters are estimated by a dense grid, suprema over
-product inputs by a random product-state bank; both are then refined by one
-batched multi-start Newton ascent (``_ascend``), in the parameter box or over
-the unit factor vectors: lower bounds on the true suprema, with witnesses.
-On a 2 x d or d x 2 split (2 <= d <= 12) the product-input ascent climbs the
-concurrence (entanglement.qubit_concurrence), which takes no SVD; the
-reported values are entropies.  ``bound_check`` takes the two-qubit
-product-input supremum in closed form.
+On a 2 x 2 split the supremum over product inputs is exact: the Kraus-Cirac
+closed form (entanglement.product_sup_concurrence), attained by an exact
+product witness (entanglement.product_sup_witness), in both
+``unitary_entangling_power`` and ``bound_check``.  Other suprema are lower
+bounds with witnesses: over family parameters from a dense grid, over
+product inputs on other splits from a random product-state bank, each
+refined by one batched multi-start Newton ascent (``_ascend``) in the
+parameter box or over the unit factor vectors.  On a 2 x d or d x 2 split
+(3 <= d <= 12) the product-input ascent climbs the concurrence
+(entanglement.qubit_concurrence), which takes no SVD; the reported values
+are entropies.
 """
 
 from __future__ import annotations
@@ -433,20 +436,21 @@ def _ascend(objective, chart, state, n: int):
 
 @dataclass(frozen=True)
 class UnitaryPowerResult:
-    value: float                          # max entanglement entropy reached (lower bound)
-    concurrence: float | None             # witness concurrence, two-qubit case only
+    value: float                          # witness output entropy: exact for 2 x 2, else a lower bound
+    concurrence: float | None             # witness output concurrence, 2 x 2 only
     input_state: np.ndarray               # witness product input
     output_state: np.ndarray
-    converged: bool | None = None         # winning start stopped by the gain rule, not the cap
+    converged: bool | None = None         # True for 2 x 2; else the winning start met the gain rule
 
     def __float__(self):
         return self.value
 
 
 def _best_products(us, split: BipartiteSplit, starts: int, seed: int, coarse: int):
-    """unitary_entangling_power's inputs (m, D), outputs (m, D), entropies (m,)
-    and gain-rule stops (m,) for each of a stack of unitaries (m, D, D), from
-    one shared bank and one batched ascent of all starts."""
+    """Product-input ascent: inputs (m, D), outputs (m, D), entropies (m,) and
+    gain-rule stops (m,) for each of a stack of unitaries (m, D, D), from one
+    shared bank and one batched ascent of all starts (unitary_entangling_power
+    and bound_check use it on splits other than 2 x 2)."""
     # one score ranks the bank and is ascended: monotone in the entropy, and
     # free of SVDs (the concurrence) when the smaller factor is a qubit
     small, large = sorted((split.dim_a, split.dim_b))
@@ -479,24 +483,32 @@ def unitary_entangling_power(u, split: BipartiteSplit,
                              coarse: int = 512) -> UnitaryPowerResult:
     """Maximum entanglement entropy of U applied to product states.
 
-    The best ``starts`` rows (at least one) of a random bank of ``coarse``
-    product states (at least one, else ValueError) seed the batched ascent of
-    the objective in the tangent chart of each factor; the bank is ranked and
-    ascended by the concurrence on a 2 x d or d x 2 split with 2 <= d <= 12
-    (no SVD), by the SVD entropy otherwise.  ``converged`` reports whether the
-    winning start stopped by the gain rule rather than at the iteration cap.
-    The value, the entropy of the witness output, is a lower bound on the
-    supremum, returned with its product witness.
+    On a 2 x 2 split the value is exact: the witness is the exact product
+    input of entanglement.product_sup_witness, whose output concurrence is the
+    Kraus-Cirac closed form, ``converged`` is True and ``starts`` and ``seed``
+    are unused (``coarse`` below 1 is still a ValueError).  On every other
+    split the best ``starts`` rows (at least one) of a random bank of
+    ``coarse`` product states (at least one, else ValueError) seed the batched
+    ascent of the objective in the tangent chart of each factor; the bank is
+    ranked and ascended by the concurrence on a 2 x d or d x 2 split with
+    3 <= d <= 12 (no SVD), by the SVD entropy otherwise.  ``converged``
+    reports whether the winning start stopped by the gain rule rather than at
+    the iteration cap.  The value, the entropy of the witness output, is then
+    a lower bound on the supremum, returned with its product witness.
     """
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or not linalg.is_unitary(u):
         raise NotUnitaryError("input is not unitary")
     split.check(u.shape[0])
     _check_bank_size(coarse)
+    if split.dim_a == 2 and split.dim_b == 2:
+        witness = entanglement.product_sup_witness(u)
+        output = u @ witness
+        conc = entanglement.qubit_concurrence(output[None], split)
+        return UnitaryPowerResult(float(entanglement.entropy_from_concurrence(conc)[0]),
+                                  float(conc[0]), witness, output, converged=True)
     inputs, outputs, values, converged = _best_products(u[None], split, starts, seed, coarse)
-    conc = entanglement.qubit_concurrence(outputs[0], split) \
-        if split.dim_a == 2 and split.dim_b == 2 else None
-    return UnitaryPowerResult(float(values[0]), conc, inputs[0], outputs[0],
+    return UnitaryPowerResult(float(values[0]), None, inputs[0], outputs[0],
                               converged=bool(converged[0]))
 
 
@@ -550,7 +562,7 @@ def bound_check(fam: HamiltonianFamily,
     unitaries built SWEEP_CHUNK points at a time: exact for a 2 x 2 split
     (the entropy of entanglement.product_sup_concurrence), else a lower bound
     from one ascent per chunk as in unitary_entangling_power (by the
-    concurrence, without SVDs, on a 2 x d or d x 2 split with 2 <= d <= 12),
+    concurrence, without SVDs, on a 2 x d or d x 2 split with 3 <= d <= 12),
     the only use of ``seed``, ``coarse`` and ``starts``; there ``coarse``
     below 1 is a ValueError, raised before any work.  The left-hand side is the refined
     adiabatic_entangling_power, a lower bound; ``holds`` is lhs <= rhs + 1e-6.

@@ -214,7 +214,7 @@ def test_power_level_out_of_range_is_input_error(specs, capsys):
         assert main(["power", specs["example2"], "--grid", "3", "--level", level]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"input error: --level {int(level)} is out of range 0..3" in captured.err
+        assert f"input error: level {int(level)} is out of range 0..3" in captured.err
     assert main(["power", specs["example2"], "--grid", "3", "--level", "3"]) == 0
     assert "level 3: max entropy" in capsys.readouterr().out
 
@@ -397,7 +397,7 @@ def test_evolve_rejects_bad_level_and_path_before_any_work(specs, eigh_shapes, c
         assert main(base + ["--path", "[[0,0,0],[0.1,0,0]]", "--level", level]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"input error: --level {level} is out of range 0..3" in captured.err
+        assert f"input error: level {level} is out of range 0..3" in captured.err
     for path in ("[[0,0],[0.2,0]]", "[[0,0,0],[0.2,0,0,0]]", "[]", "[[]]", "[0,0,0]", "{}"):
         assert main(base + ["--path", path]) == 1
         captured = capsys.readouterr()

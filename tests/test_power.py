@@ -6,10 +6,12 @@ from hypothesis import strategies as st
 
 from adiapower import cli, families, power
 from adiapower.entanglement import (
+    concurrence_2q,
     entropy,
     entropy_from_concurrence,
     entropy_of_spectrum,
     product_sup_concurrence,
+    product_sup_witness,
     qubit_concurrence,
 )
 from adiapower.errors import DegeneracyError, NotUnitaryError
@@ -20,6 +22,7 @@ from adiapower.families import (
     example1_family,
     example1_unitary,
     example2_family,
+    example2_max_concurrence,
     example2_product_sup_concurrence,
     example2_unitary,
     spin_half_field_family,
@@ -333,10 +336,15 @@ def test_unitary_power_is_local_unitary_invariant(seed):
 @settings(max_examples=20, derandomize=True, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_optimizer_reaches_but_never_exceeds_the_two_qubit_closed_form(seed):
-    u = haar_unitary(np.random.default_rng(seed), 4)
-    closed = product_sup_concurrence(u)
-    r = unitary_entangling_power(u, SPLIT_2Q, seed=seed % 1000)
-    assert closed - 1e-9 <= r.concurrence <= closed + 1e-12
+    # the ascent still serves every other split; on 2 x 2 stacks it checks the theorem
+    rng = np.random.default_rng(seed)
+    us = np.stack([haar_unitary(rng, 4) for _ in range(3)])
+    closed = product_sup_concurrence(us)
+    _, outputs, _, stops = power._best_products(us, SPLIT_2Q, power.DEFAULT_STARTS,
+                                                seed % 1000, 512)
+    reached = qubit_concurrence(outputs, SPLIT_2Q)
+    assert stops.all()
+    assert np.all(closed - 1e-9 <= reached) and np.all(reached <= closed + 1e-12)
 
 
 @settings(max_examples=12, derandomize=True, deadline=None)
@@ -359,6 +367,65 @@ def test_two_qubit_closed_form_equals_the_example2_oracle_on_stacks(seed):
     oracle = np.reshape([example2_product_sup_concurrence(p) for p in params], (3, 4))
     assert closed.shape == (3, 4)
     assert np.max(np.abs(closed - oracle)) <= 1e-12
+
+
+SQRT_SWAP = np.array([[1, 0, 0, 0], [0, 0.5 + 0.5j, 0.5 - 0.5j, 0],
+                      [0, 0.5 - 0.5j, 0.5 + 0.5j, 0], [0, 0, 0, 1]])
+CNOT = np.eye(4)[[0, 1, 3, 2]]
+SWAP = np.eye(4)[[0, 2, 1, 3]]
+# lam3 - lam2 = pi/4 puts exp(2i h_1), exp(2i h_2) antipodal; a perturbed
+# equilateral triple of exp(2i h_k) leaves the enclosing circle on three points
+ANTIPODAL = Example2Params(0.3, 0.1, 0.1 + np.pi / 4)
+THREE_POINT = Example2Params(np.pi / 6 + 0.05, np.pi / 2 - 0.03, np.pi / 3 + 0.02)
+
+
+def exact_two_qubit_power(u, rng):
+    """The concurrence unitary_entangling_power reports for u, after checking its
+    witness: an exact product whose spin-flip output concurrence is the closed form,
+    and the same concurrence for u moved by local unitaries on both sides."""
+    r = unitary_entangling_power(u, SPLIT_2Q)
+    assert np.linalg.svd(r.input_state.reshape(2, 2), compute_uv=False)[1] <= 1e-12
+    assert abs(concurrence_2q(u @ r.input_state) - product_sup_concurrence(u)) <= 1e-12
+    a, b, c, d = (haar_unitary(rng, 2) for _ in range(4))
+    moved = unitary_entangling_power(tensor(a, b) @ u @ tensor(c, d), SPLIT_2Q)
+    assert abs(moved.concurrence - r.concurrence) <= 1e-12
+    return r.concurrence
+
+
+@pytest.mark.parametrize("u, expected", [
+    (np.eye(4), 0.0),
+    (tensor(haar_unitary(np.random.default_rng(1), 2), haar_unitary(np.random.default_rng(2), 2)),
+     0.0),
+    (CNOT, 1.0),
+    (SWAP, 0.0),
+    (SQRT_SWAP, 1.0),
+    (example2_unitary(ANTIPODAL), 1.0),
+    (example2_unitary(THREE_POINT), 1.0),
+], ids=["identity", "local", "cnot", "swap", "sqrt-swap", "antipodal", "three-point"])
+def test_two_qubit_witness_attains_the_closed_form(u, expected):
+    assert abs(exact_two_qubit_power(u, np.random.default_rng(3)) - expected) <= 1e-12
+
+
+def test_the_three_point_case_is_beyond_the_pair_formula():
+    assert example2_max_concurrence(THREE_POINT).concurrence < 0.99
+    assert example2_product_sup_concurrence(THREE_POINT) == 1.0
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_two_qubit_witness_attains_the_closed_form_on_haar_unitaries(seed):
+    rng = np.random.default_rng(seed)
+    u = haar_unitary(rng, 4) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+    exact_two_qubit_power(u, rng)
+
+
+def test_two_qubit_witnesses_broadcast_over_stacks():
+    rng = np.random.default_rng(12)
+    us = np.stack([haar_unitary(rng, 4) for _ in range(6)]).reshape(2, 3, 4, 4)
+    stacked = product_sup_witness(us)
+    assert stacked.shape == (2, 3, 4)
+    for idx in np.ndindex(2, 3):
+        assert stacked[idx].tobytes() == product_sup_witness(us[idx]).tobytes()
 
 
 def recorded_svd_calls(monkeypatch):
@@ -443,7 +510,8 @@ def test_the_ascent_takes_its_pair_indices_once(monkeypatch):
         calls.clear()
         unitary_entangling_power(haar_unitary(np.random.default_rng(6), dims[0] * dims[1]),
                                  BipartiteSplit(*dims))
-        assert calls == [(2 * (dims[0] - 1) + 2 * (dims[1] - 1), 1)]
+        # two qubits take the closed form: no ascent
+        assert calls == ([] if dims == (2, 2) else [(2 * (dims[0] - 1) + 2 * (dims[1] - 1), 1)])
     calls.clear()
     adiabatic_entangling_power(generic_field_family(), grid_per_axis=5, refine=True)
     assert calls == [(2, 1), (2, 1)]        # one polish raises the level, one lowers it
@@ -476,11 +544,11 @@ def test_fewer_than_one_start_is_one_start():
 
 
 def test_unitary_power_reports_the_iteration_cap(monkeypatch):
-    u = haar_unitary(np.random.default_rng(4), 4)
-    full = unitary_entangling_power(u, SPLIT_2Q)
+    u = haar_unitary(np.random.default_rng(4), 6)
+    full = unitary_entangling_power(u, BipartiteSplit(2, 3))
     assert full.converged is True
     monkeypatch.setattr(power, "_ASCENT_ITERATIONS", 1)
-    capped = unitary_entangling_power(u, SPLIT_2Q)
+    capped = unitary_entangling_power(u, BipartiteSplit(2, 3))
     assert capped.converged is False
     assert capped.value <= full.value
 
@@ -501,6 +569,18 @@ def test_two_qubit_bound_check_draws_no_product_bank(monkeypatch):
     monkeypatch.setattr(power, "_random_product_bank", forbidden)
     for fam in (example0_family(), example1_family(), example2_family()):
         assert bound_check(fam, grid_per_axis=9).holds
+
+
+def test_two_qubit_unitary_power_draws_no_product_bank_and_runs_no_ascent(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the product-input ascent ran")
+
+    monkeypatch.setattr(power, "_random_product_bank", forbidden)
+    monkeypatch.setattr(power, "_ascend", forbidden)
+    u = haar_unitary(np.random.default_rng(9), 4)
+    r = unitary_entangling_power(u, SPLIT_2Q)
+    assert r.converged is True
+    assert abs(r.concurrence - product_sup_concurrence(u)) <= 1e-12
 
 
 def test_bound_check_rejects_a_family_unitary_that_is_not_unitary():
