@@ -202,7 +202,7 @@ def _load_custom_spec(spec: dict):
         raise ValueError(f"split must be two integers [dim_a, dim_b], got {dims!r}")
     split = BipartiteSplit(*dims)
     split.check(h_base.shape[0])
-    cluster_tol = float(spec.get("cluster_tol", DEFAULT_CLUSTER_TOL))
+    cluster_tol = float(_spec_numbers(spec, "cluster_tol").get("cluster_tol", DEFAULT_CLUSTER_TOL))
     if not linalg.is_hermitian(h_base):
         raise NotHermitianError("base_hamiltonian is not Hermitian")
     for k, g in enumerate(gens):

@@ -120,6 +120,16 @@ def eig_hermitian(h):
     return vals, vecs
 
 
+def eig_clustered(h, cluster_tol: float):
+    """eig_hermitian(h) and the thresholds cluster_tol * max(1, max|E|) (...) below
+    which a gap is degenerate; a cluster_tol that is not positive and finite is
+    a ValueError, raised before h is diagonalized."""
+    if not 0.0 < cluster_tol < np.inf:
+        raise ValueError(f"cluster_tol must be positive and finite, got {cluster_tol!r}")
+    vals, vecs = eig_hermitian(h)
+    return vals, vecs, cluster_tol * np.maximum(1.0, np.abs(vals).max(axis=-1, initial=0.0))
+
+
 def expm_skew(k) -> np.ndarray:
     """exp(i*k) for Hermitian k, computed through the eigendecomposition.
 

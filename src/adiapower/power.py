@@ -96,8 +96,8 @@ class HamiltonianFamily:
             energies = np.empty(vecs.shape[:-1])
             energies[...] = iso.base_energies
             return energies, vecs
-        vals, vecs = linalg.eig_hermitian(self.evaluate(lam))
-        _check_gaps(vals, DEFAULT_CLUSTER_TOL, lam)
+        vals, vecs, thresholds = linalg.eig_clustered(self.evaluate(lam), DEFAULT_CLUSTER_TOL)
+        _check_gaps(vals, thresholds, lam)
         return vals, vecs
 
     def check_level(self, level) -> None:
@@ -106,13 +106,11 @@ class HamiltonianFamily:
             raise ValueError(f"level {level} is out of range 0..{self.dim - 1}")
 
 
-def _check_gaps(vals, cluster_tol, points):
-    """DegeneracyError at the first point (..., p) whose energies (..., D) nearly cross.
-
-    The message gives the point, its smallest gap and the threshold it fell below.
-    """
+def _check_gaps(vals, thresholds, points):
+    """DegeneracyError at the first point (..., p) whose energies (..., D) have a
+    gap below its threshold (...) from linalg.eig_clustered; the message gives
+    the point, its smallest gap and the threshold it fell below."""
     gaps = (vals[..., 1:] - vals[..., :-1]).min(axis=-1, initial=np.inf)
-    thresholds = cluster_tol * np.maximum(1.0, np.abs(vals).max(axis=-1))
     collapsed = gaps < thresholds
     if collapsed.any():
         at = np.unravel_index(np.argmax(collapsed), collapsed.shape)
@@ -134,10 +132,8 @@ def iso_spectral_family(h_base, unitary: Callable[[np.ndarray], np.ndarray],
     is the parameter point whose eigenvectors are products.  cluster_tol
     must be positive and finite (ValueError otherwise).
     """
-    if not 0.0 < cluster_tol < np.inf:
-        raise ValueError(f"cluster_tol must be positive and finite, got {cluster_tol!r}")
-    energies, vectors = linalg.eig_hermitian(h_base)
-    _check_gaps(energies, cluster_tol, np.asarray(base_point, dtype=float))
+    energies, vectors, threshold = linalg.eig_clustered(h_base, cluster_tol)
+    _check_gaps(energies, threshold, np.asarray(base_point, dtype=float))
 
     def evaluate(lam):
         u = unitary(lam)
@@ -175,16 +171,16 @@ def _entropies_many(states: np.ndarray, split: BipartiteSplit) -> np.ndarray:
 def eigenstate_track(fam: HamiltonianFamily, level: int, path) -> list:
     """Gauge-aligned eigenvectors of one energy level along a parameter path.
 
-    The path's points are diagonalized in one call.  Each vector's global
-    phase is fixed so its overlap with the previous one is real positive.
+    The path's points are diagonalized in one call.  Each vector's overlap with
+    the previous one is made real positive by the cumulative product of the
+    conjugate unit overlaps (1 where zero), renormalized to modulus 1.
     """
     fam.check_level(level)
-    _, vecs = fam.eigensystem(np.asarray(path, dtype=float))
-    out = list(vecs[:1, :, level])
-    for v in vecs[1:, :, level]:
-        ov = np.vdot(out[-1], v)
-        out.append(v * (ov.conjugate() / abs(ov)) if abs(ov) > 0 else v)
-    return out
+    track = fam.eigensystem(np.asarray(path, dtype=float))[1][..., level]
+    ov = np.sum(track[:-1] * track[1:].conj(), axis=-1)     # conjugate overlaps
+    unit = np.divide(ov, np.abs(ov), out=np.ones_like(ov), where=ov != 0)
+    gauge = np.cumprod(np.concatenate([[1.0], unit]))
+    return list(track * (gauge / np.abs(gauge))[:, None])
 
 
 @dataclass(frozen=True)

@@ -184,6 +184,15 @@ def _step_unitaries(fam: HamiltonianFamily, path: ParameterPath, steps: int) -> 
     return vecs @ vd
 
 
+def _node_chain(fam: HamiltonianFamily, path: ParameterPath, steps: int):
+    """Eigensystem at the nodes s = k / steps from one call, with each level's
+    dynamical phase -sum_{k >= 1} E_k dt (summed in order, so no pairwise
+    summation order enters) and open-chain Pancharatnam phase."""
+    vals, vecs = fam.eigensystem(_points(fam, path, np.arange(steps + 1) / steps))
+    dynamical = 0.0 - np.cumsum(vals[1:] * (path.duration / steps), axis=0)[-1]
+    return vals, vecs, dynamical, pancharatnam_phase(np.moveaxis(vecs, -1, 0), closed=False)
+
+
 def propagate(fam: HamiltonianFamily, path: ParameterPath, psi0,
               steps: int = DEFAULT_STEPS) -> AdiabaticRunRecord:
     """Integrate the Schrodinger equation along the path from an eigenstate.
@@ -191,48 +200,39 @@ def propagate(fam: HamiltonianFamily, path: ParameterPath, psi0,
     The initial state must overlap an eigenvector of the Hamiltonian at the
     start of the path by at least 1 - _EIGENSTATE_TOL (NotAnEigenstateError
     otherwise); the run tracks the matching instantaneous eigenstate for the
-    fidelity series.  Every Hamiltonian the run needs (midpoint steps, the
-    adiabaticity diagnostic) is built from the family's eigensystem, taken
-    in one call for the steps + 1 time nodes and one for the midpoints.
+    fidelity series, one stacked overlap with all states.  Every Hamiltonian
+    the run needs (midpoint steps, the adiabaticity diagnostic) is built from
+    the family's eigensystem, taken in one call for the steps + 1 time nodes
+    and one for the midpoints.  The geometric phase of a generic family on an
+    open path depends on LAPACK's gauge and is reported as 0.
     """
     step_unitaries = _step_unitaries(fam, path, steps)
     psi = np.asarray(psi0, dtype=complex)
     psi = psi / np.linalg.norm(psi)
-    t_total = path.duration
-    dt = t_total / steps
+    dt = path.duration / steps
 
-    vals, vecs = fam.eigensystem(_points(fam, path, np.arange(steps + 1) / steps))
+    vals, vecs, dynamical, geometric = _node_chain(fam, path, steps)
     overlaps = np.abs(dagger(vecs[0]) @ psi)
     level = int(np.argmax(overlaps))
     if overlaps[level] < 1.0 - _EIGENSTATE_TOL:
-        raise NotAnEigenstateError(
-            f"initial state overlaps the closest eigenstate by only {overlaps[level]:.6f}"
-        )
-    track = vecs[..., level]
+        raise NotAnEigenstateError(f"initial state overlaps the closest eigenstate "
+                                   f"by only {overlaps[level]:.6f}")
 
-    times = np.linspace(0.0, t_total, steps + 1)
     states = np.empty((steps + 1, fam.dim), dtype=complex)
-    fidelity = np.empty(steps + 1)
     states[0] = psi
-    fidelity[0] = overlaps[level] ** 2
     for k, step in enumerate(step_unitaries, 1):
-        psi = step @ psi
-        states[k] = psi
-        fidelity[k] = abs(np.vdot(track[k], psi)) ** 2
+        states[k] = psi = step @ psi
+    fidelity = np.abs(np.sum(vecs[..., level].conj() * states, axis=1)) ** 2
 
-    # Sequential sum, so the phase does not depend on a pairwise summation order.
-    dynamical = float(0.0 - np.cumsum(vals[1:, level] * dt)[-1])
     hams = (vecs * vals[..., None, :]) @ dagger(vecs)
     gaps = (vals[:, 1:] - vals[:, :-1]).min(axis=-1, initial=np.inf)
     hdot = np.linalg.norm(hams[1:] - hams[:-1], 2, axis=(-2, -1)) / dt
     adiabaticity = float(np.max(hdot / np.minimum(gaps[1:], gaps[:-1]) ** 2))
 
-    if fam.iso_spectral_form is not None or path.closed:
-        geometric = pancharatnam_phase(track, closed=False)
-    else:
-        geometric = 0.0
+    tracked = fam.iso_spectral_form is not None or path.closed
     norm_drift = float(np.max(np.abs(np.linalg.norm(states, axis=1) - 1.0)))
-    return AdiabaticRunRecord(times, states, fidelity, dynamical, geometric,
+    return AdiabaticRunRecord(np.linspace(0.0, path.duration, steps + 1), states, fidelity,
+                              float(dynamical[level]), float(geometric[level]) if tracked else 0.0,
                               states[-1], level, adiabaticity, norm_drift)
 
 
@@ -284,10 +284,7 @@ def decompose_uad(fam: HamiltonianFamily, path: ParameterPath,
     if fam.iso_spectral_form is None:
         raise ValueError("decompose_uad needs an iso-spectral family")
     u = propagate_unitary(fam, path, steps)
-    vals, vecs = fam.eigensystem(_points(fam, path, np.arange(steps + 1) / steps))
-    # Sequential sum, as in propagate.
-    dynamical = 0.0 - np.cumsum(vals[1:] * (path.duration / steps), axis=0)[-1]
-    geometric = pancharatnam_phase(np.moveaxis(vecs, -1, 0), closed=False)
+    _, vecs, dynamical, geometric = _node_chain(fam, path, steps)
     predicted = vecs[-1] * np.exp(1j * (dynamical + geometric))
     residuals = np.linalg.norm(u @ vecs[0] - predicted, axis=0)
     return [LevelPhaseReport(j, float(dynamical[j]), float(geometric[j]), float(residuals[j]))
@@ -310,8 +307,8 @@ class GateSynthesisResult:
         return abs(self.nontriviality) > _ENTANGLING_TOL
 
 
-def _wrap(x: float) -> float:
-    return float(np.angle(np.exp(1j * x)))
+def _wrap(x):
+    return np.angle(np.exp(1j * x))
 
 
 def synthesize_controlled_phase(loop: ParameterPath,
@@ -342,15 +339,14 @@ def synthesize_controlled_phase(loop: ParameterPath,
 
     base_vecs = fam.iso_spectral_form.base_vectors
     labels = tuple(format(int(i), "02b") for i in np.argmax(np.abs(base_vecs), axis=0))
-    amps = [np.vdot(e, u_full @ e) for e in v_start.T]
-    phases = {label: float(np.angle(amp)) for label, amp in zip(labels, amps)}
-    dynamical = {label: _wrap(-energy * loop.duration) for label, energy in zip(labels, energies)}
+    moved = u_full @ v_start
+    amps = np.sum(v_start.conj() * moved, axis=0)
+    angles = np.angle(amps)
+    phases = dict(zip(labels, angles.tolist()))
+    dynamical = dict(zip(labels, _wrap(-energies * loop.duration).tolist()))
     geometric = dict(zip(labels, pancharatnam_phase(np.moveaxis(chain, -1, 0)).tolist()))
-    residual = max(0.0, *(float(np.linalg.norm(u_full @ e - amp * e))
-                          for e, amp in zip(v_start.T, amps)))
-    nontriv = _wrap(phases["01"] + phases["10"] - phases["00"] - phases["11"])
-    gate = np.zeros((4, 4), dtype=complex)
-    for e, label in zip(v_start.T, labels):
-        gate += np.exp(1j * phases[label]) * np.outer(e, e.conj())
+    residual = float(np.linalg.norm(moved - v_start * amps, axis=0).max())
+    nontriv = float(_wrap(phases["01"] + phases["10"] - phases["00"] - phases["11"]))
+    gate = (v_start * np.exp(1j * angles)) @ dagger(v_start)
     return GateSynthesisResult(labels, phases, dynamical, geometric, nontriv,
                                gate, u_full, residual, loop.duration)

@@ -61,12 +61,8 @@ def spectral_resolution(h, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> Spectral
     are merged into one degenerate level; cluster_tol must be positive and
     finite (ValueError otherwise).
     """
-    if not 0.0 < cluster_tol < np.inf:
-        raise ValueError(f"cluster_tol must be positive and finite, got {cluster_tol!r}")
-    vals, vecs = linalg.eig_hermitian(h)
+    vals, vecs, thresh = linalg.eig_clustered(h, cluster_tol)
     vecs = _fix_phases(vecs)
-    scale = max(1.0, np.max(np.abs(vals)) if len(vals) else 1.0)
-    thresh = cluster_tol * scale
     edges = [0, *(np.flatnonzero(np.diff(vals) >= thresh) + 1).tolist(), len(vals)]
     levels = list(zip(edges[:-1], edges[1:]))
     return SpectralResolution(

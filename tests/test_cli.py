@@ -531,6 +531,18 @@ def test_cluster_tol_not_positive_and_finite_is_an_input_error(tmp_path, capsys,
             "input error: cluster_tol must be positive and finite"), err
 
 
+@pytest.mark.parametrize("cluster_tol", ["1e-8", True, None, [1e-8]])
+def test_custom_spec_cluster_tol_that_is_not_a_number_is_an_input_error(tmp_path, capsys,
+                                                                        cluster_tol):
+    spec = write_json(tmp_path / "spec.json", {
+        "kind": "custom", "base_hamiltonian": pairs(np.diag([0.0, 1e-3, 1.0, 2.0])),
+        "generators": [pairs(tensor(SIGMA_X, SIGMA_X))], "bounds": [[0.0, 1.0]],
+        "split": [2, 2], "cluster_tol": cluster_tol})
+    assert main(["power", spec, "--grid", "3"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("input error: cluster_tol must be a number"), err
+
+
 def test_custom_spec_degenerate_base_aborts(tmp_path, capsys):
     spec = {
         "kind": "custom",

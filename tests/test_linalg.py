@@ -245,8 +245,8 @@ def test_only_tolerances_a_caller_sets_are_parameters():
                     found |= {f"{module.__name__.split('.')[-1]}.{qualname}({p})"
                               for p in inspect.signature(f).parameters if "tol" in p}
     assert found == {
+        "linalg.eig_clustered(cluster_tol)",
         "linalg.is_hermitian(tol)",
-        "power._check_gaps(cluster_tol)",
         "power.iso_spectral_family(cluster_tol)",
         "spectral._resolve_pair(cluster_tol)",
         "spectral.build_connecting_family(cluster_tol)",

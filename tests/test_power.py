@@ -4,7 +4,7 @@ import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adiapower import cli, families, power
+from adiapower import cli, families, linalg, power
 from adiapower.entanglement import (
     concurrence_2q,
     entropy,
@@ -125,6 +125,49 @@ def test_eigenstate_track_example0_stays_bell():
     for level in range(4):
         for v in eigenstate_track(fam, level, path):
             assert abs(entropy(v, SPLIT_2Q) - 1.0) < 1e-9
+
+
+def generic_2x3_family():
+    """H0 + a H1 + b H2 with random Hermitian 6 x 6 H_k, diagonalized by LAPACK."""
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((3, 6, 6)) + 1j * rng.standard_normal((3, 6, 6))
+    h = x + linalg.dagger(x)
+
+    def evaluate(lam):
+        lam = np.asarray(lam, dtype=float)
+        return h[0] + lam[..., 0, None, None] * h[1] + lam[..., 1, None, None] * h[2]
+
+    return HamiltonianFamily(np.array([[0.0, 0.3], [0.0, 0.3]]), evaluate, BipartiteSplit(2, 3))
+
+
+def assert_aligned(track):
+    """Consecutive overlaps real positive and every vector a unit vector."""
+    ov = np.array([np.vdot(v, w) for v, w in zip(track[:-1], track[1:])])
+    assert np.all(ov.real > 0) and np.max(np.abs(ov.imag)) <= 1e-13
+    assert np.max(np.abs(np.linalg.norm(track, axis=1) - 1.0)) <= 1e-14
+
+
+def test_eigenstate_track_does_not_depend_on_the_gauge(monkeypatch):
+    fam = generic_2x3_family()
+    path = np.linspace(fam.bounds[:, 0], fam.bounds[:, 1], 10**4)
+    reference = [np.array(eigenstate_track(fam, level, path)) for level in range(fam.dim)]
+    rng = np.random.default_rng(9)
+    eig_hermitian = linalg.eig_hermitian
+
+    def rephased(h):
+        vals, vecs = eig_hermitian(h)
+        return vals, vecs * np.exp(2j * np.pi * rng.random(vals.shape))[..., None, :]
+
+    monkeypatch.setattr(linalg, "eig_hermitian", rephased)
+    for level, ref in enumerate(reference):
+        track = np.array(eigenstate_track(fam, level, path))
+        phase = np.vdot(ref[0], track[0])
+        assert np.max(np.abs(track - phase * ref)) <= 1e-12
+        assert_aligned(track)
+    fam = example1_family()
+    path = np.linspace(fam.bounds[:, 0], fam.bounds[:, 1], 10**4)
+    for level in range(fam.dim):
+        assert_aligned(np.array(eigenstate_track(fam, level, path)))
 
 
 def test_entropy_sweep_argmax_consistency():

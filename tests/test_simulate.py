@@ -517,3 +517,35 @@ def test_gate_phase_symmetries():
     # geometric part magnitude from the pseudo-spin solid-angle oracle
     oracle = 2 * np.pi * np.sin(1.0) ** 2 * np.sin(np.pi / 3) ** 2
     assert abs(abs(np.angle(np.exp(1j * oracle))) - abs(res.geometric["01"])) < 1e-6
+
+
+@pytest.mark.parametrize("make_case", [
+    lambda: (example1_family(),
+             line_path([0.0, 0.0, 0.0], [np.pi / 16, 0.0, 0.0], 20.0, "smoothstep")),
+    lambda: (random_iso_family(np.random.default_rng(6), BipartiteSplit(2, 3)),
+             line_path([0.0, 0.0], [0.3, 0.2], 20.0, "smoothstep")),
+])
+def test_stacked_fidelity_matches_a_vdot_per_step(make_case):
+    fam, path = make_case()
+    steps = 400
+    _, v_start = fam.eigensystem(path.gamma(0.0))
+    rec = propagate(fam, path, v_start[:, 1], steps)
+    _, vecs = fam.eigensystem(path.gamma(np.arange(steps + 1) / steps))
+    expected = [abs(np.vdot(vecs[k, :, rec.level], rec.states[k])) ** 2 for k in range(steps + 1)]
+    assert np.max(np.abs(rec.instantaneous_fidelity - expected)) <= 1e-14
+
+
+@pytest.mark.parametrize("make_loop", [circle_loop, retrace_circle_loop])
+def test_stacked_gate_matches_per_eigenvector_references(make_loop):
+    loop = make_loop(np.pi / 3.0, 1.0, 200.0)          # the gate command's default loops
+    res = synthesize_controlled_phase(loop, steps=400)
+    _, v_start = example1_family().eigensystem(loop.gamma(0.0))
+    u = res.propagator
+    amps = [np.vdot(e, u @ e) for e in v_start.T]
+    for label, amp in zip(res.labels, amps):
+        assert abs(np.angle(np.exp(1j * (res.phases[label] - np.angle(amp))))) <= 1e-14
+    residual = max(np.linalg.norm(u @ e - amp * e) for e, amp in zip(v_start.T, amps))
+    assert abs(res.diagonal_residual - residual) <= 1e-14
+    gate = sum(np.exp(1j * np.angle(amp)) * np.outer(e, e.conj())
+               for e, amp in zip(v_start.T, amps))
+    assert np.max(np.abs(res.gate - gate)) <= 1e-14
