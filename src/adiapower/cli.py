@@ -103,9 +103,35 @@ def to_pairs(a) -> list:
     return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
-def parse_complex_matrix(nested) -> np.ndarray:
-    """Nested lists of [re, im] pairs -> complex ndarray."""
-    arr = np.asarray(nested, dtype=float)
+def _is_number(x) -> bool:
+    """A JSON number: an int or a float, not a boolean."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _number_array(nested, key: str) -> np.ndarray:
+    """Nested JSON lists of numbers -> float ndarray.  A leaf that is a string,
+    boolean, null or object, or an integer too large for a float, is a
+    ValueError that names key."""
+    level = [nested]
+    while level:                          # one nesting level at a time, in reading order
+        deeper = []
+        for x in level:
+            t = type(x)                   # exact-type tests first: the common JSON case, cheaply
+            if t is list:
+                deeper += x
+            elif t is not float and t is not int and not _is_number(x):
+                raise ValueError(f"{key} must hold only numbers, got {x!r}")
+        level = deeper
+    try:
+        return np.asarray(nested, dtype=float)
+    except OverflowError:
+        raise ValueError(f"{key} holds an integer too large for a float") from None
+
+
+def parse_complex_matrix(nested, key: str) -> np.ndarray:
+    """Nested lists of [re, im] pairs -> complex ndarray (a non-number leaf is a
+    ValueError that names key)."""
+    arr = _number_array(nested, key)
     if arr.ndim != 3 or arr.shape[-1] != 2:
         raise ValueError("matrix entries must be [re, im] pairs")
     return arr[..., 0] + 1j * arr[..., 1]
@@ -115,7 +141,7 @@ def parse_state(text: str, split: BipartiteSplit) -> np.ndarray:
     """Input state: computational-basis label (e.g. '01') or JSON amplitude list."""
     text = text.strip()
     if text.startswith("["):
-        arr = np.asarray(json.loads(text), dtype=float)
+        arr = _number_array(json.loads(text), "input state")
         if arr.ndim != 2 or arr.shape != (split.dim, 2):
             raise ValueError(f"amplitude list must be {split.dim} [re, im] pairs")
         return linalg.normalize(arr[:, 0] + 1j * arr[:, 1])
@@ -131,8 +157,10 @@ def load_hermitian(path: str) -> np.ndarray:
     with open(path) as f:
         data = json.load(f)
     if isinstance(data, dict):
+        if "matrix" not in data:
+            raise ValueError(f"{path}: matrix object is missing key 'matrix'")
         data = data["matrix"]
-    h = parse_complex_matrix(data)
+    h = parse_complex_matrix(data, f"{path}: matrix")
     if not linalg.is_hermitian(h):
         raise NotHermitianError(f"{path}: matrix is not Hermitian")
     return h
@@ -152,7 +180,7 @@ def _spec_numbers(spec: dict, *keys: str) -> dict:
     """The given keys present in spec, whose values must be JSON numbers."""
     numbers = {key: spec[key] for key in keys if key in spec}
     for key, value in numbers.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
+        if not _is_number(value):
             raise ValueError(f"{key} must be a number, got {value!r}")
     return numbers
 
@@ -160,7 +188,7 @@ def _spec_numbers(spec: dict, *keys: str) -> dict:
 def _spec_bounds(value, rows: int) -> np.ndarray:
     """A spec's parameter box, which must be ``rows`` [lo, hi] rows (the
     family checks that they are finite with lo <= hi)."""
-    bounds = np.asarray(value, dtype=float)
+    bounds = _number_array(value, "bounds")
     if bounds.shape != (rows, 2):
         raise ValueError(f"bounds must be {rows} [lo, hi] rows, got {value!r}")
     return bounds
@@ -175,7 +203,8 @@ def load_family_spec(path: str):
                          f"got {type(spec).__name__}")
     kind = spec.get("kind")
     if kind in BUILTIN_BOUNDS:
-        bounds = _spec_bounds(spec.get("bounds", BUILTIN_BOUNDS[kind]), len(BUILTIN_BOUNDS[kind]))
+        default = BUILTIN_BOUNDS[kind]
+        bounds = _spec_bounds(spec["bounds"], len(default)) if "bounds" in spec else default
         if kind == "builtin:example0":
             fam = example0_family(bounds)
         elif kind == "builtin:example1":
@@ -186,13 +215,16 @@ def load_family_spec(path: str):
         config["bounds"] = bounds.tolist()
         return fam, config
     if kind == "custom":
+        for key in ("base_hamiltonian", "generators", "bounds", "split"):    # required
+            if key not in spec:
+                raise ValueError(f"{path}: custom spec is missing key {key!r}")
         return _load_custom_spec(spec)
     raise ValueError(f"unknown family kind {kind!r}")
 
 
 def _load_custom_spec(spec: dict):
-    h_base = parse_complex_matrix(spec["base_hamiltonian"])
-    gens = np.asarray(spec["generators"], dtype=float)
+    h_base = parse_complex_matrix(spec["base_hamiltonian"], "base_hamiltonian")
+    gens = _number_array(spec["generators"], "generators")
     if gens.shape[1:] != h_base.shape + (2,):
         raise ValueError(f"generators must be a list of {h_base.shape} matrices of [re, im] pairs")
     gens = gens[..., 0] + 1j * gens[..., 1]
@@ -208,7 +240,8 @@ def _load_custom_spec(spec: dict):
     for k, g in enumerate(gens):
         if not linalg.is_hermitian(g):
             raise NotHermitianError(f"generator {k} is not Hermitian")
-    base_point = np.asarray(spec.get("base_point", np.zeros(len(gens))), dtype=float)
+    base_point = _number_array(spec["base_point"], "base_point") if "base_point" in spec \
+        else np.zeros(len(gens))
     if base_point.shape != (len(gens),):
         raise ValueError(f"base_point must have {len(gens)} entries, one per generator")
 

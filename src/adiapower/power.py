@@ -10,7 +10,10 @@ refined by one batched multi-start Newton ascent (``_ascend``) in the
 parameter box or over the unit factor vectors.  On a 2 x d or d x 2 split
 (3 <= d <= 12) the product-input ascent climbs the concurrence
 (entanglement.qubit_concurrence), which takes no SVD; the reported values
-are entropies.
+are entropies.  The product-input ascent of a unitary ends once one of its
+starts is within 4 eps of the score's bound (concurrence 1, or
+log2(min(d_A, d_B)) bits); such a value is the supremum, to the gain rule's
+4 eps.
 """
 
 from __future__ import annotations
@@ -394,19 +397,30 @@ def _ascent_step(grad, hess, radius):
     return (vec @ coef[:, :, None])[:, :, 0], np.abs(coef).max(axis=1), model_gain
 
 
-def _ascend(objective, chart, state, n: int):
+def _ascend(objective, chart, state, n: int, ceiling: float | None = None, group: int = 1):
     """Damped-Newton ascent from all starts ``state`` (a tuple of arrays (k, ...),
     moved in place); ``chart(*rows)`` maps offsets z (..., m, n) around rows
     to candidate tuples (k, m, ...) that ``objective(starts, *candidates)``
     scores as (k, m), ``starts`` (k,) being the indices of the rows.  A
     start stops once an accepted step gains at most 4 eps, or a rejected
-    step's model promises no more; returns the values (k,) and which starts
-    were still active at the iteration cap (k,)."""
+    step's model promises no more.  Given the objective's upper bound
+    ``ceiling``, the starts also stop in runs of ``group`` (starts // group
+    is the run) once the run's best value is within 4 eps of it, checked on
+    the starting values and after each iteration's moves: no start of the
+    run can then gain more than the gain rule resolves.  Returns the values
+    (k,) and which starts were still active at the iteration cap (k,)."""
     pairs = np.triu_indices(n, 1)
     offsets = _stencil(n, _STENCIL_H, pairs)
     value = objective(np.arange(len(state[0])), *(s[:, None] for s in state))[:, 0]
     radius = np.full(len(value), _MAX_STEP)
     active = np.ones(len(value), dtype=bool)
+
+    def stop_at_ceiling():
+        if ceiling is not None:
+            full = value.reshape(-1, group).max(axis=1) >= ceiling - _ASCENT_GAIN
+            active[np.repeat(full, group)] = False
+
+    stop_at_ceiling()
     for _ in range(_ASCENT_ITERATIONS):
         k = np.flatnonzero(active)
         if not len(k):
@@ -427,12 +441,14 @@ def _ascend(objective, chart, state, n: int):
         radius[k[~moved]] = 0.25 * length[~moved]
         # a rejected step stops its start once its model gain is negligible
         active[k[np.where(moved, gain, model_gain) <= _ASCENT_GAIN]] = False
+        stop_at_ceiling()
     return value, active
 
 
 @dataclass(frozen=True)
 class UnitaryPowerResult:
-    value: float                          # witness output entropy: exact for 2 x 2, else a lower bound
+    value: float                          # witness output entropy: exact for 2 x 2, else a lower
+                                          # bound (the supremum to 4 eps at log2(min(d_A, d_B)))
     concurrence: float | None             # witness output concurrence, 2 x 2 only
     input_state: np.ndarray               # witness product input
     output_state: np.ndarray
@@ -444,14 +460,18 @@ class UnitaryPowerResult:
 
 def _best_products(us, split: BipartiteSplit, starts: int, seed: int, coarse: int):
     """Product-input ascent: inputs (m, D), outputs (m, D), entropies (m,) and
-    gain-rule stops (m,) for each of a stack of unitaries (m, D, D), from one
-    shared bank and one batched ascent of all starts (unitary_entangling_power
-    and bound_check use it on splits other than 2 x 2)."""
+    stops (m,) for each of a stack of unitaries (m, D, D), from one shared
+    bank and one batched ascent of all starts (unitary_entangling_power and
+    bound_check use it on splits other than 2 x 2).  A unitary's starts all
+    stop once its best one is within 4 eps of the score's bound (concurrence
+    1, or log2(min(d_A, d_B)) bits); that stop counts as converged, and the
+    value is then the supremum to the gain rule's 4 eps."""
     # one score ranks the bank and is ascended: monotone in the entropy, and
     # free of SVDs (the concurrence) when the smaller factor is a qubit
     small, large = sorted((split.dim_a, split.dim_b))
     minors = small == 2 and large <= _MINORS_MAX_DIM
     score = partial(entanglement.qubit_concurrence if minors else entanglement.entropy, split=split)
+    ceiling = 1.0 if minors else float(np.log2(small))
     bank, fa, fb = _random_product_bank(np.random.default_rng(seed), split, coarse)
     transposed = np.swapaxes(us, -1, -2)
     top = np.argsort(score(bank @ transposed), axis=-1)[:, ::-1][:, :max(starts, 1)]
@@ -466,7 +486,7 @@ def _best_products(us, split: BipartiteSplit, starts: int, seed: int, coarse: in
         return lambda z: (_chart(a, basis_a, z[..., :na]), _chart(b, basis_b, z[..., na:]))
 
     na = 2 * (split.dim_a - 1)
-    value, active = _ascend(objective, chart, (a, b), na + 2 * (split.dim_b - 1))
+    value, active = _ascend(objective, chart, (a, b), na + 2 * (split.dim_b - 1), ceiling, k)
     best = np.arange(m) * k + np.argmax(value.reshape(m, k), axis=1)
     inputs = product_state(a[best], b[best])
     outputs = (us @ inputs[..., None])[..., 0]
@@ -487,10 +507,13 @@ def unitary_entangling_power(u, split: BipartiteSplit,
     ``coarse`` product states (at least one, else ValueError) seed the batched
     ascent of the objective in the tangent chart of each factor; the bank is
     ranked and ascended by the concurrence on a 2 x d or d x 2 split with
-    3 <= d <= 12 (no SVD), by the SVD entropy otherwise.  ``converged``
-    reports whether the winning start stopped by the gain rule rather than at
-    the iteration cap.  The value, the entropy of the witness output, is then
-    a lower bound on the supremum, returned with its product witness.
+    3 <= d <= 12 (no SVD), by the SVD entropy otherwise.  All starts stop
+    once the best is within 4 eps of that score's bound (concurrence 1, or
+    log2(min(d_A, d_B)) bits).  ``converged`` reports whether the winning
+    start stopped by the gain rule or at that bound rather than at the
+    iteration cap.  The value, the entropy of the witness output, is then a
+    lower bound on the supremum, returned with its product witness; a value
+    that reached the bound is the supremum, to the gain rule's 4 eps.
     """
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or not linalg.is_unitary(u):
@@ -558,7 +581,9 @@ def bound_check(fam: HamiltonianFamily,
     unitaries built SWEEP_CHUNK points at a time: exact for a 2 x 2 split
     (the entropy of entanglement.product_sup_concurrence), else a lower bound
     from one ascent per chunk as in unitary_entangling_power (by the
-    concurrence, without SVDs, on a 2 x d or d x 2 split with 3 <= d <= 12),
+    concurrence, without SVDs, on a 2 x d or d x 2 split with 3 <= d <= 12;
+    each unitary's starts stop at the bound log2(min(d_A, d_B)), where its
+    power is the supremum to 4 eps, exactly as its call alone would),
     the only use of ``seed``, ``coarse`` and ``starts``; there ``coarse``
     below 1 is a ValueError, raised before any work.  The left-hand side is the refined
     adiabatic_entangling_power, a lower bound; ``holds`` is lhs <= rhs + 1e-6.

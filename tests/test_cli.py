@@ -543,6 +543,78 @@ def test_custom_spec_cluster_tol_that_is_not_a_number_is_an_input_error(tmp_path
     assert out == "" and err.startswith("input error: cluster_tol must be a number"), err
 
 
+def custom_spec(**change):
+    spec = {"kind": "custom",
+            "base_hamiltonian": pairs(2 * tensor(SIGMA_Z, ID2) + tensor(ID2, SIGMA_Z)),
+            "generators": [pairs(tensor(SIGMA_X, SIGMA_X))],
+            "bounds": [[0.0, 1.0]],
+            "split": [2, 2]}
+    return {**spec, **change}
+
+
+def with_leaf(nested, leaf):
+    """A copy of nested lists whose first number is replaced by leaf."""
+    nested = json.loads(json.dumps(nested))
+    row = nested
+    while isinstance(row[0], list):
+        row = row[0]
+    row[0] = leaf
+    return nested
+
+
+@pytest.mark.parametrize("leaf", ["0", True, None, {"re": 0}])
+def test_a_spec_number_that_is_not_a_json_number_is_an_input_error_naming_its_key(
+        tmp_path, capsys, leaf):
+    good = custom_spec(base_point=[0.0])
+    cases = [({"kind": "builtin:example2", "bounds": with_leaf([[0, 1], [0, 1]], leaf)}, "bounds"),
+             ({"kind": "builtin:example0", "bounds": with_leaf([[0, 1]] * 3, leaf)}, "bounds")]
+    cases += [(custom_spec(**{key: with_leaf(good[key], leaf)}), key)
+              for key in ("base_hamiltonian", "generators", "bounds", "base_point")]
+    for k, (spec, key) in enumerate(cases):
+        path = write_json(tmp_path / f"leaf{k}.json", spec)
+        for argv in (["power", path, "--grid", "3"], ["sweep", path, "--input-state", "01"]):
+            assert main(argv) == 1, (spec, argv)
+            out, err = capsys.readouterr()
+            assert out == "" and err == f"input error: {key} must hold only numbers, got {leaf!r}\n"
+    assert main(["power", write_json(tmp_path / "good.json", good), "--grid", "3"]) == 0
+
+
+@pytest.mark.parametrize("leaf", ["0", False, None, 10**400])
+def test_a_matrix_or_amplitude_that_is_not_a_json_number_is_an_input_error(
+        tmp_path, capsys, specs, leaf):
+    good = pairs(np.diag([0.0, 1, 1, 1]))
+    listed = write_json(tmp_path / "listed.json", with_leaf(good, leaf))
+    wrapped = write_json(tmp_path / "wrapped.json", {"matrix": with_leaf(good, leaf)})
+    amplitudes = json.dumps(with_leaf(pairs([ket("01")])[0], leaf))
+    for argv, key in ((["connectible", listed, listed], f"{listed}: matrix"),
+                      (["connectible", wrapped, wrapped], f"{wrapped}: matrix"),
+                      (["sweep", specs["example1"], "--input-state", amplitudes], "input state")):
+        assert main(argv) == 1, argv
+        out, err = capsys.readouterr()
+        message = "holds an integer too large for a float" if leaf == 10**400 \
+            else f"must hold only numbers, got {leaf!r}"
+        assert out == "" and err == f"input error: {key} {message}\n", err
+
+
+@pytest.mark.parametrize("key", ["base_hamiltonian", "generators", "bounds", "split"])
+def test_a_custom_spec_without_a_required_key_names_the_file_and_the_key(tmp_path, capsys, key):
+    spec = custom_spec()
+    del spec[key]
+    path = write_json(tmp_path / "partial.json", spec)
+    assert main(["power", path, "--grid", "3"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"input error: {path}: custom spec is missing key {key!r}\n"
+
+
+def test_a_matrix_object_without_its_matrix_key_names_the_file(tmp_path, capsys):
+    good = write_json(tmp_path / "good.json", {"matrix": pairs(np.diag([0.0, 1, 1, 1]))})
+    bad = write_json(tmp_path / "bad.json", {"matrx": pairs(np.diag([0.0, 1, 1, 1]))})
+    assert main(["connectible", good, bad]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"input error: {bad}: matrix object is missing key 'matrix'\n"
+    assert main(["connectible", good, good]) == 0
+
+
 def test_custom_spec_degenerate_base_aborts(tmp_path, capsys):
     spec = {
         "kind": "custom",

@@ -490,10 +490,13 @@ def test_unitary_power_qutrit_csum_reaches_log2_3(monkeypatch):
         for y in range(3):
             csum[3 * x + (x + y) % 3, 3 * x + y] = 1.0
     svds = recorded_svd_calls(monkeypatch)
+    runs = counted_ascents(monkeypatch)
     r = unitary_entangling_power(csum, BipartiteSplit(3, 3))
     assert abs(r.value - np.log2(3)) <= 1e-9
     assert r.concurrence is None and r.converged
     assert len(svds) > 2                     # no qubit factor: the bank and ascent take SVDs
+    [(_, value, active)] = runs              # stopped at the entropy ceiling log2 3
+    assert value.max() >= np.log2(3) - power._ASCENT_GAIN and not active.any()
 
 
 @pytest.mark.parametrize("dims", [(2, 3), (3, 2), (2, 4)], ids=["2x3", "3x2", "2x4"])
@@ -594,6 +597,72 @@ def test_unitary_power_reports_the_iteration_cap(monkeypatch):
     capped = unitary_entangling_power(u, BipartiteSplit(2, 3))
     assert capped.converged is False
     assert capped.value <= full.value
+
+
+def counted_ascents(monkeypatch, ceiling=True):
+    """Objective calls, values and still-active starts of every power._ascend call,
+    in call order; with ceiling=False each call runs without its ceiling."""
+    runs = []
+    ascend = power._ascend
+
+    def recorded(objective, chart, state, n, *limit):
+        calls = []
+
+        def counted(*args):
+            calls.append(args[0])
+            return objective(*args)
+
+        value, active = ascend(counted, chart, state, n, *(limit if ceiling else ()))
+        runs.append((len(calls), value.copy(), active.copy()))
+        return value, active
+
+    monkeypatch.setattr(power, "_ascend", recorded)
+    return runs
+
+
+def test_a_stack_stops_each_unitary_at_the_ceiling_as_its_call_alone_does(monkeypatch):
+    rng = np.random.default_rng(31)
+    split = BipartiteSplit(2, 3)
+    local = np.kron(haar_unitary(rng, 2), haar_unitary(rng, 3))
+    us = np.stack([haar_unitary(rng, 6) for _ in range(3)] + [local, haar_unitary(rng, 6)])
+    stacked = power._best_products(us, split, power.DEFAULT_STARTS, 0, 512)
+    for i, u in enumerate(us):
+        alone = power._best_products(u[None], split, power.DEFAULT_STARTS, 0, 512)
+        for s, a in zip(stacked, alone):
+            assert s[i].tobytes() == a[0].tobytes()
+    conc = qubit_concurrence(stacked[1], split)
+    assert np.all(np.delete(conc, 3) >= 1.0 - 1e-12) and conc[3] <= 1e-12
+    assert stacked[3].all()
+    # the local unitary never nears the ceiling: it ascends as without one
+    runs = counted_ascents(monkeypatch, ceiling=False)
+    free = power._best_products(us, split, power.DEFAULT_STARTS, 0, 512)
+    for s, f in zip(stacked, free):
+        assert s[3].tobytes() == f[3].tobytes()
+    assert runs[0][1].reshape(5, -1)[3].max() < 1e-12
+
+
+def test_the_ascent_ends_in_the_iteration_that_reaches_the_ceiling(monkeypatch):
+    u = haar_unitary(np.random.default_rng(12), 6)
+    split = BipartiteSplit(2, 3)
+    ceiling = 1.0 - power._ASCENT_GAIN
+    runs = counted_ascents(monkeypatch)
+    r = unitary_entangling_power(u, split)
+    [(calls, value, active)] = runs
+    iterations, rest = divmod(calls - 1, 2)       # the start, then two calls per iteration
+    assert rest == 0 and iterations >= 2
+    assert r.converged is True and not active.any() and value.max() >= ceiling
+    monkeypatch.undo()
+    for cap, reached in ((iterations - 1, False), (iterations, True),
+                         (power._ASCENT_ITERATIONS, True)):
+        runs = counted_ascents(monkeypatch, ceiling=False)
+        monkeypatch.setattr(power, "_ASCENT_ITERATIONS", cap)
+        unitary_entangling_power(u, split)
+        [(free_calls, free, _)] = runs
+        monkeypatch.undo()
+        assert bool(free.max() >= ceiling) is reached
+        if cap == iterations:
+            assert free.tobytes() == value.tobytes()
+    assert free_calls > calls                     # without the ceiling the starts climb on
 
 
 def test_bound_holds_on_builtins_small_grid():
