@@ -280,20 +280,25 @@ def _write_csv(path, manifest, header, table):
 
     Each field is the repr of its float.  The table is formatted one column
     at a time: repr runs once per distinct bit pattern in the column (so -0.0
-    and 0.0 stay apart), and rows are joined from the columns' string lists.
+    and 0.0 stay apart), with the field's separator attached, and each column
+    is slice-assigned into one flat list of fields that is joined once.
     """
-    lines = ["# manifest " + json.dumps(manifest, sort_keys=True), ",".join(header)]
-    lines += map(",".join, zip(*[_column_text(col) for col in table.T]))
-    _write_text(path, "\n".join(lines) + "\n")
+    n, m = table.shape
+    fields = [None] * (1 + n * m)
+    fields[0] = f"# manifest {json.dumps(manifest, sort_keys=True)}\n{','.join(header)}\n"
+    for j, col in enumerate(table.T):
+        fields[1 + j::m] = _column_text(col, "\n" if j == m - 1 else ",")
+    _write_text(path, "".join(fields))
 
 
-def _column_text(col) -> list:
-    """repr strings of a 1-D float array, one repr call per distinct bit pattern.
+def _column_text(col, sep: str) -> list:
+    """repr strings of a 1-D float array followed by sep, one repr call per
+    distinct bit pattern.
 
     The index and object arrays are dropped on return; only the list stays.
     """
     bits, index = np.unique(col.view(np.uint64), return_inverse=True)
-    text = np.array([repr(x) for x in bits.view(float).tolist()], dtype=object)
+    text = np.array([repr(x) + sep for x in bits.view(float).tolist()], dtype=object)
     return text[index].tolist()
 
 

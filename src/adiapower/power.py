@@ -12,8 +12,9 @@ parameter box or over the unit factor vectors.  On a 2 x d or d x 2 split
 (entanglement.qubit_concurrence), which takes no SVD; the reported values
 are entropies.  The product-input ascent of a unitary ends once one of its
 starts is within 4 eps of the score's bound (concurrence 1, or
-log2(min(d_A, d_B)) bits); such a value is the supremum, to the gain rule's
-4 eps.
+log2(min(d_A, d_B)) bits), and the family polish once its best start is
+within 4 eps of log2(min(d_A, d_B)) bits (raising) or 0 (lowering); such a
+value is the supremum or infimum, to the gain rule's 4 eps.
 """
 
 from __future__ import annotations
@@ -227,7 +228,8 @@ class PowerEstimate:
     grid_resolution: int
     product_base: bool                   # True when the baseline has certified product eigenvectors
     sweep: SweepResult = field(repr=False)  # the grid sweep the estimate started from
-    converged: bool | None = None         # refine only: each polish's best start met the gain rule
+    converged: bool | None = None         # refine only: each polish's best start met the gain
+                                          # rule or reached the entropy bound
 
 
 def has_product_base(fam: HamiltonianFamily) -> bool:
@@ -242,8 +244,12 @@ def has_product_base(fam: HamiltonianFamily) -> bool:
 def _polish(fam: HamiltonianFamily, level: int, sign: float, seeds, incumbent):
     """One batched ascent from all seeds of one level's entropy, raised (sign +1)
     or lowered (-1) in the box; returns the strictly best (value, point) found,
-    else the incumbent, and whether the best start stopped by the gain rule."""
+    else the incumbent, and whether the best start stopped by the gain rule or
+    at the objective's bound.  All starts stop in the iteration where the best
+    is within 4 eps of that bound: log2(min(d_A, d_B)) bits when raising, 0
+    when lowering (the objective is then -E <= 0)."""
     lo, hi = fam.bounds[:, 0], fam.bounds[:, 1]
+    bound = float(np.log2(min(fam.split.dim_a, fam.split.dim_b))) if sign > 0 else 0.0
 
     def objective(_, x):
         _, vecs = fam.eigensystem(x)
@@ -253,7 +259,7 @@ def _polish(fam: HamiltonianFamily, level: int, sign: float, seeds, incumbent):
         return lambda z: (np.clip(x[:, None] + z, lo, hi),)
 
     x = np.array(seeds, dtype=float)
-    found, active = _ascend(objective, chart, (x,), fam.parameter_dim)
+    found, active = _ascend(objective, chart, (x,), fam.parameter_dim, bound, len(x))
     best = int(np.argmax(found))
     value, point = incumbent
     if found[best] > sign * value:
@@ -273,7 +279,10 @@ def adiabatic_entangling_power(fam: HamiltonianFamily,
     difference max - min is taken on the level with the largest span.
     ``refine`` polishes each grid extremum that is not fixed by the baseline
     by the batched ascent from the DEFAULT_STARTS best grid points,
-    which evaluates the family on point stacks, and sets ``converged``.
+    which evaluates the family on point stacks and ends once its best start
+    is within 4 eps of the entropy's bound (log2(min(d_A, d_B)) bits for the
+    maximum, 0 for the minimum).  ``converged`` is then whether each polish's
+    best start met the gain rule or reached that bound, not the iteration cap.
     """
     sweep = entropy_sweep(fam, grid_per_axis, sample_points)
     product_base = has_product_base(fam)
@@ -536,7 +545,8 @@ class BoundReport:
     lhs: float                            # adiabatic entangling power of the family
     rhs: float                            # max over the grid of per-unitary power (exact for 2 x 2)
     holds: bool                           # lhs <= rhs + _BOUND_SLACK
-    rhs_point: np.ndarray                 # the first grid point attaining rhs
+    rhs_point: np.ndarray                 # the first grid point whose power is within 4 eps
+                                          # (the gain rule) of rhs
 
 
 def family_unitaries(fam: HamiltonianFamily, points) -> np.ndarray:
@@ -587,6 +597,7 @@ def bound_check(fam: HamiltonianFamily,
     the only use of ``seed``, ``coarse`` and ``starts``; there ``coarse``
     below 1 is a ValueError, raised before any work.  The left-hand side is the refined
     adiabatic_entangling_power, a lower bound; ``holds`` is lhs <= rhs + 1e-6.
+    ``rhs_point`` is the first grid point whose power is within 4 eps of rhs.
     """
     exact = fam.split.dim_a == 2 and fam.split.dim_b == 2
     if not exact:
@@ -603,6 +614,6 @@ def bound_check(fam: HamiltonianFamily,
         return _best_products(us, fam.split, starts, seed, coarse)[2]
 
     powers = _chunked(unitary_powers, pts)
-    best = int(np.argmax(powers))
-    rhs = float(powers[best])
-    return BoundReport(lhs, rhs, lhs <= rhs + _BOUND_SLACK, pts[best])
+    rhs = float(powers.max())
+    first = int(np.argmax(powers >= rhs - _ASCENT_GAIN))
+    return BoundReport(lhs, rhs, lhs <= rhs + _BOUND_SLACK, pts[first])

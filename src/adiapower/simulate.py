@@ -226,7 +226,8 @@ def propagate(fam: HamiltonianFamily, path: ParameterPath, psi0,
 
     hams = (vecs * vals[..., None, :]) @ dagger(vecs)
     gaps = (vals[:, 1:] - vals[:, :-1]).min(axis=-1, initial=np.inf)
-    hdot = np.linalg.norm(hams[1:] - hams[:-1], 2, axis=(-2, -1)) / dt
+    # the spectral norm of a Hermitian difference is its largest |eigenvalue|
+    hdot = np.abs(np.linalg.eigvalsh(hams[1:] - hams[:-1])).max(axis=-1) / dt
     adiabaticity = float(np.max(hdot / np.minimum(gaps[1:], gaps[:-1]) ** 2))
 
     tracked = fam.iso_spectral_form is not None or path.closed

@@ -739,7 +739,33 @@ def test_non_two_qubit_bound_check_is_the_best_per_point_ascent():
               for u in family_unitaries(fam, pts)]
     # the stacked ascent moves each start as the per-unitary one does: deviation 0
     assert rep.rhs == max(values)
-    assert rep.rhs_point.tobytes() == pts[int(np.argmax(values))].tobytes()
+    first = int(np.argmax(np.array(values) >= rep.rhs - power._ASCENT_GAIN))
+    assert rep.rhs_point.tobytes() == pts[first].tobytes()
+
+
+def test_bound_check_rhs_point_does_not_depend_on_the_last_bits(monkeypatch):
+    # seven of this 3 x 3 family's nine grid points reach log2 3 within 2 eps
+    fam = random_custom_family(9, BipartiteSplit(3, 3))
+    pts = power.grid_points(fam.bounds, 3)
+    values = np.array([unitary_entangling_power(u, fam.split, starts=4, coarse=256).value
+                       for u in family_unitaries(fam, pts)])
+    rep = bound_check(fam, grid_per_axis=3)
+    near = np.flatnonzero(values >= values.max() - power._ASCENT_GAIN)
+    assert rep.rhs == values.max() and abs(rep.rhs - np.log2(3)) <= power._ASCENT_GAIN
+    assert len(near) > 2 and near[0] != np.argmax(values)
+    assert rep.rhs_point.tobytes() == pts[near[0]].tobytes()
+    # two ulps off the largest power move the argmax, not rhs_point
+    best_products = power._best_products
+
+    def lowered(*args):
+        *rest, powers, stops = best_products(*args)
+        powers[np.argmax(powers)] -= 2 * np.spacing(powers.max())
+        return (*rest, powers, stops)
+
+    monkeypatch.setattr(power, "_best_products", lowered)
+    moved = bound_check(fam, grid_per_axis=3)
+    assert moved.rhs < rep.rhs
+    assert moved.rhs_point.tobytes() == rep.rhs_point.tobytes()
 
 
 @pytest.mark.parametrize("make_family", [example1_family, generic_field_family,
@@ -816,13 +842,19 @@ def custom_2x3_family():
 
 
 def recorded_ascents(monkeypatch):
-    """Final states and values of every power._ascend call, in call order."""
+    """Objective calls, final states and values of every power._ascend call, in call order."""
     runs = []
     ascend = power._ascend
 
-    def recorded(objective, chart, state, n):
-        value, active = ascend(objective, chart, state, n)
-        runs.append(([s.copy() for s in state], value.copy()))
+    def recorded(objective, chart, state, n, *limit):
+        calls = []
+
+        def counted(*args):
+            calls.append(args[0])
+            return objective(*args)
+
+        value, active = ascend(counted, chart, state, n, *limit)
+        runs.append((len(calls), [s.copy() for s in state], value.copy()))
         return value, active
 
     monkeypatch.setattr(power, "_ascend", recorded)
@@ -832,6 +864,8 @@ def recorded_ascents(monkeypatch):
 @pytest.mark.parametrize("make_family", [
     example1_family, generic_field_family, custom_family, custom_2x3_family])
 def test_polish_ascends_each_seed_as_it_would_alone(monkeypatch, make_family):
+    # the batch stops every seed in the iteration where its best reaches the
+    # bound, so each seed moves as its lone run capped at that many iterations
     fam = make_family()
     sweep = entropy_sweep(fam, 7)
     level = int(np.argmax(np.ptp(sweep.entropies, axis=0)))
@@ -840,12 +874,38 @@ def test_polish_ascends_each_seed_as_it_would_alone(monkeypatch, make_family):
     for sign in (1.0, -1.0):
         runs.clear()
         power._polish(fam, level, sign, seeds, (-sign * np.inf, None))
-        for x0 in seeds:
-            power._polish(fam, level, sign, x0[None], (-sign * np.inf, None))
-        (batch,), values = runs[0]
-        for k, ((alone,), value) in enumerate(runs[1:]):
-            assert alone[0].tobytes() == batch[k].tobytes()
-            assert value[0].tobytes() == values[k].tobytes()
+        [(calls, (batch,), values)] = runs
+        with monkeypatch.context() as m:
+            m.setattr(power, "_ASCENT_ITERATIONS", (calls - 1) // 2)
+            for k, x0 in enumerate(seeds):
+                runs.clear()
+                power._polish(fam, level, sign, x0[None], (-sign * np.inf, None))
+                [(_, (alone,), value)] = runs
+                assert alone[0].tobytes() == batch[k].tobytes()
+                assert value[0].tobytes() == values[k].tobytes()
+
+
+def test_the_polish_ends_in_the_iteration_that_reaches_the_bound(monkeypatch):
+    fam = example1_family()                  # product base: one polish, raised to 1 bit
+    bound = 1.0 - power._ASCENT_GAIN
+    runs = counted_ascents(monkeypatch)
+    est = adiabatic_entangling_power(fam, 41, refine=True)
+    [(calls, value, active)] = runs
+    iterations, rest = divmod(calls - 1, 2)       # the start, then two calls per iteration
+    assert rest == 0 and iterations >= 1
+    assert est.converged is True and not active.any() and value.max() >= bound
+    monkeypatch.undo()
+    for cap, reached in ((iterations - 1, False), (iterations, True),
+                         (power._ASCENT_ITERATIONS, True)):
+        runs = counted_ascents(monkeypatch, ceiling=False)
+        monkeypatch.setattr(power, "_ASCENT_ITERATIONS", cap)
+        adiabatic_entangling_power(fam, 41, refine=True)
+        [(free_calls, free, _)] = runs
+        monkeypatch.undo()
+        assert bool(free.max() >= bound) is reached
+        if cap == iterations:
+            assert free.tobytes() == value.tobytes()
+    assert free_calls > calls                     # without the bound the starts climb on
 
 
 @pytest.mark.parametrize("make_family", [example1_family, generic_field_family,

@@ -519,12 +519,16 @@ def test_gate_phase_symmetries():
     assert abs(abs(np.angle(np.exp(1j * oracle))) - abs(res.geometric["01"])) < 1e-6
 
 
-@pytest.mark.parametrize("make_case", [
+STACKED_CASES = [
     lambda: (example1_family(),
              line_path([0.0, 0.0, 0.0], [np.pi / 16, 0.0, 0.0], 20.0, "smoothstep")),
     lambda: (random_iso_family(np.random.default_rng(6), BipartiteSplit(2, 3)),
              line_path([0.0, 0.0], [0.3, 0.2], 20.0, "smoothstep")),
-])
+    lambda: (spin_half_field_family(), line_path([0.3, -0.4, 0.8], [-0.5, 0.2, 0.6], 5.0)),
+]
+
+
+@pytest.mark.parametrize("make_case", STACKED_CASES)
 def test_stacked_fidelity_matches_a_vdot_per_step(make_case):
     fam, path = make_case()
     steps = 400
@@ -533,6 +537,21 @@ def test_stacked_fidelity_matches_a_vdot_per_step(make_case):
     _, vecs = fam.eigensystem(path.gamma(np.arange(steps + 1) / steps))
     expected = [abs(np.vdot(vecs[k, :, rec.level], rec.states[k])) ** 2 for k in range(steps + 1)]
     assert np.max(np.abs(rec.instantaneous_fidelity - expected)) <= 1e-14
+
+
+@pytest.mark.parametrize("make_case", STACKED_CASES)
+def test_adiabaticity_is_the_largest_svd_norm_per_squared_gap(make_case):
+    fam, path = make_case()
+    steps = 400
+    _, v_start = fam.eigensystem(path.gamma(0.0))
+    rec = propagate(fam, path, v_start[:, 1], steps)
+    vals, vecs = fam.eigensystem(path.gamma(np.arange(steps + 1) / steps))
+    hams = [(v * e) @ v.conj().T for e, v in zip(vals, vecs)]
+    gaps = [np.diff(e).min() for e in vals]
+    ratios = [np.linalg.norm(hams[k + 1] - hams[k], 2) * steps / path.duration
+              / min(gaps[k], gaps[k + 1]) ** 2 for k in range(steps)]
+    # eigvalsh against the SVD: the same norms up to rounding
+    assert abs(rec.adiabaticity - max(ratios)) <= 1e-13 * max(ratios)
 
 
 @pytest.mark.parametrize("make_loop", [circle_loop, retrace_circle_loop])
