@@ -35,6 +35,7 @@ import datetime
 import functools
 import json
 import os
+import reprlib
 import sys
 
 import numpy as np
@@ -108,42 +109,45 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def _number_array(nested, key: str) -> np.ndarray:
-    """Nested JSON lists of numbers -> float ndarray.  A leaf that is a string,
-    boolean, null or object, or an integer too large for a float, is a
-    ValueError that names key."""
-    level = [nested]
-    while level:                          # one nesting level at a time, in reading order
-        deeper = []
-        for x in level:
-            t = type(x)                   # exact-type tests first: the common JSON case, cheaply
-            if t is list:
-                deeper += x
-            elif t is not float and t is not int and not _is_number(x):
-                raise ValueError(f"{key} must hold only numbers, got {x!r}")
-        level = deeper
-    try:
-        return np.asarray(nested, dtype=float)
-    except OverflowError:
-        raise ValueError(f"{key} holds an integer too large for a float") from None
+def _number_array(value, key: str, shape: tuple, expected: str) -> np.ndarray:
+    """The CLI's one reader of numbers from JSON: value -> float ndarray.
 
-
-def parse_complex_matrix(nested, key: str) -> np.ndarray:
-    """Nested lists of [re, im] pairs -> complex ndarray (a non-number leaf is a
-    ValueError that names key)."""
-    arr = _number_array(nested, key)
-    if arr.ndim != 3 or arr.shape[-1] != 2:
-        raise ValueError("matrix entries must be [re, im] pairs")
-    return arr[..., 0] + 1j * arr[..., 1]
+    shape gives one length per nesting level (None: any length; (): a scalar).
+    Another shape, ragged lists or a bare non-number is the ValueError "{key}
+    must be {expected}, got ..."; a string, boolean, null or object leaf, or an
+    integer too large for a float, is a ValueError naming key.  Finiteness is
+    left to the library checks that own it (the family's box, cluster_tol).
+    """
+    arr = None
+    if type(value) is list or _is_number(value):
+        level = [value]
+        while level:                      # one nesting level at a time, in reading order
+            deeper = []
+            for x in level:
+                t = type(x)               # exact-type tests first: the common JSON case, cheaply
+                if t is list:
+                    deeper += x
+                elif t is not float and t is not int and not _is_number(x):
+                    raise ValueError(f"{key} must hold only numbers, got {x!r}")
+            level = deeper
+        try:
+            arr = np.asarray(value, dtype=float)
+        except OverflowError:
+            raise ValueError(f"{key} holds an integer too large for a float") from None
+        except ValueError:                # ragged lists
+            pass
+    if arr is None or arr.ndim != len(shape) or any(
+            n is not None and n != m for n, m in zip(shape, arr.shape)):
+        raise ValueError(f"{key} must be {expected}, got {reprlib.repr(value)}")
+    return arr
 
 
 def parse_state(text: str, split: BipartiteSplit) -> np.ndarray:
     """Input state: computational-basis label (e.g. '01') or JSON amplitude list."""
     text = text.strip()
     if text.startswith("["):
-        arr = _number_array(json.loads(text), "input state")
-        if arr.ndim != 2 or arr.shape != (split.dim, 2):
-            raise ValueError(f"amplitude list must be {split.dim} [re, im] pairs")
+        arr = _number_array(json.loads(text), "input state", (split.dim, 2),
+                            f"{split.dim} [re, im] pairs")
         return linalg.normalize(arr[:, 0] + 1j * arr[:, 1])
     if len(text) == 2 and text.isdigit():
         i, j = int(text[0]), int(text[1])
@@ -160,7 +164,8 @@ def load_hermitian(path: str) -> np.ndarray:
         if "matrix" not in data:
             raise ValueError(f"{path}: matrix object is missing key 'matrix'")
         data = data["matrix"]
-    h = parse_complex_matrix(data, f"{path}: matrix")
+    arr = _number_array(data, f"{path}: matrix", (None, None, 2), "a matrix of [re, im] pairs")
+    h = arr[..., 0] + 1j * arr[..., 1]
     if not linalg.is_hermitian(h):
         raise NotHermitianError(f"{path}: matrix is not Hermitian")
     return h
@@ -177,21 +182,14 @@ BUILTIN_BOUNDS = {
 
 
 def _spec_numbers(spec: dict, *keys: str) -> dict:
-    """The given keys present in spec, whose values must be JSON numbers."""
-    numbers = {key: spec[key] for key in keys if key in spec}
-    for key, value in numbers.items():
-        if not _is_number(value):
-            raise ValueError(f"{key} must be a number, got {value!r}")
-    return numbers
+    """The given keys present in spec, whose values must be JSON numbers, as floats."""
+    return {key: float(_number_array(spec[key], key, (), "a number"))
+            for key in keys if key in spec}
 
 
 def _spec_bounds(value, rows: int) -> np.ndarray:
-    """A spec's parameter box, which must be ``rows`` [lo, hi] rows (the
-    family checks that they are finite with lo <= hi)."""
-    bounds = _number_array(value, "bounds")
-    if bounds.shape != (rows, 2):
-        raise ValueError(f"bounds must be {rows} [lo, hi] rows, got {value!r}")
-    return bounds
+    """A spec's parameter box: ``rows`` [lo, hi] rows (finite, lo <= hi, as the family checks)."""
+    return _number_array(value, "bounds", (rows, 2), f"{rows} [lo, hi] rows")
 
 
 def load_family_spec(path: str):
@@ -223,10 +221,11 @@ def load_family_spec(path: str):
 
 
 def _load_custom_spec(spec: dict):
-    h_base = parse_complex_matrix(spec["base_hamiltonian"], "base_hamiltonian")
-    gens = _number_array(spec["generators"], "generators")
-    if gens.shape[1:] != h_base.shape + (2,):
-        raise ValueError(f"generators must be a list of {h_base.shape} matrices of [re, im] pairs")
+    h_base = _number_array(spec["base_hamiltonian"], "base_hamiltonian", (None, None, 2),
+                           "a matrix of [re, im] pairs")
+    h_base = h_base[..., 0] + 1j * h_base[..., 1]
+    gens = _number_array(spec["generators"], "generators", (None, *h_base.shape, 2),
+                         f"a list of {h_base.shape} matrices of [re, im] pairs")
     gens = gens[..., 0] + 1j * gens[..., 1]
     bounds = _spec_bounds(spec["bounds"], len(gens))
     dims = spec["split"]
@@ -234,16 +233,15 @@ def _load_custom_spec(spec: dict):
         raise ValueError(f"split must be two integers [dim_a, dim_b], got {dims!r}")
     split = BipartiteSplit(*dims)
     split.check(h_base.shape[0])
-    cluster_tol = float(_spec_numbers(spec, "cluster_tol").get("cluster_tol", DEFAULT_CLUSTER_TOL))
+    cluster_tol = _spec_numbers(spec, "cluster_tol").get("cluster_tol", DEFAULT_CLUSTER_TOL)
     if not linalg.is_hermitian(h_base):
         raise NotHermitianError("base_hamiltonian is not Hermitian")
     for k, g in enumerate(gens):
         if not linalg.is_hermitian(g):
             raise NotHermitianError(f"generator {k} is not Hermitian")
-    base_point = _number_array(spec["base_point"], "base_point") if "base_point" in spec \
-        else np.zeros(len(gens))
-    if base_point.shape != (len(gens),):
-        raise ValueError(f"base_point must have {len(gens)} entries, one per generator")
+    base_point = _number_array(spec["base_point"], "base_point", (len(gens),),
+                               "one number per generator") \
+        if "base_point" in spec else np.zeros(len(gens))
 
     def unitary(lam):
         lam = np.asarray(lam, dtype=float)
@@ -398,11 +396,9 @@ def cmd_evolve(args) -> int:
     fam, spec_config = load_family_spec(args.spec_file)
     fam.check_level(args.level)
     waypoints = json.loads(args.path)
-    if not (waypoints and isinstance(waypoints, list) and all(
-            isinstance(w, list) and len(w) == fam.parameter_dim for w in waypoints)):
-        raise ValueError(f"--path must be a JSON list of points with "
-                         f"{fam.parameter_dim} parameters each")
-    path = waypoint_path(waypoints, args.T, args.schedule)
+    path = waypoint_path(_number_array(waypoints, "--path", (None, fam.parameter_dim),
+                                       f"a JSON list of points with {fam.parameter_dim} "
+                                       f"parameters each"), args.T, args.schedule)
     _, vecs = fam.eigensystem(path.gamma(0.0))
     psi0 = vecs[:, args.level]
     rec = propagate(fam, path, psi0, steps=args.steps)
@@ -433,6 +429,8 @@ def cmd_evolve(args) -> int:
 
 def cmd_gate(args) -> int:
     kind, theta0, radius = args.loop[0], float(args.loop[1]), float(args.loop[2])
+    if not np.isfinite([theta0, radius]).all():
+        raise ValueError(f"--loop THETA0 and RADIUS must be finite, got {theta0} and {radius}")
     if kind == "circle":
         loop = circle_loop(theta0, radius, args.T)
     elif kind == "retrace":

@@ -22,8 +22,7 @@ _CLOSURE_TOL = 1e-12         # largest endpoint mismatch of a closed path, per u
 _EIGENSTATE_TOL = 1e-6       # propagate's start overlaps an eigenstate by at least 1 - this
 _CONSTRAINT_TOL = 1e-9       # largest spread of |mu|^2 + mu_z^2 on a gate loop, per unit of scale
 _ENTANGLING_TOL = 1e-3       # smallest |nontriviality| of an entangling gate
-_CONSTRAINT_SAMPLES = 64     # gate-loop points checked against the constraint
-_PHASE_SAMPLES = 2000        # gate-loop points of the geometric-phase chains
+_PHASE_SAMPLES = 2000        # loop points of a phase chain and the gate's constraint check
 DEFAULT_STEPS = 1000         # propagation steps of propagate, propagate_unitary and decompose_uad
 DEFAULT_GATE_STEPS = 4000    # propagation steps of synthesize_controlled_phase
 
@@ -253,7 +252,7 @@ def propagate_unitary(fam: HamiltonianFamily, path: ParameterPath,
 
 
 def berry_phase(fam: HamiltonianFamily, level: int, loop: ParameterPath,
-                samples: int = 2000) -> float:
+                samples: int = _PHASE_SAMPLES) -> float:
     """Geometric phase of one level around a closed parameter loop.
 
     Computed as the closed-chain Pancharatnam product of instantaneous
@@ -316,8 +315,9 @@ def synthesize_controlled_phase(loop: ParameterPath,
                                 steps: int = DEFAULT_GATE_STEPS,
                                 base: Example1Params = Example1Params()) -> GateSynthesisResult:
     """Adiabatic diagonal gate from a closed loop of the transverse-coupling
-    family at constant |mu|^2 + mu_z^2, checked at _CONSTRAINT_SAMPLES loop points
-    to vary by at most _CONSTRAINT_TOL * max(1, |mu|^2 + mu_z^2).
+    family at constant |mu|^2 + mu_z^2, checked at the _PHASE_SAMPLES loop points
+    to vary by at most _CONSTRAINT_TOL * max(1, |mu|^2 + mu_z^2) before any
+    propagation.
 
     The four eigenstates of the loop's starting Hamiltonian are labelled by
     their dominant product-basis component; the reconstructed gate applies
@@ -327,15 +327,15 @@ def synthesize_controlled_phase(loop: ParameterPath,
     which converges independently of the run duration.
     """
     fam = example1_family(base)
-    radii = np.sum(_points(fam, loop, np.linspace(0.0, 1.0, _CONSTRAINT_SAMPLES)) ** 2, axis=1)
+    pts = _points(fam, loop, np.arange(_PHASE_SAMPLES) / _PHASE_SAMPLES)
+    radii = np.sum(pts ** 2, axis=1)
     loop.check_closed()
     if radii.max() - radii.min() > _CONSTRAINT_TOL * max(1.0, radii.max()):
         raise ConstraintViolatedError("|mu|^2 + mu_z^2 varies along the loop")
 
     u_full = propagate_unitary(fam, loop, steps)
     # The loop's samples start at s = 0, so they give the starting eigenbasis too.
-    s = np.arange(_PHASE_SAMPLES) / _PHASE_SAMPLES
-    energies, chain = fam.eigensystem(_points(fam, loop, s))
+    energies, chain = fam.eigensystem(pts)
     energies, v_start = energies[0], chain[0]
 
     base_vecs = fam.iso_spectral_form.base_vectors

@@ -75,6 +75,8 @@ from adiapower.spectral import (
     min_gap_along,
 )
 
+from helpers import random_hermitian
+
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
 
@@ -82,11 +84,6 @@ def report(num, name, ok, detail=""):
     status = "PASS" if ok else "FAIL"
     print(f"ACCEPTANCE {num:02d} {name}: {status}" + (f" ({detail})" if detail else ""))
     return ok
-
-
-def random_hermitian(rng, d):
-    x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return (x + x.conj().T) / 2
 
 
 def test_criterion_01_example0_zero_power():

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -455,6 +456,18 @@ def test_gate_accepts_a_circle_at_field_norm_20000():
     assert main(["gate", "--loop", "circle", "1.0472", "20000", "--steps", "200"]) == 0
 
 
+@pytest.mark.parametrize("theta0, radius", [("nan", "1.0"), ("1.0", "inf"), ("inf", "nan")])
+def test_gate_loop_that_is_not_finite_is_an_input_error_before_any_work(eigh_shapes, capsys,
+                                                                        theta0, radius):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["gate", "--loop", "circle", theta0, radius, "--steps", "200"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == (f"input error: --loop THETA0 and RADIUS must be finite, "
+                                 f"got {float(theta0)} and {float(radius)}\n")
+    assert eigh_shapes == []
+
+
 def test_custom_spec_power(tmp_path, capsys):
     h = 2 * tensor(SIGMA_Z, ID2) + tensor(ID2, SIGMA_Z)
     spec = write_json(tmp_path / "custom.json", {
@@ -594,6 +607,48 @@ def test_a_matrix_or_amplitude_that_is_not_a_json_number_is_an_input_error(
         message = "holds an integer too large for a float" if leaf == 10**400 \
             else f"must hold only numbers, got {leaf!r}"
         assert out == "" and err == f"input error: {key} {message}\n", err
+
+
+@pytest.mark.parametrize("leaf", ["0", True, None])
+def test_an_evolve_path_coordinate_that_is_not_a_json_number_is_an_input_error(
+        specs, eigh_shapes, capsys, leaf):
+    path = json.dumps(with_leaf([[0, 0, 0], [0.1, 0, 0]], leaf))
+    assert main(["evolve", specs["example1"], "--path", path, "--T", "5", "--steps", "200"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"input error: --path must hold only numbers, got {leaf!r}\n"
+    assert eigh_shapes == [(4, 4)]       # the base Hamiltonian, no path stack
+
+
+@pytest.mark.parametrize("key, kind", [("lam1", "builtin:example1"), ("lam2", "builtin:example1"),
+                                       ("lam1_fixed", "builtin:example2"), ("cluster_tol", "custom")])
+def test_a_spec_scalar_too_large_for_a_float_is_an_input_error(tmp_path, capsys, key, kind):
+    spec = custom_spec() if kind == "custom" else {"kind": kind}
+    path = write_json(tmp_path / "huge.json", {**spec, key: 10**400})
+    assert main(["power", path, "--grid", "3"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"input error: {key} holds an integer too large for a float\n"
+
+
+def test_ragged_lists_are_input_errors_naming_their_key(tmp_path, specs, capsys):
+    good = pairs(np.diag([0.0, 1, 1, 1]))
+    ragged_matrix = good[:3] + [good[3][:2]]
+    cases = [({"kind": "builtin:example1", "bounds": [[0, 1], [0, 0], [0]]}, "bounds"),
+             (custom_spec(bounds=[[0, 1], [0]]), "bounds"),
+             (custom_spec(base_hamiltonian=ragged_matrix), "base_hamiltonian"),
+             (custom_spec(generators=[ragged_matrix]), "generators"),
+             (custom_spec(base_point=[[0.0], []]), "base_point")]
+    for k, (spec, key) in enumerate(cases):
+        path = write_json(tmp_path / f"ragged{k}.json", spec)
+        assert main(["power", path, "--grid", "3"]) == 1, spec
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"input error: {key} must be "), err
+    matrix = write_json(tmp_path / "ragged.json", ragged_matrix)
+    amplitudes = json.dumps(pairs([ket("01")])[0][:3] + [[0.0]])
+    for argv, key in ((["connectible", matrix, matrix], f"{matrix}: matrix"),
+                      (["sweep", specs["example1"], "--input-state", amplitudes], "input state")):
+        assert main(argv) == 1, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"input error: {key} must be "), err
 
 
 @pytest.mark.parametrize("key", ["base_hamiltonian", "generators", "bounds", "split"])

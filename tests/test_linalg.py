@@ -27,10 +27,7 @@ from adiapower.linalg import (
     tensor,
 )
 
-
-def random_hermitian(rng, d):
-    x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return (x + x.conj().T) / 2
+from helpers import random_hermitian
 
 
 def test_tensor_identities():

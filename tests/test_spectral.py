@@ -17,10 +17,7 @@ from adiapower.spectral import (
     spectral_resolution,
 )
 
-
-def random_hermitian(rng, d):
-    x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return (x + x.conj().T) / 2
+from helpers import random_hermitian
 
 
 def test_spectral_resolution_clusters():
