@@ -396,9 +396,11 @@ def cmd_evolve(args) -> int:
     fam, spec_config = load_family_spec(args.spec_file)
     fam.check_level(args.level)
     waypoints = json.loads(args.path)
-    path = waypoint_path(_number_array(waypoints, "--path", (None, fam.parameter_dim),
-                                       f"a JSON list of points with {fam.parameter_dim} "
-                                       f"parameters each"), args.T, args.schedule)
+    points = _number_array(waypoints, "--path", (None, fam.parameter_dim),
+                           f"a JSON list of points with {fam.parameter_dim} parameters each")
+    if not np.isfinite(points).all():
+        raise ValueError(f"--path must hold only finite numbers, got {reprlib.repr(waypoints)}")
+    path = waypoint_path(points, args.T, args.schedule)
     _, vecs = fam.eigensystem(path.gamma(0.0))
     psi0 = vecs[:, args.level]
     rec = propagate(fam, path, psi0, steps=args.steps)
@@ -428,7 +430,11 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_gate(args) -> int:
-    kind, theta0, radius = args.loop[0], float(args.loop[1]), float(args.loop[2])
+    kind, *numbers = args.loop
+    try:
+        theta0, radius = map(float, numbers)
+    except ValueError:
+        raise ValueError(f"--loop THETA0 and RADIUS must be numbers, got {numbers}") from None
     if not np.isfinite([theta0, radius]).all():
         raise ValueError(f"--loop THETA0 and RADIUS must be finite, got {theta0} and {radius}")
     if kind == "circle":

@@ -79,6 +79,11 @@ class Example1Params:
     lam1: float = 1.0
     lam2: float = 0.5
 
+    def __post_init__(self):
+        for key, value in (("lam1", self.lam1), ("lam2", self.lam2)):
+            if not np.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value!r}")
+
     def base_hamiltonian(self) -> np.ndarray:
         return self.lam1 * tensor(SIGMA_Z, ID2) + self.lam2 * tensor(ID2, SIGMA_Z)
 
@@ -200,21 +205,22 @@ def example2_unitary(p: Example2Params) -> np.ndarray:
 
 
 def example2_family(lam1_fixed: float = 1.0,
-                    bounds=EXAMPLE2_BOUNDS,
-                    base: Example1Params = Example1Params(2.0, 1.0)) -> HamiltonianFamily:
+                    bounds=EXAMPLE2_BOUNDS) -> HamiltonianFamily:
     """Iso-spectral family over (lam2, lam3) with lam1 fixed.
 
     The base Hamiltonian 2 sz x 1 + 1 x sz is nondegenerate with a product
     eigenbasis; the designated base point (pi/4, pi/4) is where the family
     unitary maps the product basis to product states.
     """
+    if not np.isfinite(lam1_fixed):
+        raise ValueError(f"lam1_fixed must be finite, got {lam1_fixed!r}")
 
     def unitary(lam):
         lam = np.asarray(lam, dtype=float)
         return linalg.expm_skew(example2_generator(lam1_fixed, lam[..., 0], lam[..., 1]))
 
-    return iso_spectral_family(base.base_hamiltonian(), unitary, bounds, SPLIT_2Q,
-                               base_point=np.array([np.pi / 4.0, np.pi / 4.0]))
+    return iso_spectral_family(Example1Params(2.0, 1.0).base_hamiltonian(), unitary, bounds,
+                               SPLIT_2Q, base_point=np.array([np.pi / 4.0, np.pi / 4.0]))
 
 
 @dataclass(frozen=True)
@@ -253,12 +259,6 @@ def example2_product_sup_concurrence(p: Example2Params) -> float:
     which the pair formula reaches only if two of the points are antipodal.
     """
     return enclosing_radius(np.exp(2j * p.magic_phases))
-
-
-def example2_output_concurrence(p: Example2Params, w) -> float:
-    """Concurrence of the evolved state from magic-basis input amplitudes w."""
-    w = np.asarray(w, dtype=complex)
-    return float(abs(np.sum((w * np.exp(1j * p.magic_phases)) ** 2)))
 
 
 def spin_half_field_family(bounds=((-2.0, 2.0),) * 3) -> HamiltonianFamily:

@@ -20,7 +20,7 @@ from .errors import (
     NotUnitaryError,
 )
 
-DEFAULT_TOL = 1e-10          # largest entry of H - H^dag, U^dag U - 1 or P^2 - P taken as 0
+DEFAULT_TOL = 1e-10          # largest entry of H - H^dag or U^dag U - 1 taken as 0
 # Eigenvalue gaps below DEFAULT_CLUSTER_TOL * max(1, max|E|) count as degenerate.
 DEFAULT_CLUSTER_TOL = 1e-8
 _BRANCH_TOL = 1e-12          # logm_unitary refuses eigenphases above pi - _BRANCH_TOL
@@ -83,11 +83,6 @@ def is_unitary(u) -> bool:
     u = np.asarray(u)
     return (u.ndim >= 2 and u.shape[-1] == u.shape[-2]
             and np.max(np.abs(dagger(u) @ u - np.eye(u.shape[-1]))) <= DEFAULT_TOL)
-
-
-def is_projector(p) -> bool:
-    p = np.asarray(p)
-    return is_hermitian(p) and np.max(np.abs(p @ p - p)) <= DEFAULT_TOL
 
 
 def tensor(*factors) -> np.ndarray:

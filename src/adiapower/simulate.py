@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConstraintViolatedError, NotAnEigenstateError, NotClosedError
-from .families import Example1Params, example1_family
+from .families import example1_family
 from .linalg import dagger
 from .power import HamiltonianFamily
 
@@ -312,8 +312,7 @@ def _wrap(x):
 
 
 def synthesize_controlled_phase(loop: ParameterPath,
-                                steps: int = DEFAULT_GATE_STEPS,
-                                base: Example1Params = Example1Params()) -> GateSynthesisResult:
+                                steps: int = DEFAULT_GATE_STEPS) -> GateSynthesisResult:
     """Adiabatic diagonal gate from a closed loop of the transverse-coupling
     family at constant |mu|^2 + mu_z^2, checked at the _PHASE_SAMPLES loop points
     to vary by at most _CONSTRAINT_TOL * max(1, |mu|^2 + mu_z^2) before any
@@ -326,7 +325,7 @@ def synthesize_controlled_phase(loop: ParameterPath,
     the closed-chain Pancharatnam product over _PHASE_SAMPLES loop points,
     which converges independently of the run duration.
     """
-    fam = example1_family(base)
+    fam = example1_family()
     pts = _points(fam, loop, np.arange(_PHASE_SAMPLES) / _PHASE_SAMPLES)
     radii = np.sum(pts ** 2, axis=1)
     loop.check_closed()

@@ -114,27 +114,35 @@ class ConnectingFamily:
     H(t) = sum_i eps_i(t) U_t P0_i U_t^dag with linear eps_i(t) and the
     geodesic path U_t = exp(i t G), where exp(iG) is the aligning unitary W
     up to the global phase that keeps G's eigenphases off the log branch cut.
+    ``generator``, ``unitary_at`` and ``sample`` take G from one Schur form of W per call.
     ``eigenvalues_at``, ``unitary_at`` and ``sample`` take a scalar t or (n,)
     times and return (..., R), (..., D, D) and (..., D, D).
     """
 
     base: SpectralResolution                 # the resolution of H(0)
-    energies1: np.ndarray
-    gen_phases: np.ndarray                   # (D,) eigenphases of G, in [-pi, pi)
-    gen_vecs: np.ndarray                     # (D, D) orthonormal eigenvectors of G
+    end: SpectralResolution                  # the resolution of H(1)
+
+    def _geodesic(self):
+        """(psi, q): G's eigenphases in [-pi, pi) and orthonormal eigenvectors."""
+        phases, q = linalg.eig_unitary(aligning_unitary(self.base, self.end))
+        # Cut mid-way across the widest eigenphase gap; e^{ia} W aligns the same projectors.
+        start, gap = linalg.widest_gap(phases)
+        return np.mod(phases - (start + gap / 2.0), 2.0 * np.pi) - np.pi, q
 
     @property
     def generator(self) -> np.ndarray:
         """Hermitian G with exp(iG) = e^{ia} W."""
-        return (self.gen_vecs * self.gen_phases) @ self.gen_vecs.conj().T
+        psi, q = self._geodesic()
+        return (q * psi) @ q.conj().T
 
     def eigenvalues_at(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)[..., None]
-        return (1.0 - t) * self.base.energies + t * self.energies1
+        return (1.0 - t) * self.base.energies + t * self.end.energies
 
     def unitary_at(self, t) -> np.ndarray:
+        psi, q = self._geodesic()
         t = np.asarray(t, dtype=float)[..., None, None]
-        return (self.gen_vecs * np.exp(1j * t * self.gen_phases)) @ self.gen_vecs.conj().T
+        return (q * np.exp(1j * t * psi)) @ q.conj().T
 
     def sample(self, t) -> np.ndarray:
         w = self.unitary_at(t) @ self.base.vectors
@@ -148,16 +156,7 @@ def build_connecting_family(h0, h1,
     s0, s1, decision = _resolve_pair(h0, h1, cluster_tol)
     if not decision.connectible:
         raise NotConnectibleError(decision.reason, decision)
-    phases, q = linalg.eig_unitary(aligning_unitary(s0, s1))
-    # Cut mid-way across the widest eigenphase gap; e^{ia} W aligns the same projectors.
-    start, gap = linalg.widest_gap(phases)
-    psi = np.mod(phases - (start + gap / 2.0), 2.0 * np.pi) - np.pi
-    return ConnectingFamily(
-        base=s0,
-        energies1=s1.energies,
-        gen_phases=psi,
-        gen_vecs=q,
-    )
+    return ConnectingFamily(base=s0, end=s1)
 
 
 def spectra_along(fam: ConnectingFamily, samples: int = DEFAULT_SAMPLES):
@@ -176,4 +175,4 @@ def spectra_along(fam: ConnectingFamily, samples: int = DEFAULT_SAMPLES):
 
 def min_gap_along(fam: ConnectingFamily) -> float:
     """Minimum gap between consecutive distinct levels of H(t) over t in [0, 1]."""
-    return float(min(np.diff(e).min(initial=np.inf) for e in (fam.base.energies, fam.energies1)))
+    return float(min(np.diff(e).min(initial=np.inf) for e in (fam.base.energies, fam.end.energies)))

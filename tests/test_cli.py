@@ -7,6 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import adiapower.cli as cli
 import adiapower.power as power
@@ -20,6 +21,8 @@ from adiapower.spectral import (
     is_adiabatically_connectible,
     min_gap_along,
 )
+
+from helpers import recorded_shapes
 
 
 def pairs(m):
@@ -45,15 +48,7 @@ def specs(tmp_path):
 @pytest.fixture
 def eigh_shapes(monkeypatch):
     """Shapes of the arrays passed to np.linalg.eigh, in call order."""
-    shapes = []
-    eigh = np.linalg.eigh
-
-    def counted(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return eigh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counted)
-    return shapes
+    return recorded_shapes(monkeypatch, np.linalg, "eigh")
 
 
 def test_connectible_exit_codes(tmp_path, capsys):
@@ -93,14 +88,7 @@ def test_connectible_diagonalizes_no_sample(tmp_path, monkeypatch):
         q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
         files.append(write_json(tmp_path / f"{name}.json",
                                 pairs((q * [0.0, 1.0, 1.0, 2.5]) @ q.conj().T)))
-    shapes = []
-    eigvalsh = np.linalg.eigvalsh
-
-    def counted(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return eigvalsh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    shapes = recorded_shapes(monkeypatch, np.linalg, "eigvalsh")
     out_file = tmp_path / "conn.json"
     assert main(["connectible", *files, "--samples", "57", "--out", str(out_file)]) == 0
     assert shapes == []
@@ -150,6 +138,20 @@ def test_connectible_resolves_each_endpoint_once(tmp_path, capsys, eigh_shapes, 
     else:
         assert code == 2 and out[2] == f"decision: not connectible ({decision.reason})"
     assert len(eigh_shapes) == 2               # the two endpoints, with or without a family
+
+
+@pytest.mark.parametrize("d0, d1, code", [((2, 1, 1), (2, 1, 1), 0), ((1, 3), (3, 1), 2)])
+def test_connectible_takes_no_schur_form(tmp_path, monkeypatch, d0, d1, code):
+    rng = np.random.default_rng(6)
+    files = []
+    for name, deg in (("h0", d0), ("h1", d1)):
+        q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+        h = (q * np.repeat(np.arange(len(deg), dtype=float), deg)) @ q.conj().T
+        files.append(write_json(tmp_path / f"{name}.json", pairs(h)))
+    eighs = recorded_shapes(monkeypatch, np.linalg, "eigh")
+    schurs = recorded_shapes(monkeypatch, scipy.linalg, "schur")
+    assert main(["connectible", *files, "--out", str(tmp_path / "conn.json")]) == code
+    assert eighs == [(4, 4)] * 2 and schurs == []
 
 
 @pytest.mark.parametrize("argv", [
@@ -468,6 +470,16 @@ def test_gate_loop_that_is_not_finite_is_an_input_error_before_any_work(eigh_sha
     assert eigh_shapes == []
 
 
+@pytest.mark.parametrize("theta0, radius", [("abc", "1.0"), ("1.0", ""), ("0x1", "2")])
+def test_gate_loop_that_is_not_a_number_is_an_input_error_before_any_work(eigh_shapes, capsys,
+                                                                          theta0, radius):
+    assert main(["gate", "--loop", "circle", theta0, radius, "--steps", "200"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == (f"input error: --loop THETA0 and RADIUS must be numbers, "
+                                 f"got {[theta0, radius]}\n")
+    assert eigh_shapes == []
+
+
 def test_custom_spec_power(tmp_path, capsys):
     h = 2 * tensor(SIGMA_Z, ID2) + tensor(ID2, SIGMA_Z)
     spec = write_json(tmp_path / "custom.json", {
@@ -526,6 +538,22 @@ def test_inverted_or_non_finite_box_is_an_input_error(tmp_path, capsys, bounds):
         assert main(argv) == 1
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("input error: bounds must be finite"), err
+
+
+@pytest.mark.parametrize("kind, key, value", [
+    ("builtin:example1", "lam1", float("nan")), ("builtin:example1", "lam2", float("inf")),
+    ("builtin:example2", "lam1_fixed", float("inf")), ("builtin:example2", "lam1_fixed", -float("inf")),
+])
+def test_a_spec_scalar_that_is_not_finite_is_an_input_error_naming_its_key(
+        tmp_path, capsys, eigh_shapes, kind, key, value):
+    spec = write_json(tmp_path / "spec.json", {"kind": kind, key: value})
+    for argv in (["power", spec, "--grid", "3"], ["sweep", spec, "--input-state", "01"]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"input error: {key} must be finite, got {value!r}\n"
+    assert eigh_shapes == []
 
 
 @pytest.mark.parametrize("cluster_tol", ["nan", "inf", "0", "-1"])
@@ -616,6 +644,20 @@ def test_an_evolve_path_coordinate_that_is_not_a_json_number_is_an_input_error(
     assert main(["evolve", specs["example1"], "--path", path, "--T", "5", "--steps", "200"]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err == f"input error: --path must hold only numbers, got {leaf!r}\n"
+    assert eigh_shapes == [(4, 4)]       # the base Hamiltonian, no path stack
+
+
+@pytest.mark.parametrize("leaf", [float("nan"), float("inf"), -float("inf")])
+def test_an_evolve_path_coordinate_that_is_not_finite_is_an_input_error(
+        specs, eigh_shapes, capsys, leaf):
+    path = json.dumps(with_leaf([[0, 0, 0], [0.1, 0, 0]], leaf))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["evolve", specs["example1"], "--path", path, "--T", "5",
+                     "--steps", "200"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == (f"input error: --path must hold only finite numbers, "
+                                 f"got {[[leaf, 0, 0], [0.1, 0, 0]]!r}\n")
     assert eigh_shapes == [(4, 4)]       # the base Hamiltonian, no path stack
 
 

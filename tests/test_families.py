@@ -14,7 +14,6 @@ from adiapower.families import (
     example1_unitary,
     example2_family,
     example2_max_concurrence,
-    example2_output_concurrence,
     example2_unitary,
     magic_basis,
     spin_half_field_family,
@@ -221,7 +220,9 @@ def test_example2_output_concurrence_formula():
         w /= np.linalg.norm(w)
         psi = m @ w
         out = example2_unitary(p) @ psi
-        assert abs(concurrence_2q(out) - example2_output_concurrence(p, w)) < 1e-10
+        # the concurrence of the output, from the magic-basis input amplitudes w
+        formula = abs(np.sum((w * np.exp(1j * p.magic_phases)) ** 2))
+        assert abs(concurrence_2q(out) - formula) < 1e-10
 
 
 def test_example2_product_sup_concurrence():

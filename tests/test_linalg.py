@@ -4,7 +4,7 @@ import inspect
 import numpy as np
 import pytest
 
-from adiapower import entanglement, linalg, power, simulate, spectral
+from adiapower import entanglement, families, linalg, power, simulate, spectral
 from adiapower.errors import (
     BranchAmbiguityError,
     DimensionMismatchError,
@@ -215,8 +215,6 @@ def test_structural_predicates():
     assert linalg.is_unitary(expm_skew(np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])))
     assert not linalg.is_unitary(np.stack([expm_skew(SIGMA_X), 1.01 * np.eye(2)]))
     assert not linalg.is_unitary(np.ones(2))
-    assert linalg.is_projector(np.diag([1.0, 0.0]))
-    assert not linalg.is_projector(np.diag([0.5, 0.5]))
 
 
 def test_widest_gap_of_angle_stacks():
@@ -253,12 +251,17 @@ def test_only_tolerances_a_caller_sets_are_parameters():
 
 
 def test_values_derived_from_inputs_or_fixed_are_not_parameters():
-    """Closure follows from gamma, the parameter count from the bounds, and the
-    family power's starts and the gate's sample counts are constants."""
+    """Closure follows from gamma, the parameter count from the bounds, a
+    connecting family's geodesic from its two endpoint resolutions, and the
+    family power's starts, the gate's sample counts and base Hamiltonians are
+    constants."""
     assert [f.name for f in dataclasses.fields(simulate.ParameterPath)] == ["duration", "gamma"]
     assert [f.name for f in dataclasses.fields(power.HamiltonianFamily)] == [
         "bounds", "evaluate", "split", "iso_spectral_form"]
+    assert [f.name for f in dataclasses.fields(spectral.ConnectingFamily)] == ["base", "end"]
     assert list(inspect.signature(power.adiabatic_entangling_power).parameters) == [
         "fam", "grid_per_axis", "refine", "sample_points"]
     assert list(inspect.signature(simulate.synthesize_controlled_phase).parameters) == [
-        "loop", "steps", "base"]
+        "loop", "steps"]
+    assert list(inspect.signature(families.example2_family).parameters) == [
+        "lam1_fixed", "bounds"]

@@ -52,6 +52,8 @@ from adiapower.power import (
     unitary_entangling_power,
 )
 
+from helpers import recorded_shapes
+
 
 def haar_unitary(rng, n):
     q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
@@ -471,25 +473,12 @@ def test_two_qubit_witnesses_broadcast_over_stacks():
         assert stacked[idx].tobytes() == product_sup_witness(us[idx]).tobytes()
 
 
-def recorded_svd_calls(monkeypatch):
-    """Shapes passed to each np.linalg.svd call."""
-    shapes = []
-    svd = np.linalg.svd
-
-    def recorded(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", recorded)
-    return shapes
-
-
 def test_unitary_power_qutrit_csum_reaches_log2_3(monkeypatch):
     csum = np.zeros((9, 9))
     for x in range(3):
         for y in range(3):
             csum[3 * x + (x + y) % 3, 3 * x + y] = 1.0
-    svds = recorded_svd_calls(monkeypatch)
+    svds = recorded_shapes(monkeypatch, np.linalg, "svd")
     runs = counted_ascents(monkeypatch)
     r = unitary_entangling_power(csum, BipartiteSplit(3, 3))
     assert abs(r.value - np.log2(3)) <= 1e-9
@@ -515,7 +504,7 @@ def test_unitary_power_qubit_split_witness_is_an_exact_product(dims):
 @pytest.mark.parametrize("dims", [(2, 3), (3, 2), (12, 2)])
 def test_a_qubit_split_ascent_takes_no_svd(monkeypatch, dims):
     u = haar_unitary(np.random.default_rng(5), dims[0] * dims[1])
-    svds = recorded_svd_calls(monkeypatch)
+    svds = recorded_shapes(monkeypatch, np.linalg, "svd")
     r = unitary_entangling_power(u, BipartiteSplit(*dims))
     assert svds == [(1, *dims)]              # the reported value only
     assert r.converged
@@ -524,7 +513,7 @@ def test_a_qubit_split_ascent_takes_no_svd(monkeypatch, dims):
 @pytest.mark.parametrize("dims", [(1, 2), (2, 1)])
 def test_a_qubit_beside_a_trivial_factor_keeps_the_svd_score(monkeypatch, dims):
     u = haar_unitary(np.random.default_rng(5), 2)
-    svds = recorded_svd_calls(monkeypatch)
+    svds = recorded_shapes(monkeypatch, np.linalg, "svd")
     r = unitary_entangling_power(u, BipartiteSplit(*dims))
     assert abs(r.value) <= 1e-15 and r.converged and r.concurrence is None
     assert r.input_state.shape == (2,)
@@ -532,7 +521,7 @@ def test_a_qubit_beside_a_trivial_factor_keeps_the_svd_score(monkeypatch, dims):
 
 
 def test_a_qubit_beside_a_wide_qudit_keeps_the_svd_score(monkeypatch):
-    svds = recorded_svd_calls(monkeypatch)
+    svds = recorded_shapes(monkeypatch, np.linalg, "svd")
     r = unitary_entangling_power(haar_unitary(np.random.default_rng(5), 26), BipartiteSplit(2, 13),
                                  starts=2, coarse=32)
     assert len(svds) > 1 and r.converged     # 78 minors would cost more than the SVD

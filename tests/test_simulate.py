@@ -29,6 +29,8 @@ from adiapower.simulate import (
     waypoint_path,
 )
 
+from helpers import recorded_shapes
+
 
 def field_circle(theta0, r=1.0, duration=1.0):
     """Closed loop of B = r(sin t0 cos phi, sin t0 sin phi, cos t0)."""
@@ -379,14 +381,7 @@ def test_decompose_uad_propagates_once_and_matches_per_level_runs(monkeypatch, s
     path = line_path([0.0, 0.0], [0.3, 0.2], duration=20.0, schedule="smoothstep")
     _, v_start = fam.eigensystem(path.gamma(0.0))
     runs = [propagate(fam, path, v_start[:, j], steps) for j in range(fam.dim)]
-    calls = []
-    eigh = np.linalg.eigh
-
-    def counted(a, *args, **kwargs):
-        calls.append(np.shape(a))
-        return eigh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counted)
+    calls = recorded_shapes(monkeypatch, np.linalg, "eigh")
     reports = decompose_uad(fam, path, steps)
     assert len(calls) == 2
     assert [rep.level for rep in reports] == list(range(fam.dim))

@@ -17,7 +17,7 @@ from adiapower.spectral import (
     spectral_resolution,
 )
 
-from helpers import random_hermitian
+from helpers import random_hermitian, recorded_shapes
 
 
 def test_spectral_resolution_clusters():
@@ -284,22 +284,14 @@ def test_connectibility_is_symmetric_and_the_family_is_exact(pair, ts):
 def test_build_connecting_family_resolves_each_endpoint_once(monkeypatch):
     rng = np.random.default_rng(8)
     h0, h1 = (degenerate_hermitian(rng, (1, 2, 1)) for _ in range(2))
-    calls = {"eigh": [], "eigvals": [], "schur": []}
-
-    def counted(module, name):
-        original = getattr(module, name)
-
-        def wrapper(a, *args, **kwargs):
-            calls[name].append(np.shape(a))
-            return original(a, *args, **kwargs)
-
-        monkeypatch.setattr(module, name, wrapper)
-
-    counted(np.linalg, "eigh")
-    counted(np.linalg, "eigvals")
-    counted(scipy.linalg, "schur")
-    build_connecting_family(h0, h1)
-    # one eigh per endpoint, one Schur form of the aligning unitary
+    calls = {name: recorded_shapes(monkeypatch, module, name)
+             for module, name in ((np.linalg, "eigh"), (np.linalg, "eigvals"),
+                                  (scipy.linalg, "schur"))}
+    fam = build_connecting_family(h0, h1)
+    # one eigh per endpoint and no Schur form: the family is its two resolutions
+    assert calls == {"eigh": [(4, 4)] * 2, "eigvals": [], "schur": []}
+    fam.unitary_at(0.5)
+    # the geodesic takes one Schur form of the aligning unitary when it is read
     assert calls == {"eigh": [(4, 4)] * 2, "eigvals": [], "schur": [(4, 4)]}
 
 
