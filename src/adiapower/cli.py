@@ -142,13 +142,22 @@ def _number_array(value, key: str, shape: tuple, expected: str) -> np.ndarray:
     return arr
 
 
+def _load_json(text: str, source: str):
+    """json.loads(text); text that is not JSON is a ValueError naming source
+    (a file path or an option) and keeping the decoder's line and column."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{source} is not valid JSON: {exc}") from None
+
+
 def parse_state(text: str, split: BipartiteSplit) -> np.ndarray:
     """Input state: computational-basis label (e.g. '01') or JSON amplitude list."""
-    text = text.strip()
-    if text.startswith("["):
-        arr = _number_array(json.loads(text), "input state", (split.dim, 2),
+    if text.lstrip().startswith("["):
+        arr = _number_array(_load_json(text, "--input-state"), "input state", (split.dim, 2),
                             f"{split.dim} [re, im] pairs")
         return linalg.normalize(arr[:, 0] + 1j * arr[:, 1])
+    text = text.strip()
     if len(text) == 2 and text.isdigit():
         i, j = int(text[0]), int(text[1])
         if i >= split.dim_a or j >= split.dim_b:
@@ -159,7 +168,7 @@ def parse_state(text: str, split: BipartiteSplit) -> np.ndarray:
 
 def load_hermitian(path: str) -> np.ndarray:
     with open(path) as f:
-        data = json.load(f)
+        data = _load_json(f.read(), path)
     if isinstance(data, dict):
         if "matrix" not in data:
             raise ValueError(f"{path}: matrix object is missing key 'matrix'")
@@ -195,7 +204,7 @@ def _spec_bounds(value, rows: int) -> np.ndarray:
 def load_family_spec(path: str):
     """Read a family spec file -> (HamiltonianFamily, resolved config dict)."""
     with open(path) as f:
-        spec = json.load(f)
+        spec = _load_json(f.read(), path)
     if not isinstance(spec, dict):
         raise ValueError(f"{path}: a family spec must be a JSON object, "
                          f"got {type(spec).__name__}")
@@ -395,7 +404,7 @@ def cmd_sweep(args) -> int:
 def cmd_evolve(args) -> int:
     fam, spec_config = load_family_spec(args.spec_file)
     fam.check_level(args.level)
-    waypoints = json.loads(args.path)
+    waypoints = _load_json(args.path, "--path")
     points = _number_array(waypoints, "--path", (None, fam.parameter_dim),
                            f"a JSON list of points with {fam.parameter_dim} parameters each")
     if not np.isfinite(points).all():
@@ -570,7 +579,7 @@ def main(argv=None) -> int:
     except AdiapowerError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
 

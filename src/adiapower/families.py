@@ -40,6 +40,8 @@ EXAMPLE0_BOUNDS = np.array([[1.0, 1.4], [0.1, 0.3], [2.0, 2.4]])
 # the Im mu = 0 slice.
 EXAMPLE1_BOUNDS = np.array([[0.0, 1.2], [0.0, 0.0], [0.0, 2.4]])
 EXAMPLE2_BOUNDS = np.array([[0.0, np.pi], [0.0, np.pi]])
+# Field box (Bx, By, Bz) of the spin-1/2 oracle family.
+SPIN_HALF_FIELD_BOUNDS = np.array([[-2.0, 2.0]] * 3)
 
 # Constant two-qubit operators of the family Hamiltonians and generators,
 # built once.
@@ -261,8 +263,8 @@ def example2_product_sup_concurrence(p: Example2Params) -> float:
     return enclosing_radius(np.exp(2j * p.magic_phases))
 
 
-def spin_half_field_family(bounds=((-2.0, 2.0),) * 3) -> HamiltonianFamily:
-    """Two-level family H(B) = B . sigma, parameters (Bx, By, Bz).
+def spin_half_field_family() -> HamiltonianFamily:
+    """Two-level family H(B) = B . sigma, parameters (Bx, By, Bz) in SPIN_HALF_FIELD_BOUNDS.
 
     Used as the analytic oracle for geometric phases: a loop of B at polar
     angle theta0 gives the lower level a phase of magnitude pi(1 - cos theta0).
@@ -273,4 +275,4 @@ def spin_half_field_family(bounds=((-2.0, 2.0),) * 3) -> HamiltonianFamily:
         return (lam[..., 0, None, None] * SIGMA_X + lam[..., 1, None, None] * SIGMA_Y
                 + lam[..., 2, None, None] * SIGMA_Z)
 
-    return HamiltonianFamily(bounds, evaluate, BipartiteSplit(1, 2))
+    return HamiltonianFamily(SPIN_HALF_FIELD_BOUNDS, evaluate, BipartiteSplit(1, 2))

@@ -15,10 +15,20 @@ starts is within 4 eps of the score's bound (concurrence 1, or
 log2(min(d_A, d_B)) bits), and the family polish once its best start is
 within 4 eps of log2(min(d_A, d_B)) bits (raising) or 0 (lowering); such a
 value is the supremum or infimum, to the gain rule's 4 eps.
+
+Grid evaluations (``entropy_sweep``, ``input_state_sweep``, the per-unitary
+powers of ``bound_check``) run their SWEEP_CHUNK-point chunks on every CPU
+the process may use, in one shared thread pool created by the first grid of
+more than one chunk.  So a family's ``evaluate`` and an iso-spectral
+``unitary`` must be safe to call concurrently (pure numpy is); every result
+is bit-identical to a run on one thread.
 """
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
@@ -61,8 +71,11 @@ class HamiltonianFamily:
     shape (..., p) give Hamiltonians (..., D, D), or energies (..., D) with
     eigenvector columns (..., D, D), each equal to the result for that
     point alone, so a whole path or grid is diagonalized in one call.
-    ``bounds`` (kept as a read-only float copy) must be a finite (p, 2) box with
-    lo <= hi on every row (ValueError otherwise); a row with lo == hi fixes its parameter.
+    Grid chunks run on every CPU the process may use, so ``evaluate`` must
+    be safe to call concurrently (pure numpy is); results are bit-identical
+    to one thread.  ``bounds`` (kept as a read-only float copy) must be a
+    finite (p, 2) box with lo <= hi on every row (ValueError otherwise); a
+    row with lo == hi fixes its parameter.
     """
 
     bounds: np.ndarray                   # (p, 2) box, bounds[:,0] <= bounds[:,1]
@@ -132,9 +145,11 @@ def iso_spectral_family(h_base, unitary: Callable[[np.ndarray], np.ndarray],
     H_base is diagonalized once and must be nondegenerate (DegeneracyError
     otherwise, gaps judged by cluster_tol); ``eigensystem`` then returns the
     exact pair (E0, U(lam) V0) and ``evaluate`` rebuilds H(lam) from U(lam).
-    ``unitary`` maps points (..., p) to unitaries (..., D, D).  base_point
-    is the parameter point whose eigenvectors are products.  cluster_tol
-    must be positive and finite (ValueError otherwise).
+    ``unitary`` maps points (..., p) to unitaries (..., D, D); grid chunks
+    call it on every CPU the process may use, so it must be safe to call
+    concurrently (pure numpy is), and results are bit-identical to one
+    thread.  base_point is the parameter point whose eigenvectors are
+    products.  cluster_tol must be positive and finite (ValueError otherwise).
     """
     energies, vectors, threshold = linalg.eig_clustered(h_base, cluster_tol)
     _check_gaps(energies, threshold, np.asarray(base_point, dtype=float))
@@ -159,10 +174,50 @@ def grid_points(bounds, per_axis: int) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
+def _cpus() -> int:
+    """Number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+_POOL = None                      # the grid chunks' thread pool, created on first use
+_POOL_LOCK = threading.Lock()
+
+
+def _forget_pool() -> None:
+    """In a forked child: the parent's pool threads do not exist there, and a
+    task sent to its pool would never run, so the child makes its own."""
+    global _POOL, _POOL_LOCK
+    _POOL, _POOL_LOCK = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _pool() -> ThreadPoolExecutor:
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            _POOL = ThreadPoolExecutor(_cpus(), thread_name_prefix="adiapower-grid")
+        return _POOL
+
+
 def _chunked(fn: Callable[[np.ndarray], np.ndarray], points: np.ndarray) -> np.ndarray:
-    """fn on SWEEP_CHUNK points at a time, in order, its results joined in point order."""
-    return np.concatenate([fn(points[i:i + SWEEP_CHUNK])
-                           for i in range(0, len(points), SWEEP_CHUNK)])
+    """fn on SWEEP_CHUNK points at a time, its results joined in point order.
+
+    The chunks run on the shared pool, one worker per CPU the process may
+    use; one chunk, or one CPU, runs in the calling thread and creates no
+    pool.  fn must be safe to call concurrently and must not call _chunked
+    (a chunk waiting on the bounded pool could deadlock it).  The error
+    raised is the first failing chunk's in point order, whatever the
+    scheduling; each chunk's result is bit-identical to fn's on one thread.
+    """
+    chunks = [points[i:i + SWEEP_CHUNK] for i in range(0, len(points), SWEEP_CHUNK)]
+    if len(chunks) == 1 or _cpus() == 1:
+        return np.concatenate([fn(chunk) for chunk in chunks])
+    return np.concatenate(list(_pool().map(fn, chunks)))
 
 
 def _entropies_many(states: np.ndarray, split: BipartiteSplit) -> np.ndarray:
@@ -204,7 +259,10 @@ def entropy_sweep(fam: HamiltonianFamily, grid_per_axis: int = DEFAULT_GRID,
     n >= 1) are diagonalized SWEEP_CHUNK at a time, one stacked
     ``eigensystem`` call per chunk, so the family's ``evaluate`` and
     ``eigensystem`` must broadcast; a degeneracy is reported at the first
-    point where the gap collapses, whatever the chunking.
+    point where the gap collapses, whatever the chunking.  The chunks run on
+    every CPU the process may use, so ``evaluate`` (or the iso-spectral
+    ``unitary``) must be safe to call concurrently (pure numpy is); the
+    entropies are bit-identical to one thread.
     """
     pts = grid_points(fam.bounds, grid_per_axis) if sample_points is None \
         else np.asarray(sample_points, dtype=float)
@@ -463,9 +521,6 @@ class UnitaryPowerResult:
     output_state: np.ndarray
     converged: bool | None = None         # True for 2 x 2; else the winning start met the gain rule
 
-    def __float__(self):
-        return self.value
-
 
 def _best_products(us, split: BipartiteSplit, starts: int, seed: int, coarse: int):
     """Product-input ascent: inputs (m, D), outputs (m, D), entropies (m,) and
@@ -571,7 +626,12 @@ def family_unitaries(fam: HamiltonianFamily, points) -> np.ndarray:
 
 
 def input_state_sweep(fam: HamiltonianFamily, psi, grid_per_axis: int) -> tuple:
-    """Grid points (n, p) and the entropies (n,) of U(lam) psi there, SWEEP_CHUNK at a time."""
+    """Grid points (n, p) and the entropies (n,) of U(lam) psi there, SWEEP_CHUNK at a time.
+
+    The chunks run on every CPU the process may use, so the family's
+    ``evaluate`` or iso-spectral ``unitary`` must be safe to call concurrently
+    (pure numpy is); the entropies are bit-identical to one thread.
+    """
     pts = grid_points(fam.bounds, grid_per_axis)
     return pts, _chunked(
         lambda chunk: entanglement.entropy(family_unitaries(fam, chunk) @ psi, fam.split), pts)
@@ -598,6 +658,9 @@ def bound_check(fam: HamiltonianFamily,
     below 1 is a ValueError, raised before any work.  The left-hand side is the refined
     adiabatic_entangling_power, a lower bound; ``holds`` is lhs <= rhs + 1e-6.
     ``rhs_point`` is the first grid point whose power is within 4 eps of rhs.
+    Both sides' grid chunks run on every CPU the process may use, so the
+    family's ``evaluate`` or iso-spectral ``unitary`` must be safe to call
+    concurrently (pure numpy is); the report is bit-identical to one thread.
     """
     exact = fam.split.dim_a == 2 and fam.split.dim_b == 2
     if not exact:

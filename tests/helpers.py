@@ -9,7 +9,9 @@ def random_hermitian(rng, d):
 
 
 def recorded_shapes(monkeypatch, module, name):
-    """Shapes of the arrays passed to module.name for the rest of the test, in call order."""
+    """Shapes of the arrays passed to module.name for the rest of the test, in the
+    order the calls began: the grid chunks' calls, made on the worker threads of
+    power._chunked, come in the order the chunks were scheduled, not point order."""
     shapes = []
     original = getattr(module, name)
 

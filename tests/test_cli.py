@@ -47,7 +47,7 @@ def specs(tmp_path):
 
 @pytest.fixture
 def eigh_shapes(monkeypatch):
-    """Shapes of the arrays passed to np.linalg.eigh, in call order."""
+    """Shapes of the arrays passed to np.linalg.eigh (see recorded_shapes for their order)."""
     return recorded_shapes(monkeypatch, np.linalg, "eigh")
 
 
@@ -712,6 +712,40 @@ def test_a_matrix_object_without_its_matrix_key_names_the_file(tmp_path, capsys)
     assert main(["connectible", good, good]) == 0
 
 
+def test_a_spec_file_that_is_not_json_names_the_file(tmp_path, capsys):
+    broken = tmp_path / "broken.json"
+    broken.write_text('{"kind": \n')
+    assert main(["power", str(broken)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == (f"input error: {broken} is not valid JSON: "
+                                 f"Expecting value: line 2 column 1 (char 10)\n")
+
+
+def test_a_matrix_file_that_is_not_json_names_the_file(tmp_path, capsys):
+    good = write_json(tmp_path / "good.json", pairs(np.diag([0.0, 1, 1, 1])))
+    broken = tmp_path / "broken.json"
+    broken.write_text("[[[0, 0], [1, 0]],")
+    assert main(["connectible", good, str(broken)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == (f"input error: {broken} is not valid JSON: "
+                                 f"Expecting value: line 1 column 19 (char 18)\n")
+
+
+def test_an_evolve_path_that_is_not_json_names_the_option(specs, eigh_shapes, capsys):
+    assert main(["evolve", specs["example1"], "--path", "[[0,0,0],[0.1,0,"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == ("input error: --path is not valid JSON: "
+                                 "Expecting value: line 1 column 17 (char 16)\n")
+    assert eigh_shapes == [(4, 4)]       # the base Hamiltonian, no path stack
+
+
+def test_an_input_state_that_is_not_json_names_the_option(specs, capsys):
+    assert main(["sweep", specs["example1"], "--input-state", " [[1, 0], [0, 0],"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == ("input error: --input-state is not valid JSON: "
+                                 "Expecting value: line 1 column 18 (char 17)\n")
+
+
 def test_custom_spec_degenerate_base_aborts(tmp_path, capsys):
     spec = {
         "kind": "custom",
@@ -747,13 +781,34 @@ def test_degenerate_builtin_example1_base_is_a_degeneracy_abort(tmp_path, capsys
     assert captured.err.startswith("degeneracy abort: eigenvalue gap collapsed at [0. 0. 0.]")
 
 
-def _run_module(*args):
-    """Run ``python -m adiapower.cli`` with this checkout's package on the path."""
+def _run_python(*args):
+    """Run a fresh ``python`` with this checkout's package on the path."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-m", "adiapower.cli", *args],
+    return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, env=env, timeout=120)
+
+
+def _run_module(*args):
+    """Run ``python -m adiapower.cli`` with this checkout's package on the path."""
+    return _run_python("-m", "adiapower.cli", *args)
+
+
+@pytest.mark.parametrize("start", [
+    "import adiapower\nimport adiapower.cli",
+    "sys.argv = ['adiapower', '--version']\ntry:\n"
+    "    runpy.run_module('adiapower.cli', run_name='__main__', alter_sys=True)\n"
+    "except SystemExit:\n    pass",
+], ids=["import", "version"])
+def test_start_up_starts_no_thread(start):
+    proc = _run_python("-c", "import runpy, sys, threading\n"
+                             "before = threading.active_count()\n"
+                             f"{start}\n"
+                             "print(threading.active_count() - before, "
+                             "sys.modules['adiapower.power']._POOL)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 None"
 
 
 def test_help_and_version_exit_0_and_usage_errors_exit_1():

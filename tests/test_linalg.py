@@ -253,8 +253,8 @@ def test_only_tolerances_a_caller_sets_are_parameters():
 def test_values_derived_from_inputs_or_fixed_are_not_parameters():
     """Closure follows from gamma, the parameter count from the bounds, a
     connecting family's geodesic from its two endpoint resolutions, and the
-    family power's starts, the gate's sample counts and base Hamiltonians are
-    constants."""
+    family power's starts, the gate's sample counts, base Hamiltonians and the
+    spin-1/2 field box are constants."""
     assert [f.name for f in dataclasses.fields(simulate.ParameterPath)] == ["duration", "gamma"]
     assert [f.name for f in dataclasses.fields(power.HamiltonianFamily)] == [
         "bounds", "evaluate", "split", "iso_spectral_form"]
@@ -265,3 +265,4 @@ def test_values_derived_from_inputs_or_fixed_are_not_parameters():
         "loop", "steps"]
     assert list(inspect.signature(families.example2_family).parameters) == [
         "lam1_fixed", "bounds"]
+    assert list(inspect.signature(families.spin_half_field_family).parameters) == []

@@ -1,3 +1,12 @@
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -772,7 +781,7 @@ def test_bound_check_builds_at_most_sweep_chunk_unitaries_per_call(monkeypatch, 
     monkeypatch.setattr(power, "family_unitaries", recorded)
     monkeypatch.setattr(power, "SWEEP_CHUNK", 20)
     chunked = bound_check(fam, grid_per_axis=9, seed=3, coarse=8)
-    assert sizes == [20, 20, 20, 20, 1]
+    assert sorted(sizes, reverse=True) == [20, 20, 20, 20, 1]     # chunks run in any order
     assert (chunked.lhs, chunked.rhs, chunked.holds) == (whole.lhs, whole.rhs, whole.holds)
     assert chunked.rhs_point.tobytes() == whole.rhs_point.tobytes()
 
@@ -971,7 +980,7 @@ def test_entropy_sweep_does_not_depend_on_the_chunk(monkeypatch, make_family, gr
     monkeypatch.setattr(power, "SWEEP_CHUNK", 7)
     sizes = recorded_eigensystem_sizes(monkeypatch)
     chunked = entropy_sweep(fam, grid)
-    assert sizes == [7] * (len(whole.points) // 7) + [len(whole.points) % 7]
+    assert sorted(sizes, reverse=True) == [7] * (len(whole.points) // 7) + [len(whole.points) % 7]
     assert chunked.entropies.tobytes() == whole.entropies.tobytes()
     assert (chunked.argmax_level, chunked.argmax_value) == (whole.argmax_level,
                                                             whole.argmax_value)
@@ -1008,7 +1017,7 @@ def test_input_state_sweep_does_not_depend_on_the_chunk(monkeypatch, make_family
 
     monkeypatch.setattr(power, "family_unitaries", recorded)
     _, chunked = input_state_sweep(fam, psi, grid)
-    assert sizes == [7] * (len(pts) // 7) + [len(pts) % 7]
+    assert sorted(sizes, reverse=True) == [7] * (len(pts) // 7) + [len(pts) % 7]
     assert chunked.tobytes() == whole.tobytes()
 
 
@@ -1088,3 +1097,153 @@ def test_entropy_sweep_rejects_malformed_sample_points(sample_points):
             call(fam, sample_points=sample_points)
     sweep = entropy_sweep(fam, sample_points=[[0.1, 0.2, 0.3]])
     assert sweep.entropies.shape == (1, 4)
+
+
+# ---------------------------------------------------------------------------
+# Grid chunks on the thread pool.
+
+@pytest.fixture
+def two_workers(monkeypatch):
+    """A fresh two-worker grid pool, so chunks run in parallel on any machine."""
+    pool = ThreadPoolExecutor(2)
+    monkeypatch.setattr(power, "_POOL", pool)
+    monkeypatch.setattr(power, "_cpus", lambda: 2)
+    yield pool
+    pool.shutdown()
+
+
+@pytest.mark.parametrize("make_family, run", [
+    (example1_family, lambda fam: bound_check(fam, grid_per_axis=5)),
+    (plane_2x3_family, lambda fam: bound_check(fam, grid_per_axis=5, seed=3, coarse=16,
+                                               starts=2)),
+    (example1_family, lambda fam: input_state_sweep(fam, ket("01"), 9)),
+    (custom_2x3_family, lambda fam: input_state_sweep(fam, random_state(fam), 9)),
+], ids=["bound_check-2x2", "bound_check-2x3", "input_state_sweep-2x2", "input_state_sweep-2x3"])
+def test_parallel_chunks_equal_a_serial_map_over_the_same_chunks(monkeypatch, two_workers,
+                                                                 make_family, run):
+    monkeypatch.setattr(power, "SWEEP_CHUNK", 7)
+    fam = make_family()
+    results, threads = [], set()
+    chunked = power._chunked
+
+    def compared(fn, points):
+        def recorded(chunk):
+            threads.add(threading.get_ident())
+            return fn(chunk)
+
+        parallel = chunked(recorded, points)
+        serial = np.concatenate([fn(points[i:i + 7]) for i in range(0, len(points), 7)])
+        results.append((parallel, serial))
+        return parallel
+
+    monkeypatch.setattr(power, "_chunked", compared)
+    run(fam)
+    assert results and threading.get_ident() not in threads      # every chunk ran on the pool
+    for parallel, serial in results:
+        assert parallel.tobytes() == serial.tobytes()
+
+
+def test_the_first_failing_chunk_in_point_order_raises_its_error(monkeypatch, two_workers):
+    monkeypatch.setattr(power, "SWEEP_CHUNK", 2)
+    chunk1_raised = threading.Event()
+
+    def fail(chunk):
+        if chunk[0] == 0.0:                  # chunk 0 fails only after chunk 1 has failed
+            assert chunk1_raised.wait(timeout=60)
+            raise ValueError("chunk 0")
+        try:
+            raise KeyError("chunk 1")
+        finally:
+            chunk1_raised.set()
+
+    with pytest.raises(ValueError, match="chunk 0"):
+        power._chunked(fail, np.arange(4.0))
+
+
+@pytest.mark.parametrize("npoints, cpus", [(7, 2), (20, 1)], ids=["one-chunk", "one-cpu"])
+def test_one_chunk_or_one_cpu_runs_in_the_calling_thread_without_a_pool(monkeypatch,
+                                                                         npoints, cpus):
+    monkeypatch.setattr(power, "SWEEP_CHUNK", 7)
+    monkeypatch.setattr(power, "_cpus", lambda: cpus)
+    monkeypatch.setattr(power, "_POOL", None)
+    threads = []
+
+    def fn(chunk):
+        threads.append(threading.get_ident())
+        return 2.0 * chunk
+
+    points = np.arange(float(npoints))
+    assert power._chunked(fn, points).tobytes() == (2.0 * points).tobytes()
+    assert threads == [threading.get_ident()] * -(-npoints // 7)
+    assert power._POOL is None
+
+
+def test_concurrent_first_grids_create_one_pool(monkeypatch):
+    monkeypatch.setattr(power, "SWEEP_CHUNK", 3)
+    monkeypatch.setattr(power, "_cpus", lambda: 2)
+    monkeypatch.setattr(power, "_POOL", None)
+    created, results = [], []
+
+    def counted(*args, **kwargs):
+        time.sleep(0.01)                     # widens the window an unlocked check would lose in
+        created.append(ThreadPoolExecutor(*args, **kwargs))
+        return created[-1]
+
+    monkeypatch.setattr(power, "ThreadPoolExecutor", counted)
+    callers = [threading.Thread(target=lambda: results.append(
+        power._chunked(np.negative, np.arange(10.0)).tobytes())) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+        for pool in created:
+            pool.shutdown()
+    assert not any(caller.is_alive() for caller in callers)
+    assert len(created) == 1
+    assert results == [np.negative(np.arange(10.0)).tobytes()] * 8
+
+
+def _negate_on_the_grid_pool():
+    if power._chunked(np.negative, np.arange(4.0)).tolist() != [-0.0, -1.0, -2.0, -3.0]:
+        sys.exit(1)
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="needs the fork start method")
+def test_a_forked_child_runs_its_grids_on_its_own_pool(monkeypatch, two_workers):
+    monkeypatch.setattr(power, "SWEEP_CHUNK", 2)
+    both = threading.Barrier(2, timeout=60)      # the parent's pool starts both its workers
+    power._chunked(lambda chunk: (both.wait(), chunk)[1], np.arange(4.0))
+    child = multiprocessing.get_context("fork").Process(target=_negate_on_the_grid_pool)
+    child.start()
+    child.join(timeout=60)
+    hung = child.is_alive()
+    if hung:
+        child.kill()
+        child.join()
+    assert not hung and child.exitcode == 0
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs sched_setaffinity and at least two usable CPUs")
+def test_a_sweep_pinned_to_one_cpu_writes_the_bytes_of_an_unpinned_one(tmp_path):
+    src = os.path.dirname(os.path.dirname(power.__file__))
+    env = dict(os.environ, SOURCE_DATE_EPOCH="0", PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    spec = Path(__file__).parent / "golden" / "fig1_spec.json"
+    cpu = min(os.sched_getaffinity(0))
+    outputs = []
+    for pin in (lambda: os.sched_setaffinity(0, {cpu}), None):
+        out = tmp_path / f"sweep{len(outputs)}.csv"
+        proc = subprocess.run([sys.executable, "-m", "adiapower.cli", "sweep", str(spec),
+                               "--input-state", "01", "--grid", "41", "--out", str(out)],
+                              capture_output=True, env=env, timeout=300, preexec_fn=pin)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append((proc.stdout, out.read_bytes()))
+    assert 41 * 41 > power.SWEEP_CHUNK                   # two chunks: the pool runs unpinned
+    assert outputs[0] == outputs[1]
