@@ -62,6 +62,7 @@ from .power import (
 from .simulate import (
     DEFAULT_GATE_STEPS,
     DEFAULT_STEPS,
+    MIN_STEPS,
     circle_loop,
     propagate,
     retrace_circle_loop,
@@ -351,8 +352,11 @@ def cmd_connectible(args) -> int:
 
 def cmd_power(args) -> int:
     _check_at_least("--grid", args.grid, 1)
+    try:
+        level = None if args.level == "all" else int(args.level)
+    except ValueError:
+        raise ValueError(f"--level must be 'all' or a level index, got {args.level!r}") from None
     fam, spec_config = load_family_spec(args.spec_file)
-    level = None if args.level == "all" else int(args.level)
     if level is not None:
         fam.check_level(level)
     est = adiabatic_entangling_power(fam, grid_per_axis=args.grid,
@@ -402,6 +406,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_evolve(args) -> int:
+    _check_at_least("--steps", args.steps, MIN_STEPS)
     fam, spec_config = load_family_spec(args.spec_file)
     fam.check_level(args.level)
     waypoints = _load_json(args.path, "--path")
@@ -439,6 +444,7 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_gate(args) -> int:
+    _check_at_least("--steps", args.steps, MIN_STEPS)
     kind, *numbers = args.loop
     try:
         theta0, radius = map(float, numbers)

@@ -27,10 +27,7 @@ def schmidt_spectrum(psi, split: BipartiteSplit) -> np.ndarray:
     psi = np.asarray(psi, dtype=complex)
     split.check(psi.shape[-1])
     m = psi.reshape(psi.shape[:-1] + (split.dim_a, split.dim_b))
-    lam = np.linalg.svd(m, compute_uv=False) ** 2
-    lam.sort(axis=-1)
-    lam = lam[..., ::-1]
-    lam = lam.clip(0.0, 1.0)
+    lam = (np.linalg.svd(m, compute_uv=False) ** 2).clip(0.0, 1.0)     # svd sorts descending
     return lam / lam.sum(axis=-1, keepdims=True)
 
 

@@ -18,8 +18,9 @@ value is the supremum or infimum, to the gain rule's 4 eps.
 
 Grid evaluations (``entropy_sweep``, ``input_state_sweep``, the per-unitary
 powers of ``bound_check``) run their SWEEP_CHUNK-point chunks on every CPU
-the process may use, in one shared thread pool created by the first grid of
-more than one chunk.  So a family's ``evaluate`` and an iso-spectral
+the process may use, in the one thread pool made when this module is
+imported; its threads start on the first grid, and every grid runs on it,
+however many chunks it has.  So a family's ``evaluate`` and an iso-spectral
 ``unitary`` must be safe to call concurrently (pure numpy is); every result
 is bit-identical to a run on one thread.
 """
@@ -27,7 +28,6 @@ is bit-identical to a run on one thread.
 from __future__ import annotations
 
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
@@ -174,50 +174,33 @@ def grid_points(bounds, per_axis: int) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
-def _cpus() -> int:
-    """Number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-_POOL = None                      # the grid chunks' thread pool, created on first use
-_POOL_LOCK = threading.Lock()
-
-
-def _forget_pool() -> None:
-    """In a forked child: the parent's pool threads do not exist there, and a
-    task sent to its pool would never run, so the child makes its own."""
-    global _POOL, _POOL_LOCK
-    _POOL, _POOL_LOCK = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _pool() -> ThreadPoolExecutor:
+def _make_pool() -> None:
+    """Make _POOL, the grid chunks' thread pool, one worker per CPU this process
+    may use.  Run at import, and again in a forked child: the parent's pool
+    threads do not exist there, and a task sent to its pool would never run."""
     global _POOL
-    with _POOL_LOCK:
-        if _POOL is None:
-            _POOL = ThreadPoolExecutor(_cpus(), thread_name_prefix="adiapower-grid")
-        return _POOL
+    _POOL = ThreadPoolExecutor(
+        len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
+        thread_name_prefix="adiapower-grid")
+
+
+_make_pool()                      # an executor starts its threads on its first task
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_make_pool)
 
 
 def _chunked(fn: Callable[[np.ndarray], np.ndarray], points: np.ndarray) -> np.ndarray:
     """fn on SWEEP_CHUNK points at a time, its results joined in point order.
 
-    The chunks run on the shared pool, one worker per CPU the process may
-    use; one chunk, or one CPU, runs in the calling thread and creates no
-    pool.  fn must be safe to call concurrently and must not call _chunked
-    (a chunk waiting on the bounded pool could deadlock it).  The error
-    raised is the first failing chunk's in point order, whatever the
-    scheduling; each chunk's result is bit-identical to fn's on one thread.
+    Every grid, of one chunk or many, runs on _POOL, the one pool made when
+    this module is imported; its threads start on the first grid.  fn must be
+    safe to call concurrently and must not call _chunked (a chunk waiting on
+    the bounded pool could deadlock it).  The error raised is the first
+    failing chunk's in point order, whatever the scheduling; each chunk's
+    result is bit-identical to fn's on one thread.
     """
     chunks = [points[i:i + SWEEP_CHUNK] for i in range(0, len(points), SWEEP_CHUNK)]
-    if len(chunks) == 1 or _cpus() == 1:
-        return np.concatenate([fn(chunk) for chunk in chunks])
-    return np.concatenate(list(_pool().map(fn, chunks)))
+    return np.concatenate(list(_POOL.map(fn, chunks)))
 
 
 def _entropies_many(states: np.ndarray, split: BipartiteSplit) -> np.ndarray:

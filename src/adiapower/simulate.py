@@ -25,6 +25,7 @@ _ENTANGLING_TOL = 1e-3       # smallest |nontriviality| of an entangling gate
 _PHASE_SAMPLES = 2000        # loop points of a phase chain and the gate's constraint check
 DEFAULT_STEPS = 1000         # propagation steps of propagate, propagate_unitary and decompose_uad
 DEFAULT_GATE_STEPS = 4000    # propagation steps of synthesize_controlled_phase
+MIN_STEPS = 100              # fewest steps of any propagation
 
 
 @dataclass(frozen=True)
@@ -172,8 +173,8 @@ def _step_unitaries(fam: HamiltonianFamily, path: ParameterPath, steps: int) -> 
     any other diagonalization, so too few steps or a duration that is not
     positive and finite fail first.
     """
-    if steps < 100:
-        raise ValueError("use at least 100 steps")
+    if steps < MIN_STEPS:
+        raise ValueError(f"use at least {MIN_STEPS} steps")
     if not 0 < path.duration < np.inf:
         raise ValueError(f"the duration must be positive and finite, got {path.duration}")
     dt = path.duration / steps

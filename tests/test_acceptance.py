@@ -24,6 +24,7 @@ Swapping the sweep's SVD entropy for the closed form moves E by up to
 import json
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -328,7 +329,7 @@ def test_criterion_10_figure_data_regression(tmp_path, monkeypatch):
         assert main(["sweep", spec, "--input-state", state, "--grid", "121",
                      "--out", str(out)]) == 0
         ok, n, de = _sweep_vs_golden(out.read_bytes().decode(),
-                                     open(golden, "rb").read().decode())
+                                     Path(golden).read_bytes().decode())
         ok_layout = ok_layout and ok
         differ.append(n)
         max_de = max(max_de, de)
@@ -338,9 +339,9 @@ def test_criterion_10_figure_data_regression(tmp_path, monkeypatch):
 
     # qualitative shape checks on the stored data
     rows1 = np.array([[float(x) for x in line.split(",")]
-                      for line in open("fig1.csv").read().splitlines()[2:]])
+                      for line in Path("fig1.csv").read_text().splitlines()[2:]])
     rows2 = np.array([[float(x) for x in line.split(",")]
-                      for line in open("fig2.csv").read().splitlines()[2:]])
+                      for line in Path("fig2.csv").read_text().splitlines()[2:]])
     contour = rows2[np.abs(rows2[:, 1] - rows2[:, 0] - np.pi / 4) < 1e-9, 2]
     ok_contour = len(contour) > 0 and np.max(np.abs(contour - 1.0)) < 1e-9
     # large mu_z at weak coupling suppresses the reachable entanglement

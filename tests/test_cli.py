@@ -212,6 +212,13 @@ def test_power_runs_one_sweep(specs, tmp_path, monkeypatch, capsys):
     assert level_line == f"level 0: max entropy {max(col)!r}, min entropy {min(col)!r}"
 
 
+def test_power_level_that_is_not_an_integer_names_the_option(specs, capsys):
+    assert main(["power", specs["example2"], "--grid", "3", "--level", "abc"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "input error: --level must be 'all' or a level index, got 'abc'\n"
+
+
 def test_power_level_out_of_range_is_input_error(specs, capsys):
     for level in ("7", "4", "-1"):
         assert main(["power", specs["example2"], "--grid", "3", "--level", level]) == 1
@@ -410,6 +417,15 @@ def test_evolve_rejects_bad_level_and_path_before_any_work(specs, eigh_shapes, c
     assert eigh_shapes == [(4, 4)] * 9   # each run's base Hamiltonian, no path stack
 
 
+def test_evolve_too_few_steps_names_the_option_before_any_work(specs, eigh_shapes, capsys):
+    assert main(["evolve", specs["example1"], "--path", "[[0,0,0],[0.1,0,0]]",
+                 "--steps", "50"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "input error: --steps must be at least 100, got 50\n"
+    assert eigh_shapes == []
+
+
 @pytest.mark.parametrize("duration", ["0", "-5", "-0.0", "inf"])
 def test_evolve_and_gate_reject_a_duration_that_is_not_positive(tmp_path, specs, eigh_shapes,
                                                                  capsys, duration):
@@ -432,8 +448,8 @@ def test_gate_too_few_steps_is_input_error_before_any_work(eigh_shapes, capsys, 
     assert main(["gate", "--loop", "circle", "1.0", "1.0", "--steps", steps]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "input error: use at least 100 steps" in captured.err
-    assert eigh_shapes == [(4, 4)]       # the family's base Hamiltonian, no path stack
+    assert captured.err == f"input error: --steps must be at least 100, got {steps}\n"
+    assert eigh_shapes == []             # not even the family's base Hamiltonian
 
 
 def test_gate_circle_and_retrace(tmp_path):
@@ -805,10 +821,32 @@ def test_start_up_starts_no_thread(start):
     proc = _run_python("-c", "import runpy, sys, threading\n"
                              "before = threading.active_count()\n"
                              f"{start}\n"
-                             "print(threading.active_count() - before, "
-                             "sys.modules['adiapower.power']._POOL)")
+                             "print(threading.active_count() - before)")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "0 None"
+    assert proc.stdout.splitlines()[-1] == "0"
+
+
+def test_the_grid_pool_is_made_at_import_and_runs_a_one_chunk_grid():
+    proc = _run_python("-c", """
+import threading
+from concurrent.futures import ThreadPoolExecutor
+before = threading.active_count()
+import numpy as np
+from adiapower import families, power
+print(isinstance(power._POOL, ThreadPoolExecutor), threading.active_count() - before)
+kernel, names = power._entropies_many, []
+def recorded(states, split):
+    names.append(threading.current_thread().name)
+    return kernel(states, split)
+power._entropies_many = recorded
+fam = families.example1_family()
+sweep = power.entropy_sweep(fam, 5)
+direct = kernel(np.swapaxes(fam.eigensystem(sweep.points)[1], -1, -2), fam.split)
+print(len(sweep.points) <= power.SWEEP_CHUNK, [name.split("_")[0] for name in names],
+      sweep.entropies.tobytes() == direct.tobytes())
+""")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["True 0", "True ['adiapower-grid'] True"]
 
 
 def test_help_and_version_exit_0_and_usage_errors_exit_1():

@@ -3,7 +3,6 @@ import os
 import subprocess
 import sys
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -1107,7 +1106,6 @@ def two_workers(monkeypatch):
     """A fresh two-worker grid pool, so chunks run in parallel on any machine."""
     pool = ThreadPoolExecutor(2)
     monkeypatch.setattr(power, "_POOL", pool)
-    monkeypatch.setattr(power, "_cpus", lambda: 2)
     yield pool
     pool.shutdown()
 
@@ -1158,54 +1156,6 @@ def test_the_first_failing_chunk_in_point_order_raises_its_error(monkeypatch, tw
 
     with pytest.raises(ValueError, match="chunk 0"):
         power._chunked(fail, np.arange(4.0))
-
-
-@pytest.mark.parametrize("npoints, cpus", [(7, 2), (20, 1)], ids=["one-chunk", "one-cpu"])
-def test_one_chunk_or_one_cpu_runs_in_the_calling_thread_without_a_pool(monkeypatch,
-                                                                         npoints, cpus):
-    monkeypatch.setattr(power, "SWEEP_CHUNK", 7)
-    monkeypatch.setattr(power, "_cpus", lambda: cpus)
-    monkeypatch.setattr(power, "_POOL", None)
-    threads = []
-
-    def fn(chunk):
-        threads.append(threading.get_ident())
-        return 2.0 * chunk
-
-    points = np.arange(float(npoints))
-    assert power._chunked(fn, points).tobytes() == (2.0 * points).tobytes()
-    assert threads == [threading.get_ident()] * -(-npoints // 7)
-    assert power._POOL is None
-
-
-def test_concurrent_first_grids_create_one_pool(monkeypatch):
-    monkeypatch.setattr(power, "SWEEP_CHUNK", 3)
-    monkeypatch.setattr(power, "_cpus", lambda: 2)
-    monkeypatch.setattr(power, "_POOL", None)
-    created, results = [], []
-
-    def counted(*args, **kwargs):
-        time.sleep(0.01)                     # widens the window an unlocked check would lose in
-        created.append(ThreadPoolExecutor(*args, **kwargs))
-        return created[-1]
-
-    monkeypatch.setattr(power, "ThreadPoolExecutor", counted)
-    callers = [threading.Thread(target=lambda: results.append(
-        power._chunked(np.negative, np.arange(10.0)).tobytes())) for _ in range(8)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for caller in callers:
-            caller.start()
-        for caller in callers:
-            caller.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-        for pool in created:
-            pool.shutdown()
-    assert not any(caller.is_alive() for caller in callers)
-    assert len(created) == 1
-    assert results == [np.negative(np.arange(10.0)).tobytes()] * 8
 
 
 def _negate_on_the_grid_pool():
