@@ -69,7 +69,7 @@ from .simulate import (
     synthesize_controlled_phase,
     waypoint_path,
 )
-from .spectral import DEFAULT_SAMPLES, build_connecting_family, spectra_along
+from .spectral import DEFAULT_SAMPLES, build_connecting_family, min_gap_along, spectra_along
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +175,8 @@ def load_hermitian(path: str) -> np.ndarray:
             raise ValueError(f"{path}: matrix object is missing key 'matrix'")
         data = data["matrix"]
     arr = _number_array(data, f"{path}: matrix", (None, None, 2), "a matrix of [re, im] pairs")
+    if arr.shape[0] != arr.shape[1]:
+        raise ValueError(f"{path}: matrix must be square, got {arr.shape[0]} x {arr.shape[1]}")
     h = arr[..., 0] + 1j * arr[..., 1]
     if not linalg.is_hermitian(h):
         raise NotHermitianError(f"{path}: matrix is not Hermitian")
@@ -280,7 +282,8 @@ def _write_text(path, text):
 
 
 def _write_json(path, payload):
-    _write_text(path, json.dumps(payload, sort_keys=True, indent=1) + "\n")
+    """payload as strict JSON: a NaN or infinity is a ValueError, never a bare token."""
+    _write_text(path, json.dumps(payload, sort_keys=True, indent=1, allow_nan=False) + "\n")
 
 
 def _write_csv(path, manifest, header, table):
@@ -333,17 +336,18 @@ def cmd_connectible(args) -> int:
     degeneracy = fam.base.multiplicities        # equal at both ends when connectible
     print(f"degeneracy vector of H0: {degeneracy}")
     print(f"degeneracy vector of H1: {degeneracy}")
-    ts, spectra, gap = spectra_along(fam, args.samples)
+    gap = min_gap_along(fam)
     print("decision: connectible")
     print(f"min gap along connecting family: {fmt(gap)}")
     if args.out:
+        ts, spectra, _ = spectra_along(fam, args.samples)
         config = {"h0_file": args.h0_file, "h1_file": args.h1_file,
                   "cluster_tol": args.cluster_tol, "samples": args.samples}
         _write_json(args.out, {
             "manifest": make_manifest("connectible", config, args.seed),
             "connectible": True,
             "degeneracy_vectors": [list(degeneracy), list(degeneracy)],
-            "min_gap": gap,
+            "min_gap": gap if gap < np.inf else None,     # a single level has no gap
             "t": ts.tolist(),
             "spectra": spectra.tolist(),
         })

@@ -17,12 +17,18 @@ within 4 eps of log2(min(d_A, d_B)) bits (raising) or 0 (lowering); such a
 value is the supremum or infimum, to the gain rule's 4 eps.
 
 Grid evaluations (``entropy_sweep``, ``input_state_sweep``, the per-unitary
-powers of ``bound_check``) run their SWEEP_CHUNK-point chunks on every CPU
-the process may use, in the one thread pool made when this module is
-imported; its threads start on the first grid, and every grid runs on it,
+powers of ``bound_check``) and path stacks (``eigenstate_track``, and the
+step, node and loop eigensystems of ``simulate``'s ``propagate``,
+``propagate_unitary``, ``decompose_uad``, ``berry_phase`` and
+``synthesize_controlled_phase``) run their SWEEP_CHUNK-point chunks on every
+CPU the process may use, in the one thread pool made when this module is
+imported; its threads start on the first stack, and every stack runs on it,
 however many chunks it has.  So a family's ``evaluate`` and an iso-spectral
 ``unitary`` must be safe to call concurrently (pure numpy is); every result
-is bit-identical to a run on one thread.
+is bit-identical to a run on one thread.  The family polish and the
+product-input ascent evaluate one small stack per iteration (about a hundred
+points), which a hand-off to the pool would slow, so they stay on the thread
+that calls them.
 """
 
 from __future__ import annotations
@@ -71,11 +77,12 @@ class HamiltonianFamily:
     shape (..., p) give Hamiltonians (..., D, D), or energies (..., D) with
     eigenvector columns (..., D, D), each equal to the result for that
     point alone, so a whole path or grid is diagonalized in one call.
-    Grid chunks run on every CPU the process may use, so ``evaluate`` must
-    be safe to call concurrently (pure numpy is); results are bit-identical
-    to one thread.  ``bounds`` (kept as a read-only float copy) must be a
-    finite (p, 2) box with lo <= hi on every row (ValueError otherwise); a
-    row with lo == hi fixes its parameter.
+    Grid and path chunks (``power`` and ``sweep``, ``evolve``, ``gate`` and
+    ``berry_phase``) run on every CPU the process may use, so ``evaluate``
+    must be safe to call concurrently (pure numpy is); results are
+    bit-identical to one thread.  ``bounds`` (kept as a read-only float
+    copy) must be a finite (p, 2) box with lo <= hi on every row
+    (ValueError otherwise); a row with lo == hi fixes its parameter.
     """
 
     bounds: np.ndarray                   # (p, 2) box, bounds[:,0] <= bounds[:,1]
@@ -145,7 +152,8 @@ def iso_spectral_family(h_base, unitary: Callable[[np.ndarray], np.ndarray],
     H_base is diagonalized once and must be nondegenerate (DegeneracyError
     otherwise, gaps judged by cluster_tol); ``eigensystem`` then returns the
     exact pair (E0, U(lam) V0) and ``evaluate`` rebuilds H(lam) from U(lam).
-    ``unitary`` maps points (..., p) to unitaries (..., D, D); grid chunks
+    ``unitary`` maps points (..., p) to unitaries (..., D, D); grid and path
+    chunks (``power`` and ``sweep``, ``evolve``, ``gate`` and ``berry_phase``)
     call it on every CPU the process may use, so it must be safe to call
     concurrently (pure numpy is), and results are bit-identical to one
     thread.  base_point is the parameter point whose eigenvectors are
@@ -189,18 +197,23 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_make_pool)
 
 
-def _chunked(fn: Callable[[np.ndarray], np.ndarray], points: np.ndarray) -> np.ndarray:
-    """fn on SWEEP_CHUNK points at a time, its results joined in point order.
+def _chunked(fn: Callable[[np.ndarray], np.ndarray | tuple], points: np.ndarray):
+    """fn on SWEEP_CHUNK points at a time, its results joined in point order:
+    an array, or for a tuple-valued fn (such as a family's ``eigensystem``)
+    a tuple of arrays joined element by element.
 
-    Every grid, of one chunk or many, runs on _POOL, the one pool made when
-    this module is imported; its threads start on the first grid.  fn must be
-    safe to call concurrently and must not call _chunked (a chunk waiting on
-    the bounded pool could deadlock it).  The error raised is the first
-    failing chunk's in point order, whatever the scheduling; each chunk's
-    result is bit-identical to fn's on one thread.
+    Every grid and every path stack, of one chunk or many, runs on _POOL, the
+    one pool made when this module is imported; its threads start on the
+    first stack.  fn must be safe to call concurrently and must not call
+    _chunked (a chunk waiting on the bounded pool could deadlock it).  The
+    error raised is the first failing chunk's in point order, whatever the
+    scheduling; each chunk's result is bit-identical to fn's on one thread.
     """
     chunks = [points[i:i + SWEEP_CHUNK] for i in range(0, len(points), SWEEP_CHUNK)]
-    return np.concatenate(list(_POOL.map(fn, chunks)))
+    results = list(_POOL.map(fn, chunks))
+    if results and isinstance(results[0], tuple):
+        return tuple(np.concatenate(parts) for parts in zip(*results))
+    return np.concatenate(results)
 
 
 def _entropies_many(states: np.ndarray, split: BipartiteSplit) -> np.ndarray:
@@ -213,12 +226,13 @@ def _entropies_many(states: np.ndarray, split: BipartiteSplit) -> np.ndarray:
 def eigenstate_track(fam: HamiltonianFamily, level: int, path) -> list:
     """Gauge-aligned eigenvectors of one energy level along a parameter path.
 
-    The path's points are diagonalized in one call.  Each vector's overlap with
+    The path's points are diagonalized SWEEP_CHUNK at a time on the grid
+    pool (bit-identical to one call).  Each vector's overlap with
     the previous one is made real positive by the cumulative product of the
     conjugate unit overlaps (1 where zero), renormalized to modulus 1.
     """
     fam.check_level(level)
-    track = fam.eigensystem(np.asarray(path, dtype=float))[1][..., level]
+    track = _chunked(fam.eigensystem, np.asarray(path, dtype=float))[1][..., level]
     ov = np.sum(track[:-1] * track[1:].conj(), axis=-1)     # conjugate overlaps
     unit = np.divide(ov, np.abs(ov), out=np.ones_like(ov), where=ov != 0)
     gauge = np.cumprod(np.concatenate([[1.0], unit]))

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import ConstraintViolatedError, NotAnEigenstateError, NotClosedError
 from .families import example1_family
 from .linalg import dagger
-from .power import HamiltonianFamily
+from .power import HamiltonianFamily, _chunked
 
 _CLOSURE_TOL = 1e-12         # largest endpoint mismatch of a closed path, per unit of scale
 _EIGENSTATE_TOL = 1e-6       # propagate's start overlaps an eigenstate by at least 1 - this
@@ -169,26 +169,31 @@ def _points(fam: HamiltonianFamily, path: ParameterPath, s: np.ndarray) -> np.nd
 def _step_unitaries(fam: HamiltonianFamily, path: ParameterPath, steps: int) -> np.ndarray:
     """(steps, D, D) steps V e^{-iE dt} V^dag, (E, V) = eigensystem at s = (k + 1/2) / steps.
 
-    All midpoints are diagonalized in one call; callers take this stack before
-    any other diagonalization, so too few steps or a duration that is not
-    positive and finite fail first.
+    All midpoints come from one gamma call; their eigensystems and steps are
+    built in one power._chunked call, SWEEP_CHUNK midpoints per chunk on the
+    grid pool.  Callers take this stack before any other diagonalization, so
+    too few steps or a duration that is not positive and finite fail first.
     """
     if steps < MIN_STEPS:
         raise ValueError(f"use at least {MIN_STEPS} steps")
     if not 0 < path.duration < np.inf:
         raise ValueError(f"the duration must be positive and finite, got {path.duration}")
     dt = path.duration / steps
-    vals, vecs = fam.eigensystem(_points(fam, path, (np.arange(steps) + 0.5) / steps))
-    vd = dagger(vecs)                    # conj() copies, so vecs may be scaled in place
-    vecs *= np.exp(-1j * vals * dt)[..., None, :]
-    return vecs @ vd
+
+    def chunk_steps(points):
+        vals, vecs = fam.eigensystem(points)
+        vd = dagger(vecs)                # conj() copies, so vecs may be scaled in place
+        vecs *= np.exp(-1j * vals * dt)[..., None, :]
+        return vecs @ vd
+
+    return _chunked(chunk_steps, _points(fam, path, (np.arange(steps) + 0.5) / steps))
 
 
 def _node_chain(fam: HamiltonianFamily, path: ParameterPath, steps: int):
-    """Eigensystem at the nodes s = k / steps from one call, with each level's
-    dynamical phase -sum_{k >= 1} E_k dt (summed in order, so no pairwise
-    summation order enters) and open-chain Pancharatnam phase."""
-    vals, vecs = fam.eigensystem(_points(fam, path, np.arange(steps + 1) / steps))
+    """Eigensystem at the nodes s = k / steps from one power._chunked call, with
+    each level's dynamical phase -sum_{k >= 1} E_k dt (summed in order, so no
+    pairwise summation order enters) and open-chain Pancharatnam phase."""
+    vals, vecs = _chunked(fam.eigensystem, _points(fam, path, np.arange(steps + 1) / steps))
     dynamical = 0.0 - np.cumsum(vals[1:] * (path.duration / steps), axis=0)[-1]
     return vals, vecs, dynamical, pancharatnam_phase(np.moveaxis(vecs, -1, 0), closed=False)
 
@@ -202,8 +207,9 @@ def propagate(fam: HamiltonianFamily, path: ParameterPath, psi0,
     otherwise); the run tracks the matching instantaneous eigenstate for the
     fidelity series, one stacked overlap with all states.  Every Hamiltonian
     the run needs (midpoint steps, the adiabaticity diagnostic) is built from
-    the family's eigensystem, taken in one call for the steps + 1 time nodes
-    and one for the midpoints.  The geometric phase of a generic family on an
+    the family's eigensystem, taken in one power._chunked call for the
+    steps + 1 time nodes and one for the midpoints, whose chunks run on every
+    CPU the process may use.  The geometric phase of a generic family on an
     open path depends on LAPACK's gauge and is reported as 0.
     """
     step_unitaries = _step_unitaries(fam, path, steps)
@@ -258,14 +264,15 @@ def berry_phase(fam: HamiltonianFamily, level: int, loop: ParameterPath,
 
     Computed as the closed-chain Pancharatnam product of instantaneous
     eigenvectors, reduced to (-pi, pi]; the loop's samples (at least 3: a
-    closed chain of two carries no phase) are diagonalized in one call.
+    closed chain of two carries no phase) are diagonalized in one
+    power._chunked call.
     """
     if samples < 3:
         raise ValueError(f"use at least 3 samples, got {samples}")
     fam.check_level(level)
     pts = _points(fam, loop, np.arange(samples) / samples)
     loop.check_closed()
-    _, vecs = fam.eigensystem(pts)
+    _, vecs = _chunked(fam.eigensystem, pts)
     return pancharatnam_phase(vecs[..., level], closed=True)
 
 
@@ -335,7 +342,7 @@ def synthesize_controlled_phase(loop: ParameterPath,
 
     u_full = propagate_unitary(fam, loop, steps)
     # The loop's samples start at s = 0, so they give the starting eigenbasis too.
-    energies, chain = fam.eigensystem(pts)
+    energies, chain = _chunked(fam.eigensystem, pts)
     energies, v_start = energies[0], chain[0]
 
     base_vecs = fam.iso_spectral_form.base_vectors

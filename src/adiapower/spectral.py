@@ -18,6 +18,7 @@ from .errors import (
     DegeneracyMismatchError,
     DimensionMismatchError,
     NotConnectibleError,
+    NotHermitianError,
 )
 from .linalg import DEFAULT_CLUSTER_TOL
 
@@ -48,10 +49,24 @@ class ConnectibilityDecision:
 
 
 def _fix_phases(vecs: np.ndarray) -> np.ndarray:
-    """Make each column's largest-magnitude entry real positive (deterministic gauge)."""
-    top = np.take_along_axis(vecs, np.argmax(np.abs(vecs), axis=0)[None], axis=0)
+    """Make each column's largest-magnitude entry real positive (deterministic
+    gauge), in a (D, D) matrix or in each matrix of a (..., D, D) stack."""
+    top = np.take_along_axis(vecs, np.argmax(np.abs(vecs), axis=-2)[..., None, :], axis=-2)
     mag = np.abs(top)
     return vecs * np.divide(mag, top, out=np.ones_like(top), where=mag > 0)
+
+
+def _resolution(vals, vecs, thresh) -> SpectralResolution:
+    """Levels of ascending eigenvalues vals (D,) with gauged columns vecs (D, D):
+    a gap at or above thresh starts a new level, whose energy is the mean of
+    its eigenvalues (sum / count, the same bits as np.mean)."""
+    edges = [0, *(np.flatnonzero(np.diff(vals) >= thresh) + 1).tolist(), len(vals)]
+    levels = list(zip(edges[:-1], edges[1:]))
+    return SpectralResolution(
+        energies=np.array([vals[a:b].sum() / (b - a) for a, b in levels]),
+        multiplicities=tuple(b - a for a, b in levels),
+        vectors=vecs,
+    )
 
 
 def spectral_resolution(h, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> SpectralResolution:
@@ -62,14 +77,7 @@ def spectral_resolution(h, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> Spectral
     finite (ValueError otherwise).
     """
     vals, vecs, thresh = linalg.eig_clustered(h, cluster_tol)
-    vecs = _fix_phases(vecs)
-    edges = [0, *(np.flatnonzero(np.diff(vals) >= thresh) + 1).tolist(), len(vals)]
-    levels = list(zip(edges[:-1], edges[1:]))
-    return SpectralResolution(
-        energies=np.array([np.mean(vals[a:b]) for a, b in levels]),
-        multiplicities=tuple(b - a for a, b in levels),
-        vectors=vecs,
-    )
+    return _resolution(vals, _fix_phases(vecs), thresh)
 
 
 def degeneracy_vector(res: SpectralResolution) -> tuple:
@@ -78,13 +86,17 @@ def degeneracy_vector(res: SpectralResolution) -> tuple:
 
 
 def _resolve_pair(h0, h1, cluster_tol: float):
-    """(s0, s1, decision): both spectral resolutions and the connectibility decision."""
+    """(s0, s1, decision): both spectral resolutions, each the same as
+    spectral_resolution's, from one batched eigendecomposition of the pair,
+    and the connectibility decision."""
     h0 = np.asarray(h0)
     h1 = np.asarray(h1)
     if h0.shape != h1.shape:
         raise DimensionMismatchError("operators have different dimensions")
-    s0 = spectral_resolution(h0, cluster_tol)
-    s1 = spectral_resolution(h1, cluster_tol)
+    if h0.ndim != 2:                     # np.stack would make two 2-vectors one matrix
+        raise NotHermitianError("matrix is not Hermitian within tolerance")
+    vals, vecs, thresh = linalg.eig_clustered(np.stack([h0, h1]), cluster_tol)
+    s0, s1 = map(_resolution, vals, _fix_phases(vecs), thresh)
     d0, d1 = degeneracy_vector(s0), degeneracy_vector(s1)
     if d0 == d1:
         return s0, s1, ConnectibilityDecision(True, None, d0, d1)

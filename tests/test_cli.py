@@ -22,7 +22,7 @@ from adiapower.spectral import (
     min_gap_along,
 )
 
-from helpers import recorded_shapes
+from helpers import random_hermitian, recorded_shapes
 
 
 def pairs(m):
@@ -137,7 +137,46 @@ def test_connectible_resolves_each_endpoint_once(tmp_path, capsys, eigh_shapes, 
         assert code == 0 and out[2] == "decision: connectible"
     else:
         assert code == 2 and out[2] == f"decision: not connectible ({decision.reason})"
-    assert len(eigh_shapes) == 2               # the two endpoints, with or without a family
+    assert eigh_shapes == [(2, 4, 4)]          # both endpoints, with or without a family
+
+
+def test_connectible_reads_the_spectra_along_its_family_only_for_out(tmp_path, monkeypatch):
+    rng = np.random.default_rng(7)
+    files = [write_json(tmp_path / f"{name}.json", pairs(random_hermitian(rng, 4)))
+             for name in ("h0", "h1")]
+    calls = []
+    original = cli.spectra_along
+
+    def counted(fam, samples):
+        calls.append(samples)
+        return original(fam, samples)
+
+    monkeypatch.setattr(cli, "spectra_along", counted)
+    assert main(["connectible", *files]) == 0
+    assert calls == []
+    assert main(["connectible", *files, "--samples", "9", "--out", str(tmp_path / "c.json")]) == 0
+    assert calls == [9]
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("h0, h1", [([[2.0]], [[-1.5]]), (3.0 * np.eye(3), -np.eye(3))],
+                         ids=["1x1", "identities"])
+def test_connectible_writes_a_single_level_gap_as_null(tmp_path, capsys, h0, h1):
+    files = [write_json(tmp_path / "h0.json", pairs(h0)), write_json(tmp_path / "h1.json", pairs(h1))]
+    out_file = tmp_path / "conn.json"
+    assert main(["connectible", *files, "--out", str(out_file)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "min gap along connecting family: inf"
+    report = json.loads(out_file.read_text(), parse_constant=_refuse_constant)
+    assert report["min_gap"] is None and report["degeneracy_vectors"] == [[len(h0)]] * 2
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_json_outputs_never_hold_a_non_finite_token(tmp_path, value):
+    with pytest.raises(ValueError):
+        cli._write_json(tmp_path / "out.json", {"x": [1.0, value]})
 
 
 @pytest.mark.parametrize("d0, d1, code", [((2, 1, 1), (2, 1, 1), 0), ((1, 3), (3, 1), 2)])
@@ -151,7 +190,7 @@ def test_connectible_takes_no_schur_form(tmp_path, monkeypatch, d0, d1, code):
     eighs = recorded_shapes(monkeypatch, np.linalg, "eigh")
     schurs = recorded_shapes(monkeypatch, scipy.linalg, "schur")
     assert main(["connectible", *files, "--out", str(tmp_path / "conn.json")]) == code
-    assert eighs == [(4, 4)] * 2 and schurs == []
+    assert eighs == [(2, 4, 4)] and schurs == []
 
 
 @pytest.mark.parametrize("argv", [
@@ -160,13 +199,22 @@ def test_connectible_takes_no_schur_form(tmp_path, monkeypatch, d0, d1, code):
     ["gate", "--loop", "retrace", "1.0471975511965976", "1.0", "--steps"],
 ])
 def test_path_commands_diagonalize_a_fixed_number_of_stacks(specs, eigh_shapes, argv):
+    """A path stack of n points is ceil(n / SWEEP_CHUNK) eigh calls of at most
+    SWEEP_CHUNK matrices each; besides them only the base Hamiltonian (and
+    evolve's starting point) is diagonalized, one 4 x 4 matrix per call."""
     argv = [specs["example1"] if a == "SPEC" else a for a in argv]
-    per_run = []
-    for steps in ("200", "2000"):
+    chunk = power.SWEEP_CHUNK
+    for steps in (200, 2000):
         eigh_shapes.clear()
-        assert main(argv + [steps]) == 0
-        per_run.append(len(eigh_shapes))
-    assert per_run[0] == per_run[1] <= 4
+        assert main(argv + [str(steps)]) == 0
+        # evolve: midpoints and nodes; gate: midpoints and the loop samples
+        stacks, singles = ([steps, steps + 1], 2) if argv[0] == "evolve" \
+            else ([steps, simulate._PHASE_SAMPLES], 1)
+        expected = [(4, 4)] * singles + [(min(chunk, n - i), 4, 4)
+                                         for n in stacks for i in range(0, n, chunk)]
+        assert len(expected) == singles + sum(math.ceil(n / chunk) for n in stacks)
+        assert sorted(eigh_shapes) == sorted(expected)
+        assert sum(math.prod(s[:-2]) for s in eigh_shapes) == singles + sum(stacks)
 
 
 def test_power_builtins(specs, capsys):
@@ -726,6 +774,14 @@ def test_a_matrix_object_without_its_matrix_key_names_the_file(tmp_path, capsys)
     out, err = capsys.readouterr()
     assert out == "" and err == f"input error: {bad}: matrix object is missing key 'matrix'\n"
     assert main(["connectible", good, good]) == 0
+
+
+def test_a_matrix_file_that_is_not_square_is_an_input_error(tmp_path, capsys):
+    good = write_json(tmp_path / "good.json", pairs(np.eye(2)))
+    rect = write_json(tmp_path / "rect.json", pairs(np.zeros((2, 3))))
+    assert main(["connectible", good, rect]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"input error: {rect}: matrix must be square, got 2 x 3\n"
 
 
 def test_a_spec_file_that_is_not_json_names_the_file(tmp_path, capsys):

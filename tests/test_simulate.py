@@ -1,20 +1,33 @@
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adiapower import power
+from adiapower.cli import main
 from adiapower.errors import (
     ConstraintViolatedError,
+    DegeneracyError,
     NotAnEigenstateError,
     NotClosedError,
 )
 from adiapower.families import example1_family, example1_unitary, spin_half_field_family
 from adiapower.linalg import BipartiteSplit, expm_skew, ket
-from adiapower.power import eigenstate_track, iso_spectral_family
+from adiapower.power import (
+    adiabatic_entangling_power,
+    bound_check,
+    eigenstate_track,
+    iso_spectral_family,
+    unitary_entangling_power,
+)
 from adiapower.simulate import (
     _RAMPS,
     ParameterPath,
+    _points,
     _step_unitaries,
     berry_phase,
     circle_loop,
@@ -563,3 +576,116 @@ def test_stacked_gate_matches_per_eigenvector_references(make_loop):
     gate = sum(np.exp(1j * np.angle(amp)) * np.outer(e, e.conj())
                for e, amp in zip(v_start.T, amps))
     assert np.max(np.abs(res.gate - gate)) <= 1e-14
+
+
+# ---------------------------------------------------------------------------
+# Path stacks on the grid pool.
+
+# Step counts whose midpoint and node stacks have SWEEP_CHUNK - 1, SWEEP_CHUNK
+# and SWEEP_CHUNK + 1 points: each stack straddles a chunk edge.
+CHUNK_EDGE_STEPS = [power.SWEEP_CHUNK + k for k in (-2, -1, 0, 1)]
+
+
+def on_one_worker(monkeypatch, run):
+    """run() with power._POOL swapped for a one-worker pool, which runs the chunks in order."""
+    with ThreadPoolExecutor(1) as pool, monkeypatch.context() as patched:
+        patched.setattr(power, "_POOL", pool)
+        return run()
+
+
+@pytest.mark.parametrize("steps", CHUNK_EDGE_STEPS)
+@pytest.mark.parametrize("argv", [
+    ["evolve", "SPEC", "--path", "[[0,0,0],[0.19634954,0.1,0.3],[0.3,0,1.0]]", "--T", "60"],
+    ["gate", "--loop", "circle", "1.0471975511965976", "1.0"],
+    ["gate", "--loop", "retrace", "1.0471975511965976", "1.0"],
+], ids=["evolve", "gate-circle", "gate-retrace"])
+def test_path_commands_do_not_depend_on_the_pool(tmp_path, monkeypatch, capsys, argv, steps):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+    spec = tmp_path / "e1.json"
+    spec.write_text('{"kind": "builtin:example1"}')
+    argv = [str(spec) if a == "SPEC" else a for a in argv] + ["--steps", str(steps)]
+
+    def run():
+        out = tmp_path / "out.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        return capsys.readouterr().out, out.read_bytes()
+
+    assert run() == on_one_worker(monkeypatch, run)
+
+
+def spin_half_cone(theta0):
+    """Closed loop of the spin-1/2 field at polar angle theta0, |B| = 1."""
+    return ParameterPath(1.0, lambda s: np.stack(
+        [np.sin(theta0) * np.cos(2 * np.pi * s), np.sin(theta0) * np.sin(2 * np.pi * s),
+         np.full_like(s, np.cos(theta0))], axis=-1))
+
+
+def test_berry_phase_and_decompose_uad_do_not_depend_on_the_pool(monkeypatch):
+    cases = [(fam, loop, level) for fam, loop in (
+        (example1_family(), circle_loop(1.0471975511965976, 1.0, 10.0)),
+        (spin_half_field_family(), spin_half_cone(0.9))) for level in range(fam.dim)]
+    path = line_path([0.0, 0.0, 0.0], [0.19, 0.1, 0.3], 50.0)
+
+    def run():
+        phases = [berry_phase(fam, level, loop, samples)
+                  for samples in (power.SWEEP_CHUNK + k for k in (-1, 0, 1))
+                  for fam, loop, level in cases]
+        reports = [decompose_uad(example1_family(), path, steps) for steps in CHUNK_EDGE_STEPS]
+        return repr(phases), repr(reports)
+
+    assert run() == on_one_worker(monkeypatch, run)
+
+
+def test_a_path_through_degeneracies_names_the_first_in_point_order():
+    """The node stack collapses in its second and third chunks; with the chunks
+    running concurrently the error is still the one stacked eigensystem's."""
+    fam = spin_half_field_family()
+    chunk = power.SWEEP_CHUNK
+    steps, first, second = 2 * chunk + 100, chunk + 5, 2 * chunk + 5
+    # B_x vanishes at the nodes `first` and `second` only, and at no midpoint
+    path = ParameterPath(1.0, lambda s: np.stack(
+        [(s * steps - first) * (s * steps - second), np.zeros_like(s), np.zeros_like(s)], -1))
+    nodes = _points(fam, path, np.arange(steps + 1) / steps)
+    with pytest.raises(DegeneracyError) as whole:
+        fam.eigensystem(nodes)
+    assert np.array_equal(whole.value.point, nodes[first])
+    with pytest.raises(DegeneracyError) as run:
+        propagate(fam, path, np.array([1.0, 1.0]) / np.sqrt(2.0), steps)
+    assert str(run.value) == str(whole.value)
+    assert np.array_equal(run.value.point, nodes[first])
+
+
+def test_path_stacks_run_on_the_pool_and_the_ascents_on_the_calling_thread(monkeypatch):
+    """The family polish and the product-input ascent keep their stacks of about
+    a hundred points on the calling thread; grid and path stacks go to the pool.
+    Every eigh is recorded with its thread: inside _polish or _best_products
+    (their Newton steps and the polish's objective), or as a stack of points."""
+    here = threading.current_thread().name
+    inside, threads = [], {}
+    for name in ("_polish", "_best_products"):
+        def wrapped(*args, _name=name, _original=getattr(power, name)):
+            inside.append(_name)
+            try:
+                return _original(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(power, name, wrapped)
+    eigh = np.linalg.eigh
+
+    def recorded(a):
+        key = inside[-1] if inside else "stack" if np.ndim(a) == 3 and len(a) > 1 else None
+        threads.setdefault(key, set()).add(threading.current_thread().name)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    fam = example1_family()
+    adiabatic_entangling_power(fam, 5, refine=True)
+    bound_check(fam, grid_per_axis=3)
+    q, _ = np.linalg.qr(np.random.default_rng(1).standard_normal((6, 6)) + 0j)
+    unitary_entangling_power(q, BipartiteSplit(2, 3), starts=2, coarse=16)
+    berry_phase(fam, 1, circle_loop(1.0471975511965976, 1.0, 10.0), 50)
+    synthesize_controlled_phase(circle_loop(1.0471975511965976, 1.0, 10.0), 100)
+    assert not here.startswith("adiapower-grid")
+    assert threads["_polish"] == threads["_best_products"] == {here}
+    assert all(name.startswith("adiapower-grid") for name in threads["stack"])

@@ -1,13 +1,24 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adiapower.errors import DegeneracyMismatchError, NotConnectibleError
-from adiapower.linalg import ID2, SIGMA_X, SIGMA_Z, eig_unitary, expm_skew, tensor
+from adiapower.errors import DegeneracyMismatchError, NotConnectibleError, NotHermitianError
+from adiapower.linalg import (
+    DEFAULT_CLUSTER_TOL,
+    ID2,
+    SIGMA_X,
+    SIGMA_Z,
+    eig_unitary,
+    expm_skew,
+    tensor,
+)
 from adiapower.spectral import (
     _fix_phases,
+    _resolve_pair,
     aligning_unitary,
     build_connecting_family,
     degeneracy_vector,
@@ -288,22 +299,25 @@ def test_build_connecting_family_resolves_each_endpoint_once(monkeypatch):
              for module, name in ((np.linalg, "eigh"), (np.linalg, "eigvals"),
                                   (scipy.linalg, "schur"))}
     fam = build_connecting_family(h0, h1)
-    # one eigh per endpoint and no Schur form: the family is its two resolutions
-    assert calls == {"eigh": [(4, 4)] * 2, "eigvals": [], "schur": []}
+    # one eigh of both endpoints and no Schur form: the family is its two resolutions
+    assert calls == {"eigh": [(2, 4, 4)], "eigvals": [], "schur": []}
     fam.unitary_at(0.5)
     # the geodesic takes one Schur form of the aligning unitary when it is read
-    assert calls == {"eigh": [(4, 4)] * 2, "eigvals": [], "schur": [(4, 4)]}
+    assert calls == {"eigh": [(2, 4, 4)], "eigvals": [], "schur": [(4, 4)]}
+
+
+def column_loop_phases(vecs):
+    """Reference gauge: each column's largest-magnitude entry made real positive, one column at a time."""
+    out = vecs.copy()
+    for j in range(out.shape[1]):
+        ph = out[np.argmax(np.abs(out[:, j])), j]
+        if np.abs(ph) > 0:
+            out[:, j] *= np.abs(ph) / ph
+    return out
 
 
 def test_fix_phases_matches_column_loop():
-    def reference(vecs):
-        out = vecs.copy()
-        for j in range(out.shape[1]):
-            ph = out[np.argmax(np.abs(out[:, j])), j]
-            if np.abs(ph) > 0:
-                out[:, j] *= np.abs(ph) / ph
-        return out
-
+    reference = column_loop_phases
     rng = np.random.default_rng(9)
     for k in range(400):
         d = 2 + k % 5
@@ -326,3 +340,51 @@ def test_cluster_tol_must_be_positive_and_finite(cluster_tol):
     for call in (spectral_resolution, lambda h, tol: build_connecting_family(h, h, tol)):
         with pytest.raises(ValueError, match="cluster_tol must be positive and finite"):
             call(np.diag([0.0, 0.0, 1.0, 2.0]), cluster_tol)
+
+
+def degeneracy_vectors(d):
+    """Every degeneracy vector of dimension d: the 2^(d-1) compositions of d."""
+    for cuts in itertools.product((False, True), repeat=d - 1):
+        edges = [0, *(k + 1 for k, cut in enumerate(cuts) if cut), d]
+        yield tuple(b - a for a, b in zip(edges[:-1], edges[1:]))
+
+
+def oracle_resolution(h):
+    """(energies, multiplicities, vectors) from a per-matrix eigh, the column-loop
+    gauge and a per-level np.mean."""
+    vals, vecs = np.linalg.eigh(h)
+    thresh = DEFAULT_CLUSTER_TOL * max(1.0, np.abs(vals).max())
+    levels = [[0]]
+    for k in range(1, len(vals)):
+        if vals[k] - vals[k - 1] >= thresh:
+            levels.append([])
+        levels[-1].append(k)
+    return (np.array([np.mean(vals[level]) for level in levels]),
+            tuple(len(level) for level in levels), column_loop_phases(vecs))
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_batched_pair_resolution_equals_per_matrix_oracles_bit_for_bit(d):
+    rng = np.random.default_rng(40 + d)
+    vectors = list(degeneracy_vectors(d))
+    for d0 in vectors:
+        for k in range(3):
+            d1 = d0 if k < 2 else vectors[rng.integers(len(vectors))]
+            hams = [degenerate_hermitian(rng, d0), degenerate_hermitian(rng, d1)]
+            s0, s1, decision = _resolve_pair(*hams, DEFAULT_CLUSTER_TOL)
+            for h, res, deg in zip(hams, (s0, s1), (d0, d1)):
+                energies, multiplicities, vecs = oracle_resolution(h)
+                assert multiplicities == res.multiplicities == deg
+                assert res.energies.tobytes() == energies.tobytes()
+                assert res.vectors.tobytes() == vecs.tobytes()
+                alone = spectral_resolution(h)
+                assert alone.energies.tobytes() == energies.tobytes()
+                assert alone.vectors.tobytes() == vecs.tobytes()
+            assert decision.connectible == (d0 == d1)
+            assert (decision.d0, decision.d1) == (d0, d1)
+
+
+def test_connectibility_takes_two_matrices_not_two_vectors():
+    for v in ([1.0, 1.0], [[1.0, 1.0]]):
+        with pytest.raises(NotHermitianError):
+            is_adiabatically_connectible(v, v)
