@@ -10,7 +10,6 @@ from .entanglement import (
     concurrence_2q,
     entropy,
     entropy_from_concurrence,
-    max_entangled_check,
     schmidt_spectrum,
 )
 from .families import (
@@ -31,8 +30,6 @@ from .linalg import (
     eig_hermitian,
     expm_skew,
     ket,
-    logm_unitary,
-    partial_trace,
     tensor,
 )
 from .power import (

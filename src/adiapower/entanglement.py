@@ -14,7 +14,6 @@ import numpy as np
 from .errors import DimensionMismatchError
 from .linalg import SIGMA_Y, BipartiteSplit, dagger, tensor, widest_gap
 
-_MAX_ENTANGLED_TOL = 1e-9    # largest |lam_i - 1/min(d_a, d_b)| of a maximally entangled state
 SPIN_FLIP = tensor(SIGMA_Y, SIGMA_Y)     # also the YY term of the builtin families
 
 
@@ -203,10 +202,3 @@ def product_sup_witness(u):
     a = (psi @ b.conj()[..., None])[..., 0]
     a = a / np.linalg.norm(a, axis=-1, keepdims=True)
     return (a[..., :, None] * b[..., None, :]).reshape(best.shape)
-
-
-def max_entangled_check(psi, split: BipartiteSplit) -> bool:
-    """True iff all Schmidt coefficients equal 1/min(d_a, d_b) within _MAX_ENTANGLED_TOL."""
-    lam = schmidt_spectrum(psi, split)
-    target = 1.0 / min(split.dim_a, split.dim_b)
-    return bool(np.all(np.abs(lam - target) <= _MAX_ENTANGLED_TOL))

@@ -13,10 +13,6 @@ class NotUnitaryError(AdiapowerError):
     pass
 
 
-class BranchAmbiguityError(AdiapowerError):
-    """A unitary eigenphase sits on the log branch cut; perturb the input."""
-
-
 class DimensionMismatchError(AdiapowerError):
     pass
 

@@ -13,18 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import (
-    BranchAmbiguityError,
-    DimensionMismatchError,
-    NotHermitianError,
-    NotUnitaryError,
-)
+from .errors import DimensionMismatchError, NotHermitianError, NotUnitaryError
 
 DEFAULT_TOL = 1e-10          # largest entry of H - H^dag or U^dag U - 1 taken as 0
 # Eigenvalue gaps below DEFAULT_CLUSTER_TOL * max(1, max|E|) count as degenerate.
 DEFAULT_CLUSTER_TOL = 1e-8
-_BRANCH_TOL = 1e-12          # logm_unitary refuses eigenphases above pi - _BRANCH_TOL
-_DENSITY_TOL = 1e-8          # largest entry of rho - rho^dag that partial_trace accepts
 
 # Pauli matrices and ladder operators.  Note sigma_plus/minus here are
 # sigma_x +/- i*sigma_y, i.e. twice the usual raising/lowering operators;
@@ -71,11 +64,11 @@ def dagger(m) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
-def is_hermitian(h, tol: float = DEFAULT_TOL) -> bool:
-    """True iff h, or every matrix of a (..., D, D) stack h, is Hermitian within tol."""
+def is_hermitian(h) -> bool:
+    """True iff h, or every matrix of a (..., D, D) stack h, is Hermitian within DEFAULT_TOL."""
     h = np.asarray(h)
     return (h.ndim >= 2 and h.shape[-1] == h.shape[-2]
-            and np.max(np.abs(h - dagger(h))) <= tol)
+            and np.max(np.abs(h - dagger(h))) <= DEFAULT_TOL)
 
 
 def is_unitary(u) -> bool:
@@ -155,32 +148,6 @@ def widest_gap(phases):
     k = np.argmax(gaps, axis=-1)[..., None]
     return (np.take_along_axis(ring, k, axis=-1)[..., 0],
             np.take_along_axis(gaps, k, axis=-1)[..., 0])
-
-
-def logm_unitary(u) -> np.ndarray:
-    """Hermitian G with exp(i*G) = u, eigenphases in (-pi, pi].
-
-    Raises BranchAmbiguityError when an eigenphase sits within _BRANCH_TOL of
-    pi, where the principal branch is ill-defined.
-    """
-    phases, q = eig_unitary(u)
-    if np.any(phases > np.pi - _BRANCH_TOL):
-        raise BranchAmbiguityError("eigenphase within tolerance of pi; perturb the input")
-    return (q * phases) @ q.conj().T
-
-
-def partial_trace(rho, split: BipartiteSplit, keep: str = "A") -> np.ndarray:
-    """Reduced density matrix of the kept factor ("A" or "B") of a Hermitian rho."""
-    rho = _as_complex(rho)
-    split.check(rho.shape[0])
-    if not is_hermitian(rho, _DENSITY_TOL):
-        raise NotHermitianError("density matrix is not Hermitian")
-    r = rho.reshape(split.dim_a, split.dim_b, split.dim_a, split.dim_b)
-    if keep == "A":
-        return np.einsum("ijkj->ik", r)
-    if keep == "B":
-        return np.einsum("ijil->jl", r)
-    raise ValueError("keep must be 'A' or 'B'")
 
 
 def basis_state(index: int, dim: int) -> np.ndarray:

@@ -66,9 +66,11 @@ def waypoint_path(waypoints, duration: float, schedule: str = "linear") -> Param
     """Piecewise-linear path through waypoints, equal time per segment.
 
     Each segment is traversed with the schedule's ramp; s is clipped to
-    [0, 1].  A single waypoint gives a constant path.
+    [0, 1].  A single waypoint gives a constant path; none is a ValueError.
     """
     pts = np.asarray(waypoints, dtype=float)
+    if len(pts) == 0:
+        raise ValueError("a path needs at least one waypoint")
     ramp = _ramp(schedule)
     nseg = len(pts) - 1
 
@@ -172,10 +174,11 @@ def _step_unitaries(fam: HamiltonianFamily, path: ParameterPath, steps: int) -> 
     All midpoints come from one gamma call; their eigensystems and steps are
     built in one power._chunked call, SWEEP_CHUNK midpoints per chunk on the
     grid pool.  Callers take this stack before any other diagonalization, so
-    too few steps or a duration that is not positive and finite fail first.
+    a step count that is not an integer of at least MIN_STEPS, or a duration
+    that is not positive and finite, fails first.
     """
-    if steps < MIN_STEPS:
-        raise ValueError(f"use at least {MIN_STEPS} steps")
+    if not isinstance(steps, (int, np.integer)) or steps < MIN_STEPS:
+        raise ValueError(f"use an integer of at least {MIN_STEPS} steps, got {steps!r}")
     if not 0 < path.duration < np.inf:
         raise ValueError(f"the duration must be positive and finite, got {path.duration}")
     dt = path.duration / steps
@@ -263,12 +266,12 @@ def berry_phase(fam: HamiltonianFamily, level: int, loop: ParameterPath,
     """Geometric phase of one level around a closed parameter loop.
 
     Computed as the closed-chain Pancharatnam product of instantaneous
-    eigenvectors, reduced to (-pi, pi]; the loop's samples (at least 3: a
-    closed chain of two carries no phase) are diagonalized in one
+    eigenvectors, reduced to (-pi, pi]; the loop's samples (an integer of at
+    least 3: a closed chain of two carries no phase) are diagonalized in one
     power._chunked call.
     """
-    if samples < 3:
-        raise ValueError(f"use at least 3 samples, got {samples}")
+    if not isinstance(samples, (int, np.integer)) or samples < 3:
+        raise ValueError(f"use an integer of at least 3 samples, got {samples!r}")
     fam.check_level(level)
     pts = _points(fam, loop, np.arange(samples) / samples)
     loop.check_closed()

@@ -8,7 +8,6 @@ from adiapower.entanglement import (
     concurrence_coefficients,
     entropy,
     entropy_from_concurrence,
-    max_entangled_check,
     qubit_concurrence,
     schmidt_spectrum,
 )
@@ -67,7 +66,6 @@ def test_concurrence_values():
     # |a|^2 = 1/2 superposition of |01>, |10> is maximally entangled
     psi = (ket("01") + 1j * ket("10")) / np.sqrt(2)
     assert abs(concurrence_2q(psi) - 1.0) < 1e-12
-    assert max_entangled_check(psi, SPLIT)
 
 
 def test_concurrence_conventions_agree():
@@ -122,12 +120,6 @@ def test_entropy_decreasing_in_largest_schmidt_coefficient():
     ents = [entropy(np.sqrt(l) * ket("00") + np.sqrt(1 - l) * ket("11"), SPLIT)
             for l in lams]
     assert np.all(np.diff(ents) < 0)
-
-
-def test_max_entangled_check_negatives():
-    assert not max_entangled_check(ket("00"), SPLIT)
-    assert not max_entangled_check(TILTED, SPLIT)
-    assert max_entangled_check(BELL, SPLIT)
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)

@@ -5,25 +5,17 @@ import numpy as np
 import pytest
 
 from adiapower import entanglement, families, linalg, power, simulate, spectral
-from adiapower.errors import (
-    BranchAmbiguityError,
-    DimensionMismatchError,
-    NotHermitianError,
-    NotUnitaryError,
-)
+from adiapower.errors import NotHermitianError, NotUnitaryError
 from adiapower.linalg import (
     ID2,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    BipartiteSplit,
     basis_state,
     eig_hermitian,
     eig_unitary,
     expm_skew,
     ket,
-    logm_unitary,
-    partial_trace,
     tensor,
 )
 
@@ -112,19 +104,6 @@ def test_expm_skew_stack_checks_every_matrix():
         expm_skew(bad)
 
 
-def test_logm_unitary_roundtrip():
-    assert np.allclose(logm_unitary(np.eye(3)), np.zeros((3, 3)), atol=1e-12)
-    assert np.allclose(logm_unitary(1j * SIGMA_X), (np.pi / 2) * SIGMA_X, atol=1e-12)
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        g0 = random_hermitian(rng, 4)
-        g0 *= 0.9 * np.pi / max(np.abs(np.linalg.eigvalsh(g0)))
-        u = expm_skew(g0)
-        g = logm_unitary(u)
-        assert linalg.is_hermitian(g)
-        assert np.linalg.norm(expm_skew(g) - u) < 1e-8
-
-
 def test_eig_unitary_reconstructs_with_phases_in_half_open_interval():
     rng = np.random.default_rng(4)
     for d in (1, 2, 4, 6):
@@ -141,73 +120,6 @@ def test_eig_unitary_reconstructs_with_phases_in_half_open_interval():
             eig_unitary(not_one_unitary)
 
 
-def test_logm_unitary_branch_and_input_checks():
-    with pytest.raises(BranchAmbiguityError):
-        logm_unitary(-np.eye(2))
-    with pytest.raises(BranchAmbiguityError):
-        logm_unitary(np.diag([complex(-1.0, -0.0), 1.0]))
-    with pytest.raises(NotUnitaryError):
-        logm_unitary(2 * np.eye(2))
-
-
-@pytest.mark.parametrize("distance, accepted", [(1.1e-12, True), (0.9e-12, False)])
-def test_logm_unitary_branch_cut_is_1e12_wide(distance, accepted):
-    u = np.diag([np.exp(1j * (np.pi - distance)), 1.0])
-    if accepted:
-        assert abs(logm_unitary(u)[0, 0] - (np.pi - distance)) < 1e-14
-    else:
-        with pytest.raises(BranchAmbiguityError):
-            logm_unitary(u)
-
-
-def test_partial_trace_product_and_bell():
-    split = BipartiteSplit(2, 2)
-    rho = np.outer(ket("00"), ket("00").conj())
-    assert np.allclose(partial_trace(rho, split, "A"), np.diag([1, 0]), atol=1e-12)
-    bell = (ket("00") + ket("11")) / np.sqrt(2)
-    rho = np.outer(bell, bell.conj())
-    assert np.allclose(partial_trace(rho, split, "A"), np.eye(2) / 2, atol=1e-12)
-    assert np.allclose(partial_trace(rho, split, "B"), np.eye(2) / 2, atol=1e-12)
-
-
-def test_partial_trace_coherent_superposition():
-    # a|01> + b|10> reduces to diag(|a|^2, |b|^2) on A
-    split = BipartiteSplit(2, 2)
-    a, b = 0.6, 0.8j
-    psi = a * ket("01") + b * ket("10")
-    rho = np.outer(psi, psi.conj())
-    assert np.allclose(partial_trace(rho, split, "A"),
-                       np.diag([0.36, 0.64]), atol=1e-12)
-
-
-def test_partial_trace_preserves_trace():
-    rng = np.random.default_rng(4)
-    split = BipartiteSplit(2, 3)
-    x = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    rho = x @ x.conj().T
-    rho /= np.trace(rho).real
-    for keep in ("A", "B"):
-        red = partial_trace(rho, split, keep)
-        assert abs(np.trace(red) - 1.0) < 1e-10
-        assert np.min(np.linalg.eigvalsh(red)) > -1e-10
-
-
-@pytest.mark.parametrize("skew, accepted", [(0.9e-8, True), (1.1e-8, False)])
-def test_partial_trace_accepts_hermiticity_errors_up_to_1e8(skew, accepted):
-    rho = np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex)
-    rho[0, 1], rho[1, 0] = skew / 2, -skew / 2        # rho - rho^dag has entries +-skew
-    if accepted:
-        assert np.allclose(partial_trace(rho, BipartiteSplit(2, 2), "B"), np.eye(2) / 2)
-    else:
-        with pytest.raises(NotHermitianError):
-            partial_trace(rho, BipartiteSplit(2, 2), "B")
-
-
-def test_partial_trace_dimension_check():
-    with pytest.raises(DimensionMismatchError):
-        partial_trace(np.eye(5) / 5, BipartiteSplit(2, 2), "A")
-
-
 def test_structural_predicates():
     assert linalg.is_hermitian(SIGMA_Y)
     assert not linalg.is_hermitian(SIGMA_Y + 1e-6 * np.array([[0, 1], [0, 0]]))
@@ -215,6 +127,21 @@ def test_structural_predicates():
     assert linalg.is_unitary(expm_skew(np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])))
     assert not linalg.is_unitary(np.stack([expm_skew(SIGMA_X), 1.01 * np.eye(2)]))
     assert not linalg.is_unitary(np.ones(2))
+
+
+@pytest.mark.parametrize("skew, accepted", [(0.9e-10, True), (1.1e-10, False)])
+def test_hermiticity_errors_up_to_default_tol_are_accepted(skew, accepted):
+    """The one Hermiticity threshold is DEFAULT_TOL; no caller can move it."""
+    assert list(inspect.signature(linalg.is_hermitian).parameters) == ["h"]
+    h = np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex)
+    h[0, 1], h[1, 0] = skew / 2, -skew / 2        # h - h^dag has entries +-skew
+    assert linalg.is_hermitian(h) == accepted
+    assert linalg.is_hermitian(np.stack([np.eye(4), h])) == accepted
+    if accepted:
+        assert np.allclose(eig_hermitian(h)[0], [0.0, 0.0, 0.5, 0.5])
+    else:
+        with pytest.raises(NotHermitianError):
+            eig_hermitian(h)
 
 
 def test_widest_gap_of_angle_stacks():
@@ -241,7 +168,6 @@ def test_only_tolerances_a_caller_sets_are_parameters():
                               for p in inspect.signature(f).parameters if "tol" in p}
     assert found == {
         "linalg.eig_clustered(cluster_tol)",
-        "linalg.is_hermitian(tol)",
         "power.iso_spectral_family(cluster_tol)",
         "spectral._resolve_pair(cluster_tol)",
         "spectral.build_connecting_family(cluster_tol)",

@@ -1,3 +1,4 @@
+import re
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -7,7 +8,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adiapower import power
+from adiapower import power, simulate
 from adiapower.cli import main
 from adiapower.errors import (
     ConstraintViolatedError,
@@ -108,6 +109,13 @@ def test_waypoint_path_is_closed_when_its_ends_coincide():
     assert waypoint_path(WAYPOINTS[:1], 1.0).closed
     assert waypoint_path(WAYPOINTS[:1] * 3, 1.0).closed
     assert not waypoint_path(WAYPOINTS, 1.0).closed
+
+
+def test_a_path_without_waypoints_is_refused_when_built():
+    with pytest.raises(ValueError, match="at least one waypoint"):
+        waypoint_path([], 1.0)
+    with pytest.raises(ValueError, match="at least one waypoint"):
+        waypoint_path(np.zeros((0, 3)), 1.0, "smoothstep")
 
 
 @pytest.mark.parametrize("gap, closed", [(0.9e-12, True), (1.1e-12, False), (1e-9, False),
@@ -333,6 +341,18 @@ def test_too_few_phase_or_constraint_samples_are_rejected():
     assert berry_phase(fam, 0, field_circle(np.pi / 3), samples=3) != 0.0
 
 
+def test_a_sample_count_that_is_not_an_integer_is_refused_before_any_eigensystem(monkeypatch):
+    fam = spin_half_field_family()
+    loop = field_circle(np.pi / 3)
+    exact = berry_phase(fam, 0, loop, samples=8)
+    calls = recorded_shapes(monkeypatch, np.linalg, "eigh")
+    for samples in (7.5, 8.0, np.float64(8.0)):
+        with pytest.raises(ValueError, match=re.escape(f"at least 3 samples, got {samples!r}")):
+            berry_phase(fam, 0, loop, samples=samples)
+    assert calls == []
+    assert berry_phase(fam, 0, loop, samples=np.int64(8)) == exact
+
+
 def test_berry_phase_requires_closed_loop():
     fam = spin_half_field_family()
     open_path = line_path([0, 0, 1], [1, 0, 0], duration=1.0)
@@ -428,6 +448,27 @@ def test_step_consumers_reject_too_few_steps():
                     lambda: synthesize_controlled_phase(loop, steps)):
             with pytest.raises(ValueError, match="at least 100 steps"):
                 run()
+
+
+@pytest.mark.parametrize("consumer", ["propagate", "propagate_unitary", "decompose_uad",
+                                      "synthesize_controlled_phase"])
+def test_a_step_count_that_is_not_an_integer_is_refused_before_any_eigensystem(monkeypatch,
+                                                                                consumer):
+    fam = example1_family()
+    monkeypatch.setattr(simulate, "example1_family", lambda: fam)
+    path = line_path([0, 0, 0], [0.1, 0, 0], duration=10.0)
+    run = {"propagate": lambda steps: propagate(fam, path, ket("01"), steps),
+           "propagate_unitary": lambda steps: propagate_unitary(fam, path, steps),
+           "decompose_uad": lambda steps: decompose_uad(fam, path, steps),
+           "synthesize_controlled_phase": lambda steps: synthesize_controlled_phase(
+               circle_loop(np.pi / 3, 1.0, duration=10.0), steps)}[consumer]
+    calls = recorded_shapes(monkeypatch, np.linalg, "eigh")
+    for steps in (200.5, 200.0, np.float64(200.0)):
+        with pytest.raises(ValueError, match=re.escape(f"at least 100 steps, got {steps!r}")):
+            run(steps)
+    assert calls == []
+    run(np.int64(200))
+    assert calls
 
 
 def test_step_consumers_reject_a_duration_that_is_not_positive():
