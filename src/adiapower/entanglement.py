@@ -104,26 +104,32 @@ def qubit_concurrence(psi, split: BipartiteSplit):
 def entropy_from_concurrence(c):
     """Two-qubit entanglement entropy as a function of the concurrence.
 
-    c is clamped to [0, 1] (above 1 through the square root's argument).  A
-    scalar gives a float; an array gives an array of the same shape.
+    c is clamped to [0, 1] (above 1 through the square root's argument); a NaN
+    gives NaN.  A scalar gives a float; an array gives an array of the same shape.
     """
     c = np.maximum(c, 0.0)
     lam = 0.5 * (1.0 + np.sqrt(np.maximum(0.0, 1.0 - c * c)))
     h = np.zeros(lam.shape)
-    mixed = lam < 1.0                    # lam >= 1/2, so 0 < 1 - lam < 1/2 here
+    mixed = ~(lam >= 1.0)                # lam >= 1/2, so 0 < 1 - lam < 1/2 here, or NaN
     l1, l2 = lam[mixed], 1.0 - lam[mixed]
     h[mixed] = -(l1 * np.log2(l1) + l2 * np.log2(l2))
     return float(h) if h.ndim == 0 else h
 
 
+# Columns are the phase-adjusted Bell states Psi_1..Psi_4, built once and read-only.
+_MAGIC = np.array([[1, -1j, 0, 0], [0, 0, 1, -1j], [0, 0, -1, -1j], [1, 1j, 0, 0]]) \
+    * (1.0 / np.sqrt(2.0))
+_MAGIC.setflags(write=False)
+_MAGIC_DAGGER = dagger(_MAGIC)
+
+
 def magic_basis() -> np.ndarray:
-    """Columns are the phase-adjusted Bell states Psi_1..Psi_4.
+    """Columns are the phase-adjusted Bell states Psi_1..Psi_4 (a fresh copy).
 
     In this basis local unitaries of determinant one are real orthogonal, and
     a state with amplitudes w has concurrence |sum_k w_k^2|.
     """
-    return np.array([[1, -1j, 0, 0], [0, 0, 1, -1j], [0, 0, -1, -1j], [1, 1j, 0, 0]]) \
-        * (1.0 / np.sqrt(2.0))
+    return _MAGIC.copy()
 
 
 def enclosing_radius(points):
@@ -137,8 +143,7 @@ def enclosing_radius(points):
 def _magic_symmetric(u):
     """The symmetric unitaries S = U_B^T U_B (..., 4, 4), U_B = M^dag U M in the
     magic basis M: the output concurrence of an input with magic amplitudes w is |w^T S w|."""
-    m = magic_basis()
-    ub = dagger(m) @ np.asarray(u, dtype=complex) @ m
+    ub = _MAGIC_DAGGER @ np.asarray(u, dtype=complex) @ _MAGIC
     return np.swapaxes(ub, -1, -2) @ ub
 
 
@@ -180,25 +185,27 @@ def product_sup_witness(u):
     rounding, is then replaced by a x b, b its larger row and a = psi conj(b),
     both normalized.
     """
-    s = _magic_symmetric(u)[..., None, :, :]
+    s = _magic_symmetric(u)
+    lead = s.shape[:-2]
+    s = s.reshape(-1, 1, 4, 4)           # one row per unitary; every pick is x[rows, idx]
+    rows = np.arange(len(s))
     o = np.linalg.eigh((_TILTS * s).imag)[1]
     d = np.swapaxes(o, -1, -2) @ s @ o
-    pick = np.argmin(np.abs(d[..., _OFF_DIAGONAL]).max(axis=-1), axis=-1)[..., None, None, None]
-    o = np.take_along_axis(o, pick, axis=-3)[..., 0, :, :]
-    q = np.diagonal(np.take_along_axis(d, pick, axis=-3)[..., 0, :, :], axis1=-2, axis2=-1)
+    pick = np.argmin(np.abs(d[..., _OFF_DIAGONAL]).max(axis=-1), axis=-1)
+    o = o[rows, pick]
+    q = np.diagonal(d[rows, pick], axis1=-2, axis2=-1)
     pairs = np.exp(-1j * np.angle(q @ _EDGES.T))[..., None] * _EDGES
-    qa, qb, qc = np.moveaxis(q[..., _TRIANGLES], -1, 0)
+    qa, qb, qc = (q[:, corner] for corner in _TRIANGLES.T)
     triangles = -((qc.conj() * qa).imag * qb.conj())[..., None] * _TRIANGLE_AB \
         - ((qa.conj() * qb).imag * qc.conj())[..., None] * _TRIANGLE_AC
     z = np.concatenate([pairs, triangles], axis=-2)
     size = np.abs(z).sum(axis=-1)
     reach = np.divide(np.abs(z @ q[..., None])[..., 0], size,
                       out=np.full(size.shape, -1.0), where=size > 0)
-    best = np.take_along_axis(z, np.argmax(reach, axis=-1)[..., None, None], axis=-2)[..., 0, :]
-    psi = (magic_basis() @ (o @ np.sqrt(best)[..., None])).reshape(best.shape[:-1] + (2, 2))
-    larger = np.argmax(np.linalg.norm(psi, axis=-1), axis=-1)[..., None, None]
-    b = np.take_along_axis(psi, larger, axis=-2)[..., 0, :]
+    best = z[rows, np.argmax(reach, axis=-1)]
+    psi = (_MAGIC @ (o @ np.sqrt(best)[..., None])).reshape(-1, 2, 2)
+    b = psi[rows, np.argmax(np.linalg.norm(psi, axis=-1), axis=-1)]
     b = b / np.linalg.norm(b, axis=-1, keepdims=True)
     a = (psi @ b.conj()[..., None])[..., 0]
     a = a / np.linalg.norm(a, axis=-1, keepdims=True)
-    return (a[..., :, None] * b[..., None, :]).reshape(best.shape)
+    return (a[:, :, None] * b[:, None, :]).reshape(lead + (4,))

@@ -38,6 +38,10 @@ class BipartiteSplit:
     dim_b: int
 
     def __post_init__(self):
+        if not all(isinstance(d, (int, np.integer)) and not isinstance(d, bool)
+                   for d in (self.dim_a, self.dim_b)):
+            raise DimensionMismatchError(
+                f"local dimensions must be integers, got ({self.dim_a!r}, {self.dim_b!r})")
         if self.dim_a < 1 or self.dim_b < 1:
             raise DimensionMismatchError("local dimensions must be positive")
 

@@ -170,10 +170,16 @@ def iso_spectral_family(h_base, unitary: Callable[[np.ndarray], np.ndarray],
     return HamiltonianFamily(bounds, evaluate, split, iso)
 
 
+def _check_integer(count, name: str) -> None:
+    if not isinstance(count, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {count!r}")
+
+
 def grid_points(bounds, per_axis: int) -> np.ndarray:
     """Cartesian grid (n, p) over a box: the single point lo on an axis with
     lo == hi, else ``per_axis`` evenly spaced points from lo to hi.
-    ``per_axis`` below 1 is a ValueError."""
+    ``per_axis`` that is not an integer, or is below 1, is a ValueError."""
+    _check_integer(per_axis, "grid points per axis")
     if per_axis < 1:
         raise ValueError(f"grid needs at least 1 point per axis, got {per_axis}")
     axes = [np.array([lo]) if lo == hi else np.linspace(lo, hi, per_axis)
@@ -385,7 +391,9 @@ def product_state(a, b) -> np.ndarray:
     return states.reshape(states.shape[:-2] + (-1,))
 
 
-def _check_bank_size(coarse: int) -> None:
+def _check_bank_size(coarse: int, starts: int) -> None:
+    _check_integer(coarse, "coarse")
+    _check_integer(starts, "starts")
     if coarse < 1:
         raise ValueError(f"coarse must be at least 1, got {coarse}")
 
@@ -563,12 +571,13 @@ def unitary_entangling_power(u, split: BipartiteSplit,
     On a 2 x 2 split the value is exact: the witness is the exact product
     input of entanglement.product_sup_witness, whose output concurrence is the
     Kraus-Cirac closed form, ``converged`` is True and ``starts`` and ``seed``
-    are unused (``coarse`` below 1 is still a ValueError).  On every other
-    split the best ``starts`` rows (at least one) of a random bank of
-    ``coarse`` product states (at least one, else ValueError) seed the batched
-    ascent of the objective in the tangent chart of each factor; the bank is
-    ranked and ascended by the concurrence on a 2 x d or d x 2 split with
-    3 <= d <= 12 (no SVD), by the SVD entropy otherwise.  All starts stop
+    are unused (``coarse`` below 1, or either count not an integer, is still a
+    ValueError).  On every other split the best ``starts`` rows (at least one)
+    of a random bank of ``coarse`` product states (at least one, else
+    ValueError) seed the batched ascent of the objective in the tangent chart
+    of each factor; the bank is ranked and ascended by the concurrence on a
+    2 x d or d x 2 split with 3 <= d <= 12 (no SVD), by the SVD entropy
+    otherwise.  All starts stop
     once the best is within 4 eps of that score's bound (concurrence 1, or
     log2(min(d_A, d_B)) bits).  ``converged`` reports whether the winning
     start stopped by the gain rule or at that bound rather than at the
@@ -580,7 +589,7 @@ def unitary_entangling_power(u, split: BipartiteSplit,
     if u.ndim != 2 or not linalg.is_unitary(u):
         raise NotUnitaryError("input is not unitary")
     split.check(u.shape[0])
-    _check_bank_size(coarse)
+    _check_bank_size(coarse, starts)
     if split.dim_a == 2 and split.dim_b == 2:
         witness = entanglement.product_sup_witness(u)
         output = u @ witness
@@ -652,8 +661,9 @@ def bound_check(fam: HamiltonianFamily,
     each unitary's starts stop at the bound log2(min(d_A, d_B)), where its
     power is the supremum to 4 eps, exactly as its call alone would),
     the only use of ``seed``, ``coarse`` and ``starts``; there ``coarse``
-    below 1 is a ValueError, raised before any work.  The left-hand side is the refined
-    adiabatic_entangling_power, a lower bound; ``holds`` is lhs <= rhs + 1e-6.
+    below 1, or either count not an integer, is a ValueError, raised before
+    any work.  The left-hand side is the refined adiabatic_entangling_power,
+    a lower bound; ``holds`` is lhs <= rhs + 1e-6.
     ``rhs_point`` is the first grid point whose power is within 4 eps of rhs.
     Both sides' grid chunks run on every CPU the process may use, so the
     family's ``evaluate`` or iso-spectral ``unitary`` must be safe to call
@@ -661,7 +671,7 @@ def bound_check(fam: HamiltonianFamily,
     """
     exact = fam.split.dim_a == 2 and fam.split.dim_b == 2
     if not exact:
-        _check_bank_size(coarse)
+        _check_bank_size(coarse, starts)
     lhs = adiabatic_entangling_power(fam, grid_per_axis, refine=True).value
     pts = grid_points(fam.bounds, grid_per_axis)
 

@@ -105,6 +105,13 @@ def test_concurrence_closed_form_broadcasts():
         concurrence_coefficients(np.zeros((3, 2)))
 
 
+def test_entropy_from_concurrence_of_nan_is_nan():
+    assert np.isnan(entropy_from_concurrence(np.nan))
+    ents = entropy_from_concurrence(np.array([np.nan, 0.5]))
+    assert np.isnan(ents[0]) and ents[1] == entropy_from_concurrence(0.5)
+    assert np.isnan(entropy_from_concurrence(qubit_concurrence(np.full(4, np.nan), SPLIT)))
+
+
 def test_entropy_local_unitary_invariance():
     rng = np.random.default_rng(2)
     for _ in range(50):

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from adiapower import entanglement, families, linalg, power, simulate, spectral
-from adiapower.errors import NotHermitianError, NotUnitaryError
+from adiapower.errors import DimensionMismatchError, NotHermitianError, NotUnitaryError
 from adiapower.linalg import (
     ID2,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    BipartiteSplit,
     basis_state,
     eig_hermitian,
     eig_unitary,
@@ -192,3 +193,17 @@ def test_values_derived_from_inputs_or_fixed_are_not_parameters():
     assert list(inspect.signature(families.example2_family).parameters) == [
         "lam1_fixed", "bounds"]
     assert list(inspect.signature(families.spin_half_field_family).parameters) == []
+
+
+@pytest.mark.parametrize("dim", [2.0, 2.5, True, "2"])
+def test_a_split_refuses_a_dimension_that_is_not_an_integer(dim):
+    for dims in ((dim, 2), (2, dim)):
+        with pytest.raises(DimensionMismatchError,
+                           match=rf"must be integers, got \({dims[0]!r}, {dims[1]!r}\)"):
+            BipartiteSplit(*dims)
+
+
+def test_a_split_accepts_numpy_integer_dimensions():
+    split = BipartiteSplit(np.int64(2), np.int64(3))
+    assert split.dim == 6
+    split.check(6)

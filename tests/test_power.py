@@ -12,7 +12,7 @@ import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adiapower import cli, families, linalg, power
+from adiapower import cli, entanglement, families, linalg, power
 from adiapower.entanglement import (
     concurrence_2q,
     entropy,
@@ -479,6 +479,18 @@ def test_two_qubit_witnesses_broadcast_over_stacks():
     assert stacked.shape == (2, 3, 4)
     for idx in np.ndindex(2, 3):
         assert stacked[idx].tobytes() == product_sup_witness(us[idx]).tobytes()
+    assert product_sup_witness(np.zeros((0, 4, 4), dtype=complex)).shape == (0, 4)
+
+
+def test_writing_into_the_magic_basis_leaves_the_two_qubit_kernels_unchanged():
+    u = haar_unitary(np.random.default_rng(8), 4)
+    before = product_sup_witness(u).tobytes(), np.float64(product_sup_concurrence(u)).tobytes()
+    m = entanglement.magic_basis()
+    assert m is not entanglement.magic_basis()
+    m[:] = 0.0
+    assert np.abs(entanglement.magic_basis()).max() > 0.0
+    after = product_sup_witness(u).tobytes(), np.float64(product_sup_concurrence(u)).tobytes()
+    assert after == before
 
 
 def test_unitary_power_qutrit_csum_reaches_log2_3(monkeypatch):
@@ -1037,6 +1049,33 @@ def test_grid_points_gives_one_point_exactly_on_an_axis_with_lo_equal_to_hi():
     assert len(np.unique(pts[:, 2])) == 5          # a narrow axis is not a point
     fam = example0_family([[1.0, 1.0], [0.2, 0.2], [2.0, 2.0]])
     assert entropy_sweep(fam, 9).points.tolist() == [[1.0, 0.2, 2.0]]
+
+
+@pytest.mark.parametrize("call", [
+    lambda fam: power.grid_points(fam.bounds, 2.5),
+    lambda fam: entropy_sweep(fam, 2.5),
+    lambda fam: adiabatic_entangling_power(fam, 2.5),
+    lambda fam: input_state_sweep(fam, ket("01"), 2.5),
+    lambda fam: bound_check(fam, 2.5),
+], ids=["grid_points", "entropy_sweep", "adiabatic_entangling_power", "input_state_sweep",
+        "bound_check"])
+def test_a_fractional_grid_is_rejected_by_name(call):
+    with pytest.raises(ValueError, match=r"grid points per axis must be an integer, got 2\.5"):
+        call(example1_family())
+
+
+@pytest.mark.parametrize("count", ["coarse", "starts"])
+def test_a_fractional_bank_or_start_count_is_rejected_by_name(count):
+    message = rf"{count} must be an integer, got 2\.5"
+    for dims in ((2, 2), (2, 3)):
+        u = np.eye(dims[0] * dims[1])
+        with pytest.raises(ValueError, match=message):
+            unitary_entangling_power(u, BipartiteSplit(*dims), **{count: 2.5})
+        # an integer starts below 1 is still raised to 1
+        assert unitary_entangling_power(u, BipartiteSplit(*dims), starts=np.int64(0)).value \
+            <= 1e-12
+    with pytest.raises(ValueError, match=message):
+        bound_check(plane_2x3_family(), grid_per_axis=3, **{count: 2.5})
 
 
 @pytest.mark.parametrize("per_axis", [0, -3])
