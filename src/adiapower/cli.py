@@ -316,13 +316,8 @@ def _column_text(col, sep: str) -> list:
 # ---------------------------------------------------------------------------
 # Subcommands.
 
-def _check_at_least(option: str, value: int, least: int) -> None:
-    if value < least:
-        raise ValueError(f"{option} must be at least {least}, got {value}")
-
-
 def cmd_connectible(args) -> int:
-    _check_at_least("--samples", args.samples, 2)
+    linalg.check_count(args.samples, "--samples", 2)
     h0 = load_hermitian(args.h0_file)
     h1 = load_hermitian(args.h1_file)
     try:
@@ -355,7 +350,7 @@ def cmd_connectible(args) -> int:
 
 
 def cmd_power(args) -> int:
-    _check_at_least("--grid", args.grid, 1)
+    linalg.check_count(args.grid, "--grid", 1)
     try:
         level = None if args.level == "all" else int(args.level)
     except ValueError:
@@ -389,7 +384,7 @@ def cmd_power(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    _check_at_least("--grid", args.grid, 1)
+    linalg.check_count(args.grid, "--grid", 1)
     fam, spec_config = load_family_spec(args.spec_file)
     pts, values = input_state_sweep(fam, parse_state(args.input_state, fam.split), args.grid)
     config = {"spec_file": args.spec_file, "spec": spec_config,
@@ -410,7 +405,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_evolve(args) -> int:
-    _check_at_least("--steps", args.steps, MIN_STEPS)
+    linalg.check_count(args.steps, "--steps", MIN_STEPS)
     fam, spec_config = load_family_spec(args.spec_file)
     fam.check_level(args.level)
     waypoints = _load_json(args.path, "--path")
@@ -448,7 +443,7 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_gate(args) -> int:
-    _check_at_least("--steps", args.steps, MIN_STEPS)
+    linalg.check_count(args.steps, "--steps", MIN_STEPS)
     kind, *numbers = args.loop
     try:
         theta0, radius = map(float, numbers)

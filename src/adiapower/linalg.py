@@ -30,6 +30,19 @@ SIGMA_MINUS = SIGMA_X - 1j * SIGMA_Y
 ID2 = np.eye(2, dtype=complex)
 
 
+def is_integer(value) -> bool:
+    """The package's integer test: an int or np.integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def check_count(value, name: str, least: int | None = None) -> None:
+    """ValueError naming the count unless it is_integer, and at least ``least`` if given."""
+    if not is_integer(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+
+
 @dataclass(frozen=True)
 class BipartiteSplit:
     """Local dimensions of a bipartite state space, A-factor first."""
@@ -38,8 +51,7 @@ class BipartiteSplit:
     dim_b: int
 
     def __post_init__(self):
-        if not all(isinstance(d, (int, np.integer)) and not isinstance(d, bool)
-                   for d in (self.dim_a, self.dim_b)):
+        if not (is_integer(self.dim_a) and is_integer(self.dim_b)):
             raise DimensionMismatchError(
                 f"local dimensions must be integers, got ({self.dim_a!r}, {self.dim_b!r})")
         if self.dim_a < 1 or self.dim_b < 1:

@@ -125,8 +125,8 @@ class HamiltonianFamily:
         return vals, vecs
 
     def check_level(self, level) -> None:
-        """ValueError unless level is an integer in 0..D-1."""
-        if not isinstance(level, (int, np.integer)) or not 0 <= level < self.dim:
+        """ValueError unless level is an integer (linalg.is_integer) in 0..D-1."""
+        if not linalg.is_integer(level) or not 0 <= level < self.dim:
             raise ValueError(f"level {level} is out of range 0..{self.dim - 1}")
 
 
@@ -170,18 +170,11 @@ def iso_spectral_family(h_base, unitary: Callable[[np.ndarray], np.ndarray],
     return HamiltonianFamily(bounds, evaluate, split, iso)
 
 
-def _check_integer(count, name: str) -> None:
-    if not isinstance(count, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {count!r}")
-
-
 def grid_points(bounds, per_axis: int) -> np.ndarray:
     """Cartesian grid (n, p) over a box: the single point lo on an axis with
     lo == hi, else ``per_axis`` evenly spaced points from lo to hi.
-    ``per_axis`` that is not an integer, or is below 1, is a ValueError."""
-    _check_integer(per_axis, "grid points per axis")
-    if per_axis < 1:
-        raise ValueError(f"grid needs at least 1 point per axis, got {per_axis}")
+    ``per_axis`` passes linalg.check_count ("grid points per axis", at least 1)."""
+    linalg.check_count(per_axis, "grid points per axis", 1)
     axes = [np.array([lo]) if lo == hi else np.linspace(lo, hi, per_axis)
             for lo, hi in np.asarray(bounds, dtype=float)]
     mesh = np.meshgrid(*axes, indexing="ij")
@@ -391,11 +384,10 @@ def product_state(a, b) -> np.ndarray:
     return states.reshape(states.shape[:-2] + (-1,))
 
 
-def _check_bank_size(coarse: int, starts: int) -> None:
-    _check_integer(coarse, "coarse")
-    _check_integer(starts, "starts")
-    if coarse < 1:
-        raise ValueError(f"coarse must be at least 1, got {coarse}")
+def _check_bank_size(coarse: int, starts: int, seed: int) -> None:
+    linalg.check_count(coarse, "coarse", 1)
+    linalg.check_count(starts, "starts")
+    linalg.check_count(seed, "seed", 0)
 
 
 def _random_product_bank(rng, split: BipartiteSplit, count: int) -> np.ndarray:
@@ -469,13 +461,13 @@ def _ascent_step(grad, hess, radius):
     return (vec @ coef[:, :, None])[:, :, 0], np.abs(coef).max(axis=1), model_gain
 
 
-def _ascend(objective, chart, state, n: int, ceiling: float | None = None, group: int = 1):
+def _ascend(objective, chart, state, n: int, ceiling: float, group: int):
     """Damped-Newton ascent from all starts ``state`` (a tuple of arrays (k, ...),
     moved in place); ``chart(*rows)`` maps offsets z (..., m, n) around rows
     to candidate tuples (k, m, ...) that ``objective(starts, *candidates)``
     scores as (k, m), ``starts`` (k,) being the indices of the rows.  A
     start stops once an accepted step gains at most 4 eps, or a rejected
-    step's model promises no more.  Given the objective's upper bound
+    step's model promises no more.  At the objective's upper bound
     ``ceiling``, the starts also stop in runs of ``group`` (starts // group
     is the run) once the run's best value is within 4 eps of it, checked on
     the starting values and after each iteration's moves: no start of the
@@ -488,9 +480,8 @@ def _ascend(objective, chart, state, n: int, ceiling: float | None = None, group
     active = np.ones(len(value), dtype=bool)
 
     def stop_at_ceiling():
-        if ceiling is not None:
-            full = value.reshape(-1, group).max(axis=1) >= ceiling - _ASCENT_GAIN
-            active[np.repeat(full, group)] = False
+        full = value.reshape(-1, group).max(axis=1) >= ceiling - _ASCENT_GAIN
+        active[np.repeat(full, group)] = False
 
     stop_at_ceiling()
     for _ in range(_ASCENT_ITERATIONS):
@@ -571,13 +562,12 @@ def unitary_entangling_power(u, split: BipartiteSplit,
     On a 2 x 2 split the value is exact: the witness is the exact product
     input of entanglement.product_sup_witness, whose output concurrence is the
     Kraus-Cirac closed form, ``converged`` is True and ``starts`` and ``seed``
-    are unused (``coarse`` below 1, or either count not an integer, is still a
-    ValueError).  On every other split the best ``starts`` rows (at least one)
-    of a random bank of ``coarse`` product states (at least one, else
-    ValueError) seed the batched ascent of the objective in the tangent chart
-    of each factor; the bank is ranked and ascended by the concurrence on a
-    2 x d or d x 2 split with 3 <= d <= 12 (no SVD), by the SVD entropy
-    otherwise.  All starts stop
+    are unused, though all three counts are checked on every split (``coarse``
+    at least 1, ``seed`` at least 0).  Elsewhere the best ``starts`` rows (at
+    least one) of a random bank of ``coarse`` product states seed the batched
+    ascent of the objective in the tangent chart of each factor; the bank is
+    ranked and ascended by the concurrence on a 2 x d or d x 2 split with
+    3 <= d <= 12 (no SVD), by the SVD entropy otherwise.  All starts stop
     once the best is within 4 eps of that score's bound (concurrence 1, or
     log2(min(d_A, d_B)) bits).  ``converged`` reports whether the winning
     start stopped by the gain rule or at that bound rather than at the
@@ -589,7 +579,7 @@ def unitary_entangling_power(u, split: BipartiteSplit,
     if u.ndim != 2 or not linalg.is_unitary(u):
         raise NotUnitaryError("input is not unitary")
     split.check(u.shape[0])
-    _check_bank_size(coarse, starts)
+    _check_bank_size(coarse, starts, seed)
     if split.dim_a == 2 and split.dim_b == 2:
         witness = entanglement.product_sup_witness(u)
         output = u @ witness
@@ -660,9 +650,9 @@ def bound_check(fam: HamiltonianFamily,
     concurrence, without SVDs, on a 2 x d or d x 2 split with 3 <= d <= 12;
     each unitary's starts stop at the bound log2(min(d_A, d_B)), where its
     power is the supremum to 4 eps, exactly as its call alone would),
-    the only use of ``seed``, ``coarse`` and ``starts``; there ``coarse``
-    below 1, or either count not an integer, is a ValueError, raised before
-    any work.  The left-hand side is the refined adiabatic_entangling_power,
+    the only use of ``seed``, ``coarse`` and ``starts``, which are then
+    checked as in unitary_entangling_power, before any work.
+    The left-hand side is the refined adiabatic_entangling_power,
     a lower bound; ``holds`` is lhs <= rhs + 1e-6.
     ``rhs_point`` is the first grid point whose power is within 4 eps of rhs.
     Both sides' grid chunks run on every CPU the process may use, so the
@@ -671,7 +661,7 @@ def bound_check(fam: HamiltonianFamily,
     """
     exact = fam.split.dim_a == 2 and fam.split.dim_b == 2
     if not exact:
-        _check_bank_size(coarse, starts)
+        _check_bank_size(coarse, starts, seed)
     lhs = adiabatic_entangling_power(fam, grid_per_axis, refine=True).value
     pts = grid_points(fam.bounds, grid_per_axis)
 

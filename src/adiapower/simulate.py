@@ -13,9 +13,10 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConstraintViolatedError, NotAnEigenstateError, NotClosedError
+from .errors import (ConstraintViolatedError, DimensionMismatchError, NotAnEigenstateError,
+                     NotClosedError)
 from .families import example1_family
-from .linalg import dagger
+from .linalg import check_count, dagger, normalize
 from .power import HamiltonianFamily, _chunked
 
 _CLOSURE_TOL = 1e-12         # largest endpoint mismatch of a closed path, per unit of scale
@@ -174,11 +175,10 @@ def _step_unitaries(fam: HamiltonianFamily, path: ParameterPath, steps: int) -> 
     All midpoints come from one gamma call; their eigensystems and steps are
     built in one power._chunked call, SWEEP_CHUNK midpoints per chunk on the
     grid pool.  Callers take this stack before any other diagonalization, so
-    a step count that is not an integer of at least MIN_STEPS, or a duration
-    that is not positive and finite, fails first.
+    a step count below MIN_STEPS or not an integer, or a duration that is
+    not positive and finite, fails first.
     """
-    if not isinstance(steps, (int, np.integer)) or steps < MIN_STEPS:
-        raise ValueError(f"use an integer of at least {MIN_STEPS} steps, got {steps!r}")
+    check_count(steps, "steps", MIN_STEPS)
     if not 0 < path.duration < np.inf:
         raise ValueError(f"the duration must be positive and finite, got {path.duration}")
     dt = path.duration / steps
@@ -205,19 +205,21 @@ def propagate(fam: HamiltonianFamily, path: ParameterPath, psi0,
               steps: int = DEFAULT_STEPS) -> AdiabaticRunRecord:
     """Integrate the Schrodinger equation along the path from an eigenstate.
 
-    The initial state must overlap an eigenvector of the Hamiltonian at the
-    start of the path by at least 1 - _EIGENSTATE_TOL (NotAnEigenstateError
-    otherwise); the run tracks the matching instantaneous eigenstate for the
-    fidelity series, one stacked overlap with all states.  Every Hamiltonian
-    the run needs (midpoint steps, the adiabaticity diagnostic) is built from
-    the family's eigensystem, taken in one power._chunked call for the
-    steps + 1 time nodes and one for the midpoints, whose chunks run on every
-    CPU the process may use.  The geometric phase of a generic family on an
-    open path depends on LAPACK's gauge and is reported as 0.
+    psi0 (normalized: ValueError if zero or not finite; DimensionMismatchError
+    unless of shape (D,)) must overlap an eigenvector of H at the path's start
+    by at least 1 - _EIGENSTATE_TOL (NotAnEigenstateError otherwise); the run
+    tracks that eigenstate for the fidelity series, one stacked overlap with
+    all states.  Every Hamiltonian the run needs (midpoint steps, the
+    adiabaticity diagnostic) is built from the family's eigensystem, taken in
+    one power._chunked call for the steps + 1 time nodes and one for the
+    midpoints, whose chunks run on every CPU the process may use.  The
+    geometric phase of a generic family on an open path depends on LAPACK's
+    gauge and is reported as 0.
     """
     step_unitaries = _step_unitaries(fam, path, steps)
-    psi = np.asarray(psi0, dtype=complex)
-    psi = psi / np.linalg.norm(psi)
+    psi = normalize(psi0)
+    if psi.shape != (fam.dim,):
+        raise DimensionMismatchError(f"initial state has shape {psi.shape}, not ({fam.dim},)")
     dt = path.duration / steps
 
     vals, vecs, dynamical, geometric = _node_chain(fam, path, steps)
@@ -266,12 +268,11 @@ def berry_phase(fam: HamiltonianFamily, level: int, loop: ParameterPath,
     """Geometric phase of one level around a closed parameter loop.
 
     Computed as the closed-chain Pancharatnam product of instantaneous
-    eigenvectors, reduced to (-pi, pi]; the loop's samples (an integer of at
+    eigenvectors, reduced to (-pi, pi]; the loop's samples (a count of at
     least 3: a closed chain of two carries no phase) are diagonalized in one
     power._chunked call.
     """
-    if not isinstance(samples, (int, np.integer)) or samples < 3:
-        raise ValueError(f"use an integer of at least 3 samples, got {samples!r}")
+    check_count(samples, "samples", 3)
     fam.check_level(level)
     pts = _points(fam, loop, np.arange(samples) / samples)
     loop.check_closed()

@@ -176,10 +176,10 @@ def spectra_along(fam: ConnectingFamily, samples: int = DEFAULT_SAMPLES):
 
     The spectrum of H(t) is eps(t) by construction, each level repeated by its
     multiplicity.  Every level gap is linear in t, so the minimum gap is the
-    smaller of the two endpoint gaps (inf for a single level).
+    smaller of the two endpoint gaps (inf for a single level).  ``samples``
+    is checked by linalg.check_count, at least 2.
     """
-    if samples < 2:
-        raise ValueError("need at least 2 samples")
+    linalg.check_count(samples, "samples", 2)
     ts = np.linspace(0.0, 1.0, samples)
     spectra = np.repeat(fam.eigenvalues_at(ts), fam.base.multiplicities, axis=-1)
     return ts, spectra, min_gap_along(fam)

@@ -610,7 +610,8 @@ def test_unitary_power_reports_the_iteration_cap(monkeypatch):
 
 def counted_ascents(monkeypatch, ceiling=True):
     """Objective calls, values and still-active starts of every power._ascend call,
-    in call order; with ceiling=False each call runs without its ceiling."""
+    in call order; with ceiling=False each call runs with an infinite ceiling, which
+    no start reaches."""
     runs = []
     ascend = power._ascend
 
@@ -621,7 +622,7 @@ def counted_ascents(monkeypatch, ceiling=True):
             calls.append(args[0])
             return objective(*args)
 
-        value, active = ascend(counted, chart, state, n, *(limit if ceiling else ()))
+        value, active = ascend(counted, chart, state, n, *(limit if ceiling else (np.inf, 1)))
         runs.append((len(calls), value.copy(), active.copy()))
         return value, active
 
@@ -1084,7 +1085,7 @@ def test_grid_of_fewer_than_one_point_per_axis_is_rejected_by_name(per_axis):
     for call in (lambda: power.grid_points(fam.bounds, per_axis),
                  lambda: entropy_sweep(fam, per_axis),
                  lambda: input_state_sweep(fam, ket("01"), per_axis)):
-        with pytest.raises(ValueError, match=f"grid needs at least 1 point per axis, "
+        with pytest.raises(ValueError, match=f"grid points per axis must be at least 1, "
                                              f"got {per_axis}"):
             call()
 

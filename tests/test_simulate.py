@@ -13,6 +13,7 @@ from adiapower.cli import main
 from adiapower.errors import (
     ConstraintViolatedError,
     DegeneracyError,
+    DimensionMismatchError,
     NotAnEigenstateError,
     NotClosedError,
 )
@@ -198,6 +199,21 @@ def test_propagate_input_checks():
         propagate(fam, path, ket("01"), steps=50)
 
 
+@pytest.mark.parametrize("psi0, error, message", [
+    ([0.0, 0.0], ValueError, "zero vector"),
+    ([np.nan, 1.0], ValueError, "non-finite"),
+    ([1.0, 0.0, 0.0], DimensionMismatchError, r"shape \(3,\), not \(2,\)"),
+], ids=["zero", "nan", "wrong-length"])
+def test_a_start_state_that_is_not_a_state_of_the_family_is_refused_before_the_nodes(
+        monkeypatch, psi0, error, message):
+    fam = spin_half_field_family()
+    path = line_path([0.0, 0.0, 1.0], [0.2, 0.0, 1.0], duration=5.0)
+    calls = recorded_shapes(monkeypatch, np.linalg, "eigh")
+    with pytest.raises(error, match=message):
+        propagate(fam, path, psi0, steps=100)
+    assert calls == [(100, 2, 2)]         # the midpoint steps only, no node eigensystems
+
+
 @pytest.mark.parametrize("miss, accepted", [(0.9e-6, True), (1.1e-6, False)])
 def test_propagate_accepts_an_overlap_down_to_one_minus_1e6(miss, accepted):
     fam = example1_family()
@@ -276,7 +292,7 @@ def test_berry_phase_zero_area_loop():
     assert abs(berry_phase(fam, 0, loop, samples=400)) < 1e-8
 
 
-@pytest.mark.parametrize("level", [-1, 4, 1.5, 1.0])
+@pytest.mark.parametrize("level", [-1, 4, 1.5, 1.0, True])
 def test_level_outside_the_spectrum_is_a_value_error(level):
     fam = example1_family()
     with pytest.raises(ValueError, match=f"level {level} is out of range 0..3"):
@@ -336,7 +352,7 @@ def test_gamma_that_does_not_broadcast_is_rejected_before_any_eigensystem(monkey
 def test_too_few_phase_or_constraint_samples_are_rejected():
     fam = spin_half_field_family()
     for samples in (-1, 0, 1, 2):
-        with pytest.raises(ValueError, match="at least 3 samples"):
+        with pytest.raises(ValueError, match="samples must be at least 3"):
             berry_phase(fam, 0, field_circle(np.pi / 3), samples=samples)
     assert berry_phase(fam, 0, field_circle(np.pi / 3), samples=3) != 0.0
 
@@ -347,7 +363,7 @@ def test_a_sample_count_that_is_not_an_integer_is_refused_before_any_eigensystem
     exact = berry_phase(fam, 0, loop, samples=8)
     calls = recorded_shapes(monkeypatch, np.linalg, "eigh")
     for samples in (7.5, 8.0, np.float64(8.0)):
-        with pytest.raises(ValueError, match=re.escape(f"at least 3 samples, got {samples!r}")):
+        with pytest.raises(ValueError, match=re.escape(f"samples must be an integer, got {samples!r}")):
             berry_phase(fam, 0, loop, samples=samples)
     assert calls == []
     assert berry_phase(fam, 0, loop, samples=np.int64(8)) == exact
@@ -446,7 +462,7 @@ def test_step_consumers_reject_too_few_steps():
                     lambda: propagate_unitary(fam, path, steps),
                     lambda: decompose_uad(fam, path, steps),
                     lambda: synthesize_controlled_phase(loop, steps)):
-            with pytest.raises(ValueError, match="at least 100 steps"):
+            with pytest.raises(ValueError, match="steps must be at least 100"):
                 run()
 
 
@@ -464,7 +480,7 @@ def test_a_step_count_that_is_not_an_integer_is_refused_before_any_eigensystem(m
                circle_loop(np.pi / 3, 1.0, duration=10.0), steps)}[consumer]
     calls = recorded_shapes(monkeypatch, np.linalg, "eigh")
     for steps in (200.5, 200.0, np.float64(200.0)):
-        with pytest.raises(ValueError, match=re.escape(f"at least 100 steps, got {steps!r}")):
+        with pytest.raises(ValueError, match=re.escape(f"steps must be an integer, got {steps!r}")):
             run(steps)
     assert calls == []
     run(np.int64(200))
