@@ -117,7 +117,7 @@ def _number_array(value, key: str, shape: tuple, expected: str) -> np.ndarray:
     Another shape, ragged lists or a bare non-number is the ValueError "{key}
     must be {expected}, got ..."; a string, boolean, null or object leaf, or an
     integer too large for a float, is a ValueError naming key.  Finiteness is
-    left to the library checks that own it (the family's box, cluster_tol).
+    checked by _complex_array, or by the check that owns it (box, cluster_tol).
     """
     arr = None
     if type(value) is list or _is_number(value):
@@ -143,7 +143,16 @@ def _number_array(value, key: str, shape: tuple, expected: str) -> np.ndarray:
     return arr
 
 
-def _load_json(text: str, source: str):
+def _complex_array(value, key: str, shape: tuple, expected: str) -> np.ndarray:
+    """_number_array(value, key, (*shape, 2), expected) of [re, im] pairs as complex; a NaN
+    or infinity is the ValueError "{key} must hold only finite numbers"."""
+    arr = _number_array(value, key, (*shape, 2), expected)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{key} must hold only finite numbers")
+    return arr[..., 0] + 1j * arr[..., 1]
+
+
+def _load_json(text: str | bytes, source: str):
     """json.loads(text); text that is not JSON is a ValueError naming source
     (a file path or an option) and keeping the decoder's line and column."""
     try:
@@ -155,9 +164,8 @@ def _load_json(text: str, source: str):
 def parse_state(text: str, split: BipartiteSplit) -> np.ndarray:
     """Input state: computational-basis label (e.g. '01') or JSON amplitude list."""
     if text.lstrip().startswith("["):
-        arr = _number_array(_load_json(text, "--input-state"), "input state", (split.dim, 2),
-                            f"{split.dim} [re, im] pairs")
-        return linalg.normalize(arr[:, 0] + 1j * arr[:, 1])
+        return linalg.normalize(_complex_array(_load_json(text, "--input-state"), "input state",
+                                               (split.dim,), f"{split.dim} [re, im] pairs"))
     text = text.strip()
     if len(text) == 2 and text.isdigit():
         i, j = int(text[0]), int(text[1])
@@ -168,16 +176,15 @@ def parse_state(text: str, split: BipartiteSplit) -> np.ndarray:
 
 
 def load_hermitian(path: str) -> np.ndarray:
-    with open(path) as f:
+    with open(path, "rb", buffering=0) as f:    # json decodes the bytes itself
         data = _load_json(f.read(), path)
     if isinstance(data, dict):
         if "matrix" not in data:
             raise ValueError(f"{path}: matrix object is missing key 'matrix'")
         data = data["matrix"]
-    arr = _number_array(data, f"{path}: matrix", (None, None, 2), "a matrix of [re, im] pairs")
-    if arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"{path}: matrix must be square, got {arr.shape[0]} x {arr.shape[1]}")
-    h = arr[..., 0] + 1j * arr[..., 1]
+    h = _complex_array(data, f"{path}: matrix", (None, None), "a matrix of [re, im] pairs")
+    if h.shape[0] != h.shape[1]:
+        raise ValueError(f"{path}: matrix must be square, got {h.shape[0]} x {h.shape[1]}")
     if not linalg.is_hermitian(h):
         raise NotHermitianError(f"{path}: matrix is not Hermitian")
     return h
@@ -233,12 +240,10 @@ def load_family_spec(path: str):
 
 
 def _load_custom_spec(spec: dict):
-    h_base = _number_array(spec["base_hamiltonian"], "base_hamiltonian", (None, None, 2),
-                           "a matrix of [re, im] pairs")
-    h_base = h_base[..., 0] + 1j * h_base[..., 1]
-    gens = _number_array(spec["generators"], "generators", (None, *h_base.shape, 2),
-                         f"a list of {h_base.shape} matrices of [re, im] pairs")
-    gens = gens[..., 0] + 1j * gens[..., 1]
+    h_base = _complex_array(spec["base_hamiltonian"], "base_hamiltonian", (None, None),
+                            "a matrix of [re, im] pairs")
+    gens = _complex_array(spec["generators"], "generators", (None, *h_base.shape),
+                          f"a list of {h_base.shape} matrices of [re, im] pairs")
     bounds = _spec_bounds(spec["bounds"], len(gens))
     dims = spec["split"]
     if not (isinstance(dims, list) and len(dims) == 2 and all(type(d) is int for d in dims)):
@@ -324,16 +329,14 @@ def cmd_connectible(args) -> int:
         fam = build_connecting_family(h0, h1, args.cluster_tol)
     except NotConnectibleError as exc:
         d = exc.decision
-        print(f"degeneracy vector of H0: {d.d0}")
-        print(f"degeneracy vector of H1: {d.d1}")
-        print(f"decision: not connectible ({d.reason})")
+        sys.stdout.write(f"degeneracy vector of H0: {d.d0}\ndegeneracy vector of H1: {d.d1}\n"
+                         f"decision: not connectible ({d.reason})\n")
         return 2
     degeneracy = fam.base.multiplicities        # equal at both ends when connectible
-    print(f"degeneracy vector of H0: {degeneracy}")
-    print(f"degeneracy vector of H1: {degeneracy}")
     gap = min_gap_along(fam)
-    print("decision: connectible")
-    print(f"min gap along connecting family: {fmt(gap)}")
+    sys.stdout.write(f"degeneracy vector of H0: {degeneracy}\n"
+                     f"degeneracy vector of H1: {degeneracy}\ndecision: connectible\n"
+                     f"min gap along connecting family: {fmt(gap)}\n")
     if args.out:
         ts, spectra, _ = spectra_along(fam, args.samples)
         config = {"h0_file": args.h0_file, "h1_file": args.h1_file,
@@ -358,8 +361,7 @@ def cmd_power(args) -> int:
     fam, spec_config = load_family_spec(args.spec_file)
     if level is not None:
         fam.check_level(level)
-    est = adiabatic_entangling_power(fam, grid_per_axis=args.grid,
-                                     refine=args.refine)
+    est = adiabatic_entangling_power(fam, grid_per_axis=args.grid, refine=args.refine)
     print(f"adiabatic entangling power: {fmt(est.value)}")
     print(f"level: {est.level}")
     print(f"witness point (high): {[fmt(x) for x in est.point_hi]}")
@@ -368,8 +370,7 @@ def cmd_power(args) -> int:
     print(f"product-state baseline certified: {est.product_base}")
     if level is not None:
         col = est.sweep.entropies[:, level]
-        print(f"level {level}: max entropy {fmt(col.max())}, "
-              f"min entropy {fmt(col.min())}")
+        print(f"level {level}: max entropy {fmt(col.max())}, min entropy {fmt(col.min())}")
     if args.out:
         config = {"spec_file": args.spec_file, "spec": spec_config,
                   "grid": args.grid, "refine": args.refine, "level": args.level}
@@ -387,9 +388,8 @@ def cmd_sweep(args) -> int:
     linalg.check_count(args.grid, "--grid", 1)
     fam, spec_config = load_family_spec(args.spec_file)
     pts, values = input_state_sweep(fam, parse_state(args.input_state, fam.split), args.grid)
-    config = {"spec_file": args.spec_file, "spec": spec_config,
-              "input_state": args.input_state, "grid": args.grid,
-              "format": args.out_format}
+    config = {"spec_file": args.spec_file, "spec": spec_config, "input_state": args.input_state,
+              "grid": args.grid, "format": args.out_format}
     manifest = make_manifest("sweep", config, args.seed)
     header = [f"lam{j + 1}" for j in range(fam.parameter_dim)] + ["E"]
     best = int(np.argmax(values))
@@ -425,9 +425,8 @@ def cmd_evolve(args) -> int:
     print(f"adiabaticity diagnostic max|dH/dt|/gap^2: {fmt(rec.adiabaticity)}")
     print(f"norm drift: {fmt(rec.norm_drift)}")
     if args.out:
-        config = {"spec_file": args.spec_file, "spec": spec_config,
-                  "path": waypoints, "T": args.T, "steps": args.steps,
-                  "level": args.level, "schedule": args.schedule}
+        config = {"spec_file": args.spec_file, "spec": spec_config, "path": waypoints,
+                  "T": args.T, "steps": args.steps, "level": args.level, "schedule": args.schedule}
         _write_json(args.out, {
             "manifest": make_manifest("evolve", config, args.seed),
             "times": rec.times.tolist(),
@@ -468,8 +467,7 @@ def cmd_gate(args) -> int:
     verdict = "entangling" if res.is_entangling() else "not entangling"
     print(f"verdict: {verdict}")
     if args.out:
-        config = {"loop": [kind, theta0, radius], "T": args.T,
-                  "steps": args.steps}
+        config = {"loop": [kind, theta0, radius], "T": args.T, "steps": args.steps}
         _write_json(args.out, {
             "manifest": make_manifest("gate", config, args.seed),
             "labels": list(res.labels),

@@ -70,7 +70,7 @@ class BipartiteSplit:
 
 def _as_complex(a) -> np.ndarray:
     arr = np.asarray(a, dtype=complex)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("non-finite entries")
     return arr
 
@@ -84,7 +84,7 @@ def is_hermitian(h) -> bool:
     """True iff h, or every matrix of a (..., D, D) stack h, is Hermitian within DEFAULT_TOL."""
     h = np.asarray(h)
     return (h.ndim >= 2 and h.shape[-1] == h.shape[-2]
-            and np.max(np.abs(h - dagger(h))) <= DEFAULT_TOL)
+            and np.abs(h - dagger(h)).max() <= DEFAULT_TOL)
 
 
 def is_unitary(u) -> bool:
@@ -174,5 +174,4 @@ def basis_state(index: int, dim: int) -> np.ndarray:
 
 def ket(bits: str) -> np.ndarray:
     """Computational-basis state of n qubits from a bit string, e.g. '01'."""
-    index = int(bits, 2)
-    return basis_state(index, 2 ** len(bits))
+    return basis_state(int(bits, 2), 2 ** len(bits))

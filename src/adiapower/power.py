@@ -260,6 +260,7 @@ def entropy_sweep(fam: HamiltonianFamily, grid_per_axis: int = DEFAULT_GRID,
     ``unitary``) must be safe to call concurrently (pure numpy is); the
     entropies are bit-identical to one thread.
     """
+    linalg.check_count(grid_per_axis, "grid points per axis", 1)       # also with sample_points
     pts = grid_points(fam.bounds, grid_per_axis) if sample_points is None \
         else np.asarray(sample_points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != fam.parameter_dim or not len(pts):

@@ -51,19 +51,22 @@ class ConnectibilityDecision:
 def _fix_phases(vecs: np.ndarray) -> np.ndarray:
     """Make each column's largest-magnitude entry real positive (deterministic
     gauge), in a (D, D) matrix or in each matrix of a (..., D, D) stack."""
-    top = np.take_along_axis(vecs, np.argmax(np.abs(vecs), axis=-2)[..., None, :], axis=-2)
+    rows = np.abs(vecs).argmax(axis=-2, keepdims=True)
+    first = np.arange(vecs.size).reshape(vecs.shape)[..., :1, :]   # flat index of row 0's entries
+    top = vecs.reshape(-1)[first + vecs.shape[-1] * rows]
     mag = np.abs(top)
     return vecs * np.divide(mag, top, out=np.ones_like(top), where=mag > 0)
 
 
-def _resolution(vals, vecs, thresh) -> SpectralResolution:
+def _resolution(vals, vecs, thresh: float) -> SpectralResolution:
     """Levels of ascending eigenvalues vals (D,) with gauged columns vecs (D, D):
     a gap at or above thresh starts a new level, whose energy is the mean of
-    its eigenvalues (sum / count, the same bits as np.mean)."""
-    edges = [0, *(np.flatnonzero(np.diff(vals) >= thresh) + 1).tolist(), len(vals)]
+    its eigenvalues (a singleton's own value, else sum / count: the bits of np.mean)."""
+    e = vals.tolist()
+    edges = [0, *(k for k in range(1, len(e)) if e[k] - e[k - 1] >= thresh), len(e)]
     levels = list(zip(edges[:-1], edges[1:]))
     return SpectralResolution(
-        energies=np.array([vals[a:b].sum() / (b - a) for a, b in levels]),
+        energies=np.array([e[a] if b - a == 1 else vals[a:b].sum() / (b - a) for a, b in levels]),
         multiplicities=tuple(b - a for a, b in levels),
         vectors=vecs,
     )
@@ -77,7 +80,7 @@ def spectral_resolution(h, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> Spectral
     finite (ValueError otherwise).
     """
     vals, vecs, thresh = linalg.eig_clustered(h, cluster_tol)
-    return _resolution(vals, _fix_phases(vecs), thresh)
+    return _resolution(vals, _fix_phases(vecs), float(thresh))
 
 
 def degeneracy_vector(res: SpectralResolution) -> tuple:
@@ -93,16 +96,14 @@ def _resolve_pair(h0, h1, cluster_tol: float):
     h1 = np.asarray(h1)
     if h0.shape != h1.shape:
         raise DimensionMismatchError("operators have different dimensions")
-    if h0.ndim != 2:                     # np.stack would make two 2-vectors one matrix
+    if h0.ndim != 2:                     # stacking would make two 2-vectors one matrix
         raise NotHermitianError("matrix is not Hermitian within tolerance")
-    vals, vecs, thresh = linalg.eig_clustered(np.stack([h0, h1]), cluster_tol)
-    s0, s1 = map(_resolution, vals, _fix_phases(vecs), thresh)
+    vals, vecs, thresh = linalg.eig_clustered(np.array([h0, h1]), cluster_tol)
+    s0, s1 = map(_resolution, vals, _fix_phases(vecs), thresh.tolist())
     d0, d1 = degeneracy_vector(s0), degeneracy_vector(s1)
-    if d0 == d1:
-        return s0, s1, ConnectibilityDecision(True, None, d0, d1)
-    if sorted(d0) == sorted(d1):
-        return s0, s1, ConnectibilityDecision(False, "degeneracy order mismatch", d0, d1)
-    return s0, s1, ConnectibilityDecision(False, "degeneracy multiset mismatch", d0, d1)
+    reason = (None if d0 == d1 else "degeneracy order mismatch" if sorted(d0) == sorted(d1)
+              else "degeneracy multiset mismatch")
+    return s0, s1, ConnectibilityDecision(reason is None, reason, d0, d1)
 
 
 def is_adiabatically_connectible(h0, h1,
@@ -187,4 +188,5 @@ def spectra_along(fam: ConnectingFamily, samples: int = DEFAULT_SAMPLES):
 
 def min_gap_along(fam: ConnectingFamily) -> float:
     """Minimum gap between consecutive distinct levels of H(t) over t in [0, 1]."""
-    return float(min(np.diff(e).min(initial=np.inf) for e in (fam.base.energies, fam.end.energies)))
+    ends = fam.base.energies.tolist(), fam.end.energies.tolist()
+    return min((b - a for e in ends for a, b in zip(e, e[1:])), default=np.inf)

@@ -67,6 +67,28 @@ def test_connectible_exit_codes(tmp_path, capsys):
     assert main(["connectible", ha, bad]) == 1
 
 
+@pytest.mark.parametrize("h0, h1, stdout, code", [
+    ([0.0, 0.5, 0.5, 2.0], [-1.0, 0.25, 0.25, 3.0],
+     "degeneracy vector of H0: (1, 2, 1)\ndegeneracy vector of H1: (1, 2, 1)\n"
+     "decision: connectible\nmin gap along connecting family: 0.5\n", 0),
+    ([0.0, 0.0, 1.0, 2.0], [0.0, 0.5, 0.5, 2.0],
+     "degeneracy vector of H0: (2, 1, 1)\ndegeneracy vector of H1: (1, 2, 1)\n"
+     "decision: not connectible (degeneracy order mismatch)\n", 2),
+    ([0.0, 0.0, 1.0, 1.0], [-1.0, 0.25, 0.25, 3.0],
+     "degeneracy vector of H0: (2, 2)\ndegeneracy vector of H1: (1, 2, 1)\n"
+     "decision: not connectible (degeneracy multiset mismatch)\n", 2),
+    ([2.0] * 4, [3.0] * 4,
+     "degeneracy vector of H0: (4,)\ndegeneracy vector of H1: (4,)\n"
+     "decision: connectible\nmin gap along connecting family: inf\n", 0),
+], ids=["connectible", "order", "multiset", "single-level"])
+def test_connectible_prints_its_whole_report(tmp_path, capsys, h0, h1, stdout, code):
+    # Diagonal matrices with dyadic entries: eigh is exact on any BLAS.
+    files = [write_json(tmp_path / f"{name}.json", pairs(np.diag(d)))
+             for name, d in (("h0", h0), ("h1", h1))]
+    assert main(["connectible", *files]) == code
+    assert capsys.readouterr() == (stdout, "")
+
+
 def test_connectible_random_pair_report(tmp_path, capsys):
     rng = np.random.default_rng(0)
     x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
@@ -682,6 +704,30 @@ def test_a_spec_number_that_is_not_a_json_number_is_an_input_error_naming_its_ke
             out, err = capsys.readouterr()
             assert out == "" and err == f"input error: {key} must hold only numbers, got {leaf!r}\n"
     assert main(["power", write_json(tmp_path / "good.json", good), "--grid", "3"]) == 0
+
+
+@pytest.mark.parametrize("leaf", [float("nan"), float("inf"), -float("inf")])
+def test_a_matrix_or_amplitude_that_is_not_finite_is_an_input_error_naming_its_key(
+        tmp_path, capsys, specs, eigh_shapes, leaf):
+    good = pairs(np.diag([0.0, 1, 1, 1]))
+    listed = write_json(tmp_path / "listed.json", with_leaf(good, leaf))   # NaN, Infinity tokens
+    wrapped = write_json(tmp_path / "wrapped.json", {"matrix": with_leaf(good, leaf)})
+    ok = write_json(tmp_path / "ok.json", good)
+    amplitudes = json.dumps(with_leaf(pairs([ket("01")])[0], leaf))
+    cases = [(["connectible", listed, ok], f"{listed}: matrix"),
+             (["connectible", ok, wrapped], f"{wrapped}: matrix"),
+             (["sweep", specs["example1"], "--input-state", amplitudes], "input state")]
+    for key in ("base_hamiltonian", "generators"):
+        spec = write_json(tmp_path / f"{key}.json",
+                          custom_spec(**{key: with_leaf(custom_spec()[key], leaf)}))
+        cases += [(["power", spec, "--grid", "3"], key),
+                  (["sweep", spec, "--input-state", "01"], key)]
+    for argv, key in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 1, argv
+        assert capsys.readouterr() == ("", f"input error: {key} must hold only finite numbers\n")
+    assert eigh_shapes == [(4, 4)]       # builtin example1's base Hamiltonian, before the state
 
 
 @pytest.mark.parametrize("leaf", ["0", False, None, 10**400])

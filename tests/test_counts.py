@@ -50,8 +50,12 @@ COUNTS = [
      lambda f, v: power.grid_points(f.q.bounds, v)),
     ("entropy_sweep", "grid_per_axis", "grid points per axis", 1,
      lambda f, v: entropy_sweep(f.q, v)),
+    ("entropy_sweep", "grid_per_axis", "grid points per axis", 1,
+     lambda f, v: entropy_sweep(f.q, v, sample_points=[[0.1, 0, 0.2], [0.3, 0, 0.4]])),
     ("adiabatic_entangling_power", "grid_per_axis", "grid points per axis", 1,
      lambda f, v: adiabatic_entangling_power(f.q, v)),
+    ("adiabatic_entangling_power", "grid_per_axis", "grid points per axis", 1,
+     lambda f, v: adiabatic_entangling_power(f.q, v, sample_points=[[0.1, 0, 0.2], [0.3, 0, 0.4]])),
     ("input_state_sweep", "grid_per_axis", "grid points per axis", 1,
      lambda f, v: input_state_sweep(f.q, ket("01"), v)),
     ("bound_check", "grid_per_axis", "grid points per axis", 1,

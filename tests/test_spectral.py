@@ -384,6 +384,33 @@ def test_batched_pair_resolution_equals_per_matrix_oracles_bit_for_bit(d):
             assert (decision.d0, decision.d1) == (d0, d1)
 
 
+@pytest.mark.parametrize("d", range(7, 13))
+def test_pair_resolution_keeps_np_mean_bits_where_numpy_sums_with_eight_accumulators(d):
+    # numpy sums 8 or more elements with eight accumulators, so a level of 8 or
+    # more eigenvalues pins the bits of np.mean against a plain Python sum.
+    rng = np.random.default_rng(70 + d)
+    vectors = [(d,), (d - 1, 1), (1, d - 2, 1), (2, d - 2), (1,) * d]
+    for d0 in vectors:
+        for d1 in (d0, vectors[rng.integers(len(vectors))]):
+            hams = [degenerate_hermitian(rng, d0), degenerate_hermitian(rng, d1)]
+            s0, s1, decision = _resolve_pair(*hams, DEFAULT_CLUSTER_TOL)
+            for h, res in zip(hams, (s0, s1)):
+                energies, multiplicities, vecs = oracle_resolution(h)
+                for got in (res, spectral_resolution(h)):
+                    assert got.multiplicities == multiplicities
+                    assert got.energies.tobytes() == energies.tobytes()
+                    assert got.vectors.tobytes() == vecs.tobytes()
+            assert (decision.d0, decision.d1) == (d0, d1)
+            if d0 != d1:
+                continue
+            fam = build_connecting_family(*hams)
+            gap = min_gap_along(fam)
+            want = float(min(np.diff(e).min(initial=np.inf)
+                             for e in (fam.base.energies, fam.end.energies)))
+            assert type(gap) is float and np.float64(gap).tobytes() == np.float64(want).tobytes()
+            assert (gap == np.inf) == (d0 == (d,))
+
+
 def test_connectibility_takes_two_matrices_not_two_vectors():
     for v in ([1.0, 1.0], [[1.0, 1.0]]):
         with pytest.raises(NotHermitianError):
