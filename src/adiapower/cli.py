@@ -12,12 +12,15 @@ Conventions shared by all commands:
     (including a bad or missing argument; the usage goes to stderr),
     2 negative decision, 3 degeneracy abort.
 
-Family spec files are JSON objects.  Builtin kinds::
+Family spec files are JSON objects holding "kind" and only that kind's keys
+(SPEC_KEYS; another key is an input error naming the file, the kind and the
+keys).  A builtin takes "bounds" and its scalars: none for example0, "lam1"
+and "lam2" for example1, "lam1_fixed" for example2::
 
     {"kind": "builtin:example1", "bounds": [[0.01, 1.2], [0, 0], [0, 2.4]]}
 
 Custom kinds declare an iso-spectral family H(lam) = U(lam) H_base U+ with
-U(lam) = exp(i sum_j lam_j G_j)::
+U(lam) = exp(i sum_j lam_j G_j); the first four keys are required::
 
     {"kind": "custom",
      "base_hamiltonian": [[[1,0],[0,0]], [[0,0],[-1,0]]],
@@ -199,6 +202,14 @@ BUILTIN_BOUNDS = {
     "builtin:example2": EXAMPLE2_BOUNDS,
 }
 
+# Each family kind's keys besides "kind" (custom's first four are required).
+SPEC_KEYS = {
+    "builtin:example0": ("bounds",),
+    "builtin:example1": ("bounds", "lam1", "lam2"),
+    "builtin:example2": ("bounds", "lam1_fixed"),
+    "custom": ("base_hamiltonian", "generators", "bounds", "split", "base_point", "cluster_tol"),
+}
+
 
 def _spec_numbers(spec: dict, *keys: str) -> dict:
     """The given keys present in spec, whose values must be JSON numbers, as floats."""
@@ -219,24 +230,28 @@ def load_family_spec(path: str):
         raise ValueError(f"{path}: a family spec must be a JSON object, "
                          f"got {type(spec).__name__}")
     kind = spec.get("kind")
-    if kind in BUILTIN_BOUNDS:
-        default = BUILTIN_BOUNDS[kind]
-        bounds = _spec_bounds(spec["bounds"], len(default)) if "bounds" in spec else default
-        if kind == "builtin:example0":
-            fam = example0_family(bounds)
-        elif kind == "builtin:example1":
-            fam = example1_family(Example1Params(**_spec_numbers(spec, "lam1", "lam2")), bounds)
-        else:
-            fam = example2_family(**_spec_numbers(spec, "lam1_fixed"), bounds=bounds)
-        config = dict(spec)
-        config["bounds"] = bounds.tolist()
-        return fam, config
+    if type(kind) is not str or kind not in SPEC_KEYS:
+        raise ValueError(f"unknown family kind {kind!r}")
+    keys = SPEC_KEYS[kind]
+    unknown = [key for key in spec if key != "kind" and key not in keys]
+    if unknown:
+        raise ValueError(f"{path}: a {kind} spec takes no key {', '.join(map(repr, unknown))} "
+                         f"(its keys: kind, {', '.join(keys)})")
     if kind == "custom":
-        for key in ("base_hamiltonian", "generators", "bounds", "split"):    # required
+        for key in keys[:4]:                                     # required
             if key not in spec:
                 raise ValueError(f"{path}: custom spec is missing key {key!r}")
         return _load_custom_spec(spec)
-    raise ValueError(f"unknown family kind {kind!r}")
+    default = BUILTIN_BOUNDS[kind]
+    bounds = _spec_bounds(spec["bounds"], len(default)) if "bounds" in spec else default
+    numbers = _spec_numbers(spec, *keys[1:])
+    if kind == "builtin:example0":
+        fam = example0_family(bounds)
+    elif kind == "builtin:example1":
+        fam = example1_family(Example1Params(**numbers), bounds)
+    else:
+        fam = example2_family(**numbers, bounds=bounds)
+    return fam, {**spec, "bounds": bounds.tolist()}
 
 
 def _load_custom_spec(spec: dict):
@@ -268,10 +283,7 @@ def _load_custom_spec(spec: dict):
         return linalg.expm_skew(k)
 
     fam = iso_spectral_family(h_base, unitary, bounds, split, base_point, cluster_tol)
-    config = dict(spec)
-    config["bounds"] = bounds.tolist()
-    config["cluster_tol"] = cluster_tol
-    return fam, config
+    return fam, {**spec, "bounds": bounds.tolist(), "cluster_tol": cluster_tol}
 
 
 # ---------------------------------------------------------------------------
@@ -407,16 +419,12 @@ def cmd_sweep(args) -> int:
 def cmd_evolve(args) -> int:
     linalg.check_count(args.steps, "--steps", MIN_STEPS)
     fam, spec_config = load_family_spec(args.spec_file)
-    fam.check_level(args.level)
     waypoints = _load_json(args.path, "--path")
     points = _number_array(waypoints, "--path", (None, fam.parameter_dim),
                            f"a JSON list of points with {fam.parameter_dim} parameters each")
     if not np.isfinite(points).all():
         raise ValueError(f"--path must hold only finite numbers, got {reprlib.repr(waypoints)}")
-    path = waypoint_path(points, args.T, args.schedule)
-    _, vecs = fam.eigensystem(path.gamma(0.0))
-    psi0 = vecs[:, args.level]
-    rec = propagate(fam, path, psi0, steps=args.steps)
+    rec = propagate(fam, args.level, waypoint_path(points, args.T, args.schedule), args.steps)
     entropies = entanglement.entropy(rec.states, fam.split)
     print(f"final entropy: {fmt(entropies[-1])}")
     print(f"final fidelity with tracked eigenstate: {fmt(rec.instantaneous_fidelity[-1])}")

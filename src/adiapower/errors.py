@@ -37,10 +37,6 @@ class DegeneracyError(AdiapowerError):
         self.point = point
 
 
-class NotAnEigenstateError(AdiapowerError):
-    pass
-
-
 class NotClosedError(AdiapowerError):
     pass
 

@@ -18,8 +18,8 @@ value is the supremum or infimum, to the gain rule's 4 eps.
 
 Grid evaluations (``entropy_sweep``, ``input_state_sweep``, the per-unitary
 powers of ``bound_check``) and path stacks (``eigenstate_track``, and the
-step, node and loop eigensystems of ``simulate``'s ``propagate``,
-``propagate_unitary``, ``decompose_uad``, ``berry_phase`` and
+step, node and loop eigensystems of ``simulate``'s ``propagate``, whose start
+is its node 0, ``propagate_unitary``, ``decompose_uad``, ``berry_phase`` and
 ``synthesize_controlled_phase``) run their SWEEP_CHUNK-point chunks on every
 CPU the process may use, in the one thread pool made when this module is
 imported; its threads start on the first stack, and every stack runs on it,
@@ -43,7 +43,7 @@ import numpy as np
 from scipy.optimize import minimize  # unused here; perfbench traces this binding
 
 from . import entanglement, linalg
-from .errors import DegeneracyError, NotUnitaryError
+from .errors import DegeneracyError, DimensionMismatchError, NotUnitaryError
 from .linalg import DEFAULT_CLUSTER_TOL, BipartiteSplit
 
 DEFAULT_GRID = 41
@@ -75,14 +75,12 @@ class HamiltonianFamily:
 
     ``evaluate`` and ``eigensystem`` broadcast over leading axes: points of
     shape (..., p) give Hamiltonians (..., D, D), or energies (..., D) with
-    eigenvector columns (..., D, D), each equal to the result for that
-    point alone, so a whole path or grid is diagonalized in one call.
-    Grid and path chunks (``power`` and ``sweep``, ``evolve``, ``gate`` and
-    ``berry_phase``) run on every CPU the process may use, so ``evaluate``
-    must be safe to call concurrently (pure numpy is); results are
-    bit-identical to one thread.  ``bounds`` (kept as a read-only float
-    copy) must be a finite (p, 2) box with lo <= hi on every row
-    (ValueError otherwise); a row with lo == hi fixes its parameter.
+    eigenvector columns (..., D, D), each equal to the result for that point
+    alone, so a whole path or grid is diagonalized in one call; grid and path
+    stacks call ``evaluate`` concurrently (see the module docstring).
+    ``bounds`` (kept as a read-only float copy) must be a finite (p, 2) box
+    with lo <= hi on every row (ValueError otherwise); a row with lo == hi
+    fixes its parameter.
     """
 
     bounds: np.ndarray                   # (p, 2) box, bounds[:,0] <= bounds[:,1]
@@ -152,12 +150,10 @@ def iso_spectral_family(h_base, unitary: Callable[[np.ndarray], np.ndarray],
     H_base is diagonalized once and must be nondegenerate (DegeneracyError
     otherwise, gaps judged by cluster_tol); ``eigensystem`` then returns the
     exact pair (E0, U(lam) V0) and ``evaluate`` rebuilds H(lam) from U(lam).
-    ``unitary`` maps points (..., p) to unitaries (..., D, D); grid and path
-    chunks (``power`` and ``sweep``, ``evolve``, ``gate`` and ``berry_phase``)
-    call it on every CPU the process may use, so it must be safe to call
-    concurrently (pure numpy is), and results are bit-identical to one
-    thread.  base_point is the parameter point whose eigenvectors are
-    products.  cluster_tol must be positive and finite (ValueError otherwise).
+    ``unitary`` maps points (..., p) to unitaries (..., D, D) and is called
+    concurrently, as ``evaluate`` is (see the module docstring).  base_point is
+    the parameter point whose eigenvectors are products.  cluster_tol must be
+    positive and finite (ValueError otherwise).
     """
     energies, vectors, threshold = linalg.eig_clustered(h_base, cluster_tol)
     _check_gaps(energies, threshold, np.asarray(base_point, dtype=float))
@@ -222,16 +218,27 @@ def _entropies_many(states: np.ndarray, split: BipartiteSplit) -> np.ndarray:
     return entanglement.entropy(states, split)
 
 
+def _point_stack(fam: HamiltonianFamily, points, name: str) -> np.ndarray:
+    """points as a float (n, parameter_dim) array with n >= 1; another shape is a
+    ValueError naming the argument."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != fam.parameter_dim or not len(pts):
+        raise ValueError(f"{name} must have shape (n, {fam.parameter_dim}) "
+                         f"with n >= 1, got {pts.shape}")
+    return pts
+
+
 def eigenstate_track(fam: HamiltonianFamily, level: int, path) -> list:
     """Gauge-aligned eigenvectors of one energy level along a parameter path.
 
-    The path's points are diagonalized SWEEP_CHUNK at a time on the grid
+    The path's points, an (n, parameter_dim) array with n >= 1 (ValueError
+    otherwise), are diagonalized SWEEP_CHUNK at a time on the grid
     pool (bit-identical to one call).  Each vector's overlap with
     the previous one is made real positive by the cumulative product of the
     conjugate unit overlaps (1 where zero), renormalized to modulus 1.
     """
     fam.check_level(level)
-    track = _chunked(fam.eigensystem, np.asarray(path, dtype=float))[1][..., level]
+    track = _chunked(fam.eigensystem, _point_stack(fam, path, "path"))[1][..., level]
     ov = np.sum(track[:-1] * track[1:].conj(), axis=-1)     # conjugate overlaps
     unit = np.divide(ov, np.abs(ov), out=np.ones_like(ov), where=ov != 0)
     gauge = np.cumprod(np.concatenate([[1.0], unit]))
@@ -255,17 +262,12 @@ def entropy_sweep(fam: HamiltonianFamily, grid_per_axis: int = DEFAULT_GRID,
     n >= 1) are diagonalized SWEEP_CHUNK at a time, one stacked
     ``eigensystem`` call per chunk, so the family's ``evaluate`` and
     ``eigensystem`` must broadcast; a degeneracy is reported at the first
-    point where the gap collapses, whatever the chunking.  The chunks run on
-    every CPU the process may use, so ``evaluate`` (or the iso-spectral
-    ``unitary``) must be safe to call concurrently (pure numpy is); the
-    entropies are bit-identical to one thread.
+    point where the gap collapses, whatever the chunking.  The chunks run
+    on the grid pool (module docstring).
     """
     linalg.check_count(grid_per_axis, "grid points per axis", 1)       # also with sample_points
     pts = grid_points(fam.bounds, grid_per_axis) if sample_points is None \
-        else np.asarray(sample_points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != fam.parameter_dim or not len(pts):
-        raise ValueError(f"sample_points must have shape (n, {fam.parameter_dim}) "
-                         f"with n >= 1, got {pts.shape}")
+        else _point_stack(fam, sample_points, "sample_points")
     ent = _chunked(lambda chunk: _entropies_many(
         np.swapaxes(fam.eigensystem(chunk)[1], -1, -2), fam.split), pts)
     flat = np.argmax(ent)
@@ -625,11 +627,13 @@ def family_unitaries(fam: HamiltonianFamily, points) -> np.ndarray:
 def input_state_sweep(fam: HamiltonianFamily, psi, grid_per_axis: int) -> tuple:
     """Grid points (n, p) and the entropies (n,) of U(lam) psi there, SWEEP_CHUNK at a time.
 
-    The chunks run on every CPU the process may use, so the family's
-    ``evaluate`` or iso-spectral ``unitary`` must be safe to call concurrently
-    (pure numpy is); the entropies are bit-identical to one thread.
+    psi, used as given (not normalized), must have shape (D,); another shape
+    is a DimensionMismatchError before any unitary.  The chunks run on the
+    grid pool (module docstring).
     """
     pts = grid_points(fam.bounds, grid_per_axis)
+    if np.shape(psi) != (fam.dim,):
+        raise DimensionMismatchError(f"input state has shape {np.shape(psi)}, not ({fam.dim},)")
     return pts, _chunked(
         lambda chunk: entanglement.entropy(family_unitaries(fam, chunk) @ psi, fam.split), pts)
 
@@ -656,9 +660,7 @@ def bound_check(fam: HamiltonianFamily,
     The left-hand side is the refined adiabatic_entangling_power,
     a lower bound; ``holds`` is lhs <= rhs + 1e-6.
     ``rhs_point`` is the first grid point whose power is within 4 eps of rhs.
-    Both sides' grid chunks run on every CPU the process may use, so the
-    family's ``evaluate`` or iso-spectral ``unitary`` must be safe to call
-    concurrently (pure numpy is); the report is bit-identical to one thread.
+    Both sides' grid chunks run on the grid pool (module docstring).
     """
     exact = fam.split.dim_a == 2 and fam.split.dim_b == 2
     if not exact:

@@ -13,14 +13,12 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (ConstraintViolatedError, DimensionMismatchError, NotAnEigenstateError,
-                     NotClosedError)
+from .errors import ConstraintViolatedError, NotClosedError
 from .families import example1_family
 from .linalg import check_count, dagger, normalize
 from .power import HamiltonianFamily, _chunked
 
 _CLOSURE_TOL = 1e-12         # largest endpoint mismatch of a closed path, per unit of scale
-_EIGENSTATE_TOL = 1e-6       # propagate's start overlaps an eigenstate by at least 1 - this
 _CONSTRAINT_TOL = 1e-9       # largest spread of |mu|^2 + mu_z^2 on a gate loop, per unit of scale
 _ENTANGLING_TOL = 1e-3       # smallest |nontriviality| of an entangling gate
 _PHASE_SAMPLES = 2000        # loop points of a phase chain and the gate's constraint check
@@ -169,19 +167,23 @@ def _points(fam: HamiltonianFamily, path: ParameterPath, s: np.ndarray) -> np.nd
     return pts
 
 
+def _time_step(path: ParameterPath, steps: int) -> float:
+    """path.duration / steps, taken by the step and node stacks before any diagonalization;
+    steps below MIN_STEPS or not an integer, or a duration not in (0, inf), is a ValueError."""
+    check_count(steps, "steps", MIN_STEPS)
+    if not 0 < path.duration < np.inf:
+        raise ValueError(f"the duration must be positive and finite, got {path.duration}")
+    return path.duration / steps
+
+
 def _step_unitaries(fam: HamiltonianFamily, path: ParameterPath, steps: int) -> np.ndarray:
     """(steps, D, D) steps V e^{-iE dt} V^dag, (E, V) = eigensystem at s = (k + 1/2) / steps.
 
     All midpoints come from one gamma call; their eigensystems and steps are
     built in one power._chunked call, SWEEP_CHUNK midpoints per chunk on the
-    grid pool.  Callers take this stack before any other diagonalization, so
-    a step count below MIN_STEPS or not an integer, or a duration that is
-    not positive and finite, fails first.
+    grid pool.
     """
-    check_count(steps, "steps", MIN_STEPS)
-    if not 0 < path.duration < np.inf:
-        raise ValueError(f"the duration must be positive and finite, got {path.duration}")
-    dt = path.duration / steps
+    dt = _time_step(path, steps)
 
     def chunk_steps(points):
         vals, vecs = fam.eigensystem(points)
@@ -196,49 +198,37 @@ def _node_chain(fam: HamiltonianFamily, path: ParameterPath, steps: int):
     """Eigensystem at the nodes s = k / steps from one power._chunked call, with
     each level's dynamical phase -sum_{k >= 1} E_k dt (summed in order, so no
     pairwise summation order enters) and open-chain Pancharatnam phase."""
+    dt = _time_step(path, steps)
     vals, vecs = _chunked(fam.eigensystem, _points(fam, path, np.arange(steps + 1) / steps))
-    dynamical = 0.0 - np.cumsum(vals[1:] * (path.duration / steps), axis=0)[-1]
+    dynamical = 0.0 - np.cumsum(vals[1:] * dt, axis=0)[-1]
     return vals, vecs, dynamical, pancharatnam_phase(np.moveaxis(vecs, -1, 0), closed=False)
 
 
-def propagate(fam: HamiltonianFamily, path: ParameterPath, psi0,
+def propagate(fam: HamiltonianFamily, level: int, path: ParameterPath,
               steps: int = DEFAULT_STEPS) -> AdiabaticRunRecord:
-    """Integrate the Schrodinger equation along the path from an eigenstate.
+    """Integrate the Schrodinger equation along the path from one level's eigenstate.
 
-    psi0 (normalized: ValueError if zero or not finite; DimensionMismatchError
-    unless of shape (D,)) must overlap an eigenvector of H at the path's start
-    by at least 1 - _EIGENSTATE_TOL (NotAnEigenstateError otherwise); the run
-    tracks that eigenstate for the fidelity series, one stacked overlap with
-    all states.  Every Hamiltonian the run needs (midpoint steps, the
-    adiabaticity diagnostic) is built from the family's eigensystem, taken in
-    one power._chunked call for the steps + 1 time nodes and one for the
-    midpoints, whose chunks run on every CPU the process may use.  The
-    geometric phase of a generic family on an open path depends on LAPACK's
-    gauge and is reported as 0.
+    The run starts from the level's normalized eigenvector at node 0 and
+    tracks that level for the fidelity series, one stacked overlap with all
+    states.  Every Hamiltonian the run needs (midpoint steps, the
+    adiabaticity diagnostic) is built from the family's eigensystem, taken
+    in one power._chunked call for the steps + 1 nodes, the start among
+    them, and then one for the midpoints.  The geometric phase of a generic
+    family on an open path depends on LAPACK's gauge and is reported as 0.
     """
-    step_unitaries = _step_unitaries(fam, path, steps)
-    psi = normalize(psi0)
-    if psi.shape != (fam.dim,):
-        raise DimensionMismatchError(f"initial state has shape {psi.shape}, not ({fam.dim},)")
-    dt = path.duration / steps
-
+    fam.check_level(level)
     vals, vecs, dynamical, geometric = _node_chain(fam, path, steps)
-    overlaps = np.abs(dagger(vecs[0]) @ psi)
-    level = int(np.argmax(overlaps))
-    if overlaps[level] < 1.0 - _EIGENSTATE_TOL:
-        raise NotAnEigenstateError(f"initial state overlaps the closest eigenstate "
-                                   f"by only {overlaps[level]:.6f}")
-
     states = np.empty((steps + 1, fam.dim), dtype=complex)
-    states[0] = psi
-    for k, step in enumerate(step_unitaries, 1):
+    # eigh's vectors have norm 1 +- eps; evolve's output bits rest on the normalized start
+    states[0] = psi = normalize(vecs[0, :, level])
+    for k, step in enumerate(_step_unitaries(fam, path, steps), 1):
         states[k] = psi = step @ psi
     fidelity = np.abs(np.sum(vecs[..., level].conj() * states, axis=1)) ** 2
 
     hams = (vecs * vals[..., None, :]) @ dagger(vecs)
     gaps = (vals[:, 1:] - vals[:, :-1]).min(axis=-1, initial=np.inf)
     # the spectral norm of a Hermitian difference is its largest |eigenvalue|
-    hdot = np.abs(np.linalg.eigvalsh(hams[1:] - hams[:-1])).max(axis=-1) / dt
+    hdot = np.abs(np.linalg.eigvalsh(hams[1:] - hams[:-1])).max(axis=-1) / (path.duration / steps)
     adiabaticity = float(np.max(hdot / np.minimum(gaps[1:], gaps[:-1]) ** 2))
 
     tracked = fam.iso_spectral_form is not None or path.closed

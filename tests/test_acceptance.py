@@ -266,7 +266,7 @@ def test_criterion_08_adiabatic_scaling():
     for t_total in (10.0, 20.0, 40.0, 80.0):
         path = line_path([0, 0, 0], [np.pi / 16, 0, 0], duration=t_total,
                          schedule="smoothstep")
-        rec = propagate(fam, path, ket("01"), steps=int(40 * t_total))
+        rec = propagate(fam, 2, path, steps=int(40 * t_total))
         infidelities.append(1.0 - abs(np.vdot(target, rec.final_state)) ** 2)
         drifts.append(rec.norm_drift)
     elapsed = time.time() - t0

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -222,15 +223,15 @@ def test_connectible_takes_no_schur_form(tmp_path, monkeypatch, d0, d1, code):
 ])
 def test_path_commands_diagonalize_a_fixed_number_of_stacks(specs, eigh_shapes, argv):
     """A path stack of n points is ceil(n / SWEEP_CHUNK) eigh calls of at most
-    SWEEP_CHUNK matrices each; besides them only the base Hamiltonian (and
-    evolve's starting point) is diagonalized, one 4 x 4 matrix per call."""
+    SWEEP_CHUNK matrices each; besides them only the base Hamiltonian is
+    diagonalized, as one 4 x 4 matrix (evolve's start is node 0 of its nodes)."""
     argv = [specs["example1"] if a == "SPEC" else a for a in argv]
     chunk = power.SWEEP_CHUNK
     for steps in (200, 2000):
         eigh_shapes.clear()
         assert main(argv + [str(steps)]) == 0
         # evolve: midpoints and nodes; gate: midpoints and the loop samples
-        stacks, singles = ([steps, steps + 1], 2) if argv[0] == "evolve" \
+        stacks, singles = ([steps, steps + 1], 1) if argv[0] == "evolve" \
             else ([steps, simulate._PHASE_SAMPLES], 1)
         expected = [(4, 4)] * singles + [(min(chunk, n - i), 4, 4)
                                          for n in stacks for i in range(0, n, chunk)]
@@ -507,9 +508,8 @@ def test_evolve_and_gate_reject_a_duration_that_is_not_positive(tmp_path, specs,
     assert captured.out == ""
     assert captured.err.count(f"input error: the duration must be positive and finite, got "
                               f"{float(duration)}") == 2
-    # evolve: the base Hamiltonian and the start point's unitary; gate: its base
-    # Hamiltonian; no path stack
-    assert eigh_shapes == [(4, 4)] * 3
+    # evolve and gate: each one's base Hamiltonian; no path stack
+    assert eigh_shapes == [(4, 4)] * 2
     assert not out_file.exists()
 
 
@@ -601,16 +601,18 @@ def test_invalid_specs_are_input_errors(tmp_path, capsys):
     }
     malformed = [{"split": "x"}, {"split": [2, 2, 2]}, {"split": [2.0, 2]},
                  {"split": [True, 2]}, {"generators": 5}, {"bounds": [[0.0, 1.0, 2.0]]},
-                 {"bounds": [[0.0, float("inf")]]}, {"base_point": [0, 0]},
-                 {"kind": "builtin:example1", "bounds": [[0, 1]]},
-                 {"kind": "builtin:example2", "bounds": [[0, 1], [0, 1], [0, 1]]},
-                 {"kind": "builtin:example0", "bounds": [0, 1, 2]}]
+                 {"bounds": [[0.0, float("inf")]]}, {"base_point": [0, 0]}]
+    builtins = [{"kind": "builtin:example1", "bounds": [[0, 1]]},
+                {"kind": "builtin:example2", "bounds": [[0, 1], [0, 1], [0, 1]]},
+                {"kind": "builtin:example0", "bounds": [0, 1, 2]}]
     capsys.readouterr()
-    for k, change in enumerate(malformed):
-        spec = write_json(tmp_path / f"bad{k}.json", {**good, **change})
-        assert main(["power", spec, "--grid", "3"]) == 1, change
+    for k, bad in enumerate([{**good, **change} for change in malformed] + builtins):
+        spec = write_json(tmp_path / f"bad{k}.json", bad)
+        assert main(["power", spec, "--grid", "3"]) == 1, bad
         out, err = capsys.readouterr()
-        assert out == "" and err.startswith("input error: "), (change, err)
+        assert out == "" and err.startswith("input error: "), (bad, err)
+        if bad in builtins:
+            assert err.startswith("input error: bounds must be "), err
     assert main(["power", write_json(tmp_path / "good.json", good), "--grid", "3"]) == 0
 
 
@@ -677,6 +679,41 @@ def custom_spec(**change):
             "bounds": [[0.0, 1.0]],
             "split": [2, 2]}
     return {**spec, **change}
+
+
+@pytest.mark.parametrize("spec, unknown, keys", [
+    ({"kind": "builtin:example0", "lam1": 1.0}, "'lam1'", "kind, bounds"),
+    ({"kind": "builtin:example1", "lam_1": 3.0}, "'lam_1'", "kind, bounds, lam1, lam2"),
+    ({"kind": "builtin:example2", "lam1": 0.3, "lam3": 0.1}, "'lam1', 'lam3'",
+     "kind, bounds, lam1_fixed"),
+    ({**custom_spec(), "base_points": [0.5]}, "'base_points'",
+     "kind, base_hamiltonian, generators, bounds, split, base_point, cluster_tol"),
+], ids=["example0", "example1", "example2", "custom"])
+def test_a_spec_key_that_its_kind_does_not_take_is_refused_before_any_eigh(
+        tmp_path, eigh_shapes, capsys, spec, unknown, keys):
+    path = write_json(tmp_path / "spec.json", spec)
+    for argv in (["power", path, "--grid", "3"], ["sweep", path, "--input-state", "01"],
+                 ["evolve", path, "--path", "[[0,0,0]]"]):
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == (f"input error: {path}: a {spec['kind']} spec takes no key "
+                                     f"{unknown} (its keys: {keys})\n")
+    assert eigh_shapes == []
+
+
+def test_the_golden_specs_use_only_their_kinds_keys():
+    golden = sorted((Path(__file__).parent / "golden").glob("*_spec.json"))
+    assert len(golden) == 2
+    for spec in (json.loads(path.read_text()) for path in golden):
+        assert set(spec) <= {"kind", *cli.SPEC_KEYS[spec["kind"]]}, spec
+
+
+@pytest.mark.parametrize("kind", [["builtin:example1"], {"a": 1}, 1, None])
+def test_a_family_kind_that_is_not_a_known_name_is_an_input_error(tmp_path, capsys, kind):
+    path = write_json(tmp_path / "spec.json", {"kind": kind})
+    assert main(["power", path, "--grid", "3"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"input error: unknown family kind {kind!r}\n"
 
 
 def with_leaf(nested, leaf):

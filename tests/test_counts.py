@@ -75,8 +75,7 @@ COUNTS = [
      lambda f, v: unitary_entangling_power(np.eye(4), BipartiteSplit(2, 2), seed=v)),
     ("unitary_entangling_power", "seed", "seed", 0,
      lambda f, v: unitary_entangling_power(np.eye(6), BipartiteSplit(2, 3), seed=v)),
-    ("propagate", "steps", "steps", MIN_STEPS,
-     lambda f, v: propagate(f.q, f.path, ket("01"), v)),
+    ("propagate", "steps", "steps", MIN_STEPS, lambda f, v: propagate(f.q, 2, f.path, v)),
     ("propagate_unitary", "steps", "steps", MIN_STEPS,
      lambda f, v: propagate_unitary(f.q, f.path, v)),
     ("decompose_uad", "steps", "steps", MIN_STEPS, lambda f, v: decompose_uad(f.q, f.path, v)),
@@ -87,6 +86,7 @@ COUNTS = [
     ("berry_phase", "level", "level", 0, lambda f, v: berry_phase(f.q, v, f.loop, 20)),
     ("eigenstate_track", "level", "level", 0,
      lambda f, v: eigenstate_track(f.q, v, np.zeros((5, 3)))),
+    ("propagate", "level", "level", 0, lambda f, v: propagate(f.q, v, f.path, 200)),
 ]
 
 CASES = [pytest.param(entry, bad, id=f"{entry[0]}-{entry[1]}-{i}-{bad!r}")

@@ -190,6 +190,8 @@ def test_values_derived_from_inputs_or_fixed_are_not_parameters():
         "fam", "grid_per_axis", "refine", "sample_points"]
     assert list(inspect.signature(simulate.synthesize_controlled_phase).parameters) == [
         "loop", "steps"]
+    assert list(inspect.signature(simulate.propagate).parameters) == [
+        "fam", "level", "path", "steps"]
     assert list(inspect.signature(families.example2_family).parameters) == [
         "lam1_fixed", "bounds"]
     assert list(inspect.signature(families.spin_half_field_family).parameters) == []

@@ -22,7 +22,7 @@ from adiapower.entanglement import (
     product_sup_witness,
     qubit_concurrence,
 )
-from adiapower.errors import DegeneracyError, NotUnitaryError
+from adiapower.errors import DegeneracyError, DimensionMismatchError, NotUnitaryError
 from adiapower.families import (
     SPLIT_2Q,
     Example2Params,
@@ -1136,6 +1136,33 @@ def test_entropy_sweep_rejects_malformed_sample_points(sample_points):
             call(fam, sample_points=sample_points)
     sweep = entropy_sweep(fam, sample_points=[[0.1, 0.2, 0.3]])
     assert sweep.entropies.shape == (1, 4)
+
+
+@pytest.mark.parametrize("path, shape", [(np.zeros((0, 3)), (0, 3)), (np.zeros((4, 2)), (4, 2)),
+                                         ([0.1, 0.0, 0.2], (3,))],
+                         ids=["no-points", "short-points", "one-bare-point"])
+def test_eigenstate_track_refuses_a_path_that_is_not_a_point_stack_before_any_eigh(
+        monkeypatch, path, shape):
+    families = (example1_family(), example0_family())
+    calls = recorded_shapes(monkeypatch, np.linalg, "eigh")
+    for fam in families:
+        with pytest.raises(ValueError) as info:
+            eigenstate_track(fam, 0, path)
+        assert str(info.value) == f"path must have shape (n, 3) with n >= 1, got {shape}"
+    assert calls == []
+
+
+@pytest.mark.parametrize("psi", [np.ones(3), np.ones((4, 1)), np.ones((2, 4))],
+                         ids=["short", "column", "two-states"])
+def test_input_state_sweep_refuses_a_state_that_is_not_of_shape_d_before_any_unitary(
+        monkeypatch, psi):
+    families = (example1_family(), example0_family())
+    calls = recorded_shapes(monkeypatch, np.linalg, "eigh")
+    for fam in families:
+        with pytest.raises(DimensionMismatchError) as info:
+            input_state_sweep(fam, psi, 3)
+        assert str(info.value) == f"input state has shape {psi.shape}, not (4,)"
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,16 @@ from adiapower.cli import main
 from adiapower.errors import (
     ConstraintViolatedError,
     DegeneracyError,
-    DimensionMismatchError,
-    NotAnEigenstateError,
     NotClosedError,
 )
-from adiapower.families import example1_family, example1_unitary, spin_half_field_family
-from adiapower.linalg import BipartiteSplit, expm_skew, ket
+from adiapower.families import (
+    example0_family,
+    example1_family,
+    example1_unitary,
+    example2_family,
+    spin_half_field_family,
+)
+from adiapower.linalg import BipartiteSplit, expm_skew, ket, normalize
 from adiapower.power import (
     adiabatic_entangling_power,
     bound_check,
@@ -130,8 +134,7 @@ def test_one_closure_rule_decides_path_closed_berry_phase_and_propagate(gap, clo
     else:
         with pytest.raises(NotClosedError, match="endpoints do not coincide"):
             berry_phase(fam, 0, path, samples=200)
-    _, vecs = fam.eigensystem(path.gamma(0.0))
-    rec = propagate(fam, path, vecs[:, 0], steps=200)
+    rec = propagate(fam, 0, path, steps=200)
     assert (rec.geometric_phase != 0.0) == closed
 
 
@@ -139,7 +142,7 @@ def test_propagate_stationary_state():
     fam = example1_family()
     path = line_path([0.2, 0.0, 0.5], [0.2, 0.0, 0.5], duration=7.0)
     energies, vecs = fam.eigensystem(path.gamma(0.0))
-    rec = propagate(fam, path, vecs[:, 3], steps=300)
+    rec = propagate(fam, 3, path, steps=300)
     expected = np.exp(-1j * energies[3] * 7.0) * vecs[:, 3]
     assert np.linalg.norm(rec.final_state - expected) < 1e-8
     assert np.all(rec.instantaneous_fidelity > 1 - 1e-10)
@@ -150,7 +153,7 @@ def test_propagate_adiabatic_endpoint():
     fam = example1_family()
     path = line_path([0, 0, 0], [np.pi / 16, 0, 0], duration=60.0,
                      schedule="smoothstep")
-    rec = propagate(fam, path, ket("01"), steps=2400)
+    rec = propagate(fam, 2, path, steps=2400)
     target = example1_unitary(np.pi / 16, 0.0) @ ket("01")
     fidelity = abs(np.vdot(target, rec.final_state)) ** 2
     assert fidelity > 1 - 1e-4
@@ -161,7 +164,7 @@ def test_propagate_adiabatic_endpoint():
 def test_propagate_diabatic_run_loses_fidelity():
     fam = example1_family()
     path = line_path([0, 0, 0], [np.pi / 16, 0, 0], duration=0.6)
-    rec = propagate(fam, path, ket("01"), steps=200)
+    rec = propagate(fam, 2, path, steps=200)
     assert rec.instantaneous_fidelity[-1] < 0.99
 
 
@@ -171,7 +174,7 @@ def test_propagate_generic_family_constant_path_matches_expm():
     path = line_path(b, b, duration=5.0)
     _, vecs = fam.eigensystem(b)
     psi0 = vecs[:, 0]
-    rec = propagate(fam, path, psi0, steps=200)
+    rec = propagate(fam, 0, path, steps=200)
     exact = scipy.linalg.expm(-1j * fam.evaluate(b) * 5.0) @ psi0
     assert np.max(np.abs(rec.final_state - exact)) < 1e-10
 
@@ -190,42 +193,26 @@ def test_propagate_unitary_matches_expm_midpoint_steps():
     assert np.max(np.abs(u - expected)) < 1e-12
 
 
+@pytest.mark.parametrize("make_case", [
+    lambda: (example2_family(), line_path([0.3, 0.2], [1.0, 0.7], duration=20.0)),
+    lambda: (example0_family(), line_path([1.0, 0.1, 2.0], [1.4, 0.3, 2.4], duration=20.0)),
+], ids=["iso-spectral-off-its-base-point", "generic"])
+def test_a_run_starts_from_its_levels_normalized_eigenvector_at_the_path_start(make_case):
+    """The start is node 0 of the run's node chain; it must be bit for bit the
+    normalized eigenvector of the start point diagonalized alone."""
+    fam, path = make_case()
+    _, vecs = fam.eigensystem(path.gamma(0.0))
+    for level in range(fam.dim):
+        rec = propagate(fam, level, path, 200)
+        assert rec.level == level
+        assert rec.states[0].tobytes() == normalize(vecs[:, level]).tobytes()
+
+
 def test_propagate_input_checks():
     fam = example1_family()
     path = line_path([0, 0, 0], [0.1, 0, 0], duration=10.0)
-    with pytest.raises(NotAnEigenstateError):
-        propagate(fam, path, (ket("01") + ket("10")) / np.sqrt(2), steps=200)
     with pytest.raises(ValueError):
-        propagate(fam, path, ket("01"), steps=50)
-
-
-@pytest.mark.parametrize("psi0, error, message", [
-    ([0.0, 0.0], ValueError, "zero vector"),
-    ([np.nan, 1.0], ValueError, "non-finite"),
-    ([1.0, 0.0, 0.0], DimensionMismatchError, r"shape \(3,\), not \(2,\)"),
-], ids=["zero", "nan", "wrong-length"])
-def test_a_start_state_that_is_not_a_state_of_the_family_is_refused_before_the_nodes(
-        monkeypatch, psi0, error, message):
-    fam = spin_half_field_family()
-    path = line_path([0.0, 0.0, 1.0], [0.2, 0.0, 1.0], duration=5.0)
-    calls = recorded_shapes(monkeypatch, np.linalg, "eigh")
-    with pytest.raises(error, match=message):
-        propagate(fam, path, psi0, steps=100)
-    assert calls == [(100, 2, 2)]         # the midpoint steps only, no node eigensystems
-
-
-@pytest.mark.parametrize("miss, accepted", [(0.9e-6, True), (1.1e-6, False)])
-def test_propagate_accepts_an_overlap_down_to_one_minus_1e6(miss, accepted):
-    fam = example1_family()
-    path = line_path([0, 0, 0], [0.1, 0, 0], duration=10.0)
-    _, vecs = fam.eigensystem(path.gamma(np.zeros(1)))
-    c = 1.0 - miss
-    psi0 = c * vecs[0, :, 2] + np.sqrt(1.0 - c * c) * vecs[0, :, 1]
-    if accepted:
-        assert propagate(fam, path, psi0, steps=100).level == 2
-    else:
-        with pytest.raises(NotAnEigenstateError, match="0.999999"):
-            propagate(fam, path, psi0, steps=100)
+        propagate(fam, 2, path, steps=50)
 
 
 def test_unknown_schedule_is_rejected():
@@ -342,7 +329,7 @@ def test_gamma_that_does_not_broadcast_is_rejected_before_any_eigensystem(monkey
     path = ParameterPath(5.0, gamma)
     calls = []
     monkeypatch.setattr(np.linalg, "eigh", lambda *args, **kwargs: calls.append(args))
-    for run in (lambda: propagate(fam, path, [1.0, 0.0], steps=200),
+    for run in (lambda: propagate(fam, 0, path, steps=200),
                 lambda: berry_phase(fam, 0, path, samples=400)):
         with pytest.raises(ValueError, match="gamma must map times"):
             run()
@@ -428,8 +415,7 @@ def random_iso_family(rng, split):
 def test_decompose_uad_propagates_once_and_matches_per_level_runs(monkeypatch, split, steps):
     fam = random_iso_family(np.random.default_rng(split.dim), split)
     path = line_path([0.0, 0.0], [0.3, 0.2], duration=20.0, schedule="smoothstep")
-    _, v_start = fam.eigensystem(path.gamma(0.0))
-    runs = [propagate(fam, path, v_start[:, j], steps) for j in range(fam.dim)]
+    runs = [propagate(fam, j, path, steps) for j in range(fam.dim)]
     calls = recorded_shapes(monkeypatch, np.linalg, "eigh")
     reports = decompose_uad(fam, path, steps)
     assert len(calls) == 2
@@ -458,7 +444,7 @@ def test_step_consumers_reject_too_few_steps():
     path = line_path([0, 0, 0], [0.1, 0, 0], duration=5.0)
     loop = circle_loop(np.pi / 3, 1.0, duration=5.0)
     for steps in (99, 0, -5):
-        for run in (lambda: propagate(fam, path, ket("01"), steps),
+        for run in (lambda: propagate(fam, 2, path, steps),
                     lambda: propagate_unitary(fam, path, steps),
                     lambda: decompose_uad(fam, path, steps),
                     lambda: synthesize_controlled_phase(loop, steps)):
@@ -473,7 +459,7 @@ def test_a_step_count_that_is_not_an_integer_is_refused_before_any_eigensystem(m
     fam = example1_family()
     monkeypatch.setattr(simulate, "example1_family", lambda: fam)
     path = line_path([0, 0, 0], [0.1, 0, 0], duration=10.0)
-    run = {"propagate": lambda steps: propagate(fam, path, ket("01"), steps),
+    run = {"propagate": lambda steps: propagate(fam, 2, path, steps),
            "propagate_unitary": lambda steps: propagate_unitary(fam, path, steps),
            "decompose_uad": lambda steps: decompose_uad(fam, path, steps),
            "synthesize_controlled_phase": lambda steps: synthesize_controlled_phase(
@@ -492,7 +478,7 @@ def test_step_consumers_reject_a_duration_that_is_not_positive():
     for duration in (0.0, -5.0, float("nan"), float("inf")):
         path = line_path([0, 0, 0], [0.1, 0, 0], duration=duration)
         loop = circle_loop(np.pi / 3, 1.0, duration=duration)
-        for run in (lambda: propagate(fam, path, ket("01"), 200),
+        for run in (lambda: propagate(fam, 2, path, 200),
                     lambda: propagate_unitary(fam, path, 200),
                     lambda: decompose_uad(fam, path, 200),
                     lambda: synthesize_controlled_phase(loop, 200)):
@@ -597,8 +583,7 @@ STACKED_CASES = [
 def test_stacked_fidelity_matches_a_vdot_per_step(make_case):
     fam, path = make_case()
     steps = 400
-    _, v_start = fam.eigensystem(path.gamma(0.0))
-    rec = propagate(fam, path, v_start[:, 1], steps)
+    rec = propagate(fam, 1, path, steps)
     _, vecs = fam.eigensystem(path.gamma(np.arange(steps + 1) / steps))
     expected = [abs(np.vdot(vecs[k, :, rec.level], rec.states[k])) ** 2 for k in range(steps + 1)]
     assert np.max(np.abs(rec.instantaneous_fidelity - expected)) <= 1e-14
@@ -608,8 +593,7 @@ def test_stacked_fidelity_matches_a_vdot_per_step(make_case):
 def test_adiabaticity_is_the_largest_svd_norm_per_squared_gap(make_case):
     fam, path = make_case()
     steps = 400
-    _, v_start = fam.eigensystem(path.gamma(0.0))
-    rec = propagate(fam, path, v_start[:, 1], steps)
+    rec = propagate(fam, 1, path, steps)
     vals, vecs = fam.eigensystem(path.gamma(np.arange(steps + 1) / steps))
     hams = [(v * e) @ v.conj().T for e, v in zip(vals, vecs)]
     gaps = [np.diff(e).min() for e in vals]
@@ -707,7 +691,7 @@ def test_a_path_through_degeneracies_names_the_first_in_point_order():
         fam.eigensystem(nodes)
     assert np.array_equal(whole.value.point, nodes[first])
     with pytest.raises(DegeneracyError) as run:
-        propagate(fam, path, np.array([1.0, 1.0]) / np.sqrt(2.0), steps)
+        propagate(fam, 0, path, steps)
     assert str(run.value) == str(whole.value)
     assert np.array_equal(run.value.point, nodes[first])
 
