@@ -9,10 +9,8 @@ import numpy as np
 
 from adiapower import (
     build_connecting_family,
-    degeneracy_vector,
     is_adiabatically_connectible,
     min_gap_along,
-    spectral_resolution,
 )
 
 rng = np.random.default_rng(0)
@@ -28,8 +26,7 @@ h0 = random_hermitian(4)
 h1 = random_hermitian(4)
 decision = is_adiabatically_connectible(h0, h1)
 print("generic pair:")
-print("  degeneracy vectors:", degeneracy_vector(spectral_resolution(h0)),
-      degeneracy_vector(spectral_resolution(h1)))
+print("  degeneracy vectors:", decision.d0, decision.d1)
 print("  connectible:", decision.connectible)
 
 fam = build_connecting_family(h0, h1)

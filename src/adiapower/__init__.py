@@ -49,15 +49,12 @@ from .simulate import (
     berry_phase,
     circle_loop,
     decompose_uad,
-    line_path,
     propagate,
     propagate_unitary,
-    retrace_loop,
     synthesize_controlled_phase,
 )
 from .spectral import (
     build_connecting_family,
-    degeneracy_vector,
     is_adiabatically_connectible,
     min_gap_along,
     spectral_resolution,

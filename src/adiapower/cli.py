@@ -119,8 +119,8 @@ def _number_array(value, key: str, shape: tuple, expected: str) -> np.ndarray:
     shape gives one length per nesting level (None: any length; (): a scalar).
     Another shape, ragged lists or a bare non-number is the ValueError "{key}
     must be {expected}, got ..."; a string, boolean, null or object leaf, or an
-    integer too large for a float, is a ValueError naming key.  Finiteness is
-    checked by _complex_array, or by the check that owns it (box, cluster_tol).
+    integer too large for a float, is a ValueError naming key.  Finiteness is checked by
+    _complex_array, or by the check that owns it (box, cluster_tol, base_point).
     """
     arr = None
     if type(value) is list or _is_number(value):
@@ -444,7 +444,7 @@ def cmd_evolve(args) -> int:
             "geometric_phase": rec.geometric_phase,
             "adiabaticity": rec.adiabaticity,
             "norm_drift": rec.norm_drift,
-            "final_state": to_pairs(rec.final_state),
+            "final_state": to_pairs(rec.states[-1]),
         })
     return 0
 

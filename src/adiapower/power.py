@@ -151,12 +151,15 @@ def iso_spectral_family(h_base, unitary: Callable[[np.ndarray], np.ndarray],
     otherwise, gaps judged by cluster_tol); ``eigensystem`` then returns the
     exact pair (E0, U(lam) V0) and ``evaluate`` rebuilds H(lam) from U(lam).
     ``unitary`` maps points (..., p) to unitaries (..., D, D) and is called
-    concurrently, as ``evaluate`` is (see the module docstring).  base_point is
-    the parameter point whose eigenvectors are products.  cluster_tol must be
-    positive and finite (ValueError otherwise).
+    concurrently, as ``evaluate`` is (see the module docstring).  base_point,
+    the parameter point whose eigenvectors are products, and cluster_tol must
+    be finite, cluster_tol positive (ValueError otherwise, before any eigh).
     """
+    base_point = np.asarray(base_point, dtype=float)
+    if not np.isfinite(base_point).all():
+        raise ValueError("base_point must hold only finite numbers")
     energies, vectors, threshold = linalg.eig_clustered(h_base, cluster_tol)
-    _check_gaps(energies, threshold, np.asarray(base_point, dtype=float))
+    _check_gaps(energies, threshold, base_point)
 
     def evaluate(lam):
         u = unitary(lam)
@@ -249,9 +252,7 @@ def eigenstate_track(fam: HamiltonianFamily, level: int, path) -> list:
 class SweepResult:
     points: np.ndarray                   # (n, parameter_dim)
     entropies: np.ndarray                # (n, D) per-level eigenstate entropies
-    argmax_level: int
-    argmax_point: np.ndarray
-    argmax_value: float
+    argmax_level: int                    # level of the largest entropy on the grid
 
 
 def entropy_sweep(fam: HamiltonianFamily, grid_per_axis: int = DEFAULT_GRID,
@@ -270,9 +271,7 @@ def entropy_sweep(fam: HamiltonianFamily, grid_per_axis: int = DEFAULT_GRID,
         else _point_stack(fam, sample_points, "sample_points")
     ent = _chunked(lambda chunk: _entropies_many(
         np.swapaxes(fam.eigensystem(chunk)[1], -1, -2), fam.split), pts)
-    flat = np.argmax(ent)
-    i, j = np.unravel_index(flat, ent.shape)
-    return SweepResult(pts, ent, int(j), pts[i], float(ent[i, j]))
+    return SweepResult(pts, ent, int(np.unravel_index(np.argmax(ent), ent.shape)[1]))
 
 
 @dataclass(frozen=True)
@@ -517,7 +516,6 @@ class UnitaryPowerResult:
                                           # bound (the supremum to 4 eps at log2(min(d_A, d_B)))
     concurrence: float | None             # witness output concurrence, 2 x 2 only
     input_state: np.ndarray               # witness product input
-    output_state: np.ndarray
     converged: bool | None = None         # True for 2 x 2; else the winning start met the gain rule
 
 
@@ -588,10 +586,9 @@ def unitary_entangling_power(u, split: BipartiteSplit,
         output = u @ witness
         conc = entanglement.qubit_concurrence(output[None], split)
         return UnitaryPowerResult(float(entanglement.entropy_from_concurrence(conc)[0]),
-                                  float(conc[0]), witness, output, converged=True)
-    inputs, outputs, values, converged = _best_products(u[None], split, starts, seed, coarse)
-    return UnitaryPowerResult(float(values[0]), None, inputs[0], outputs[0],
-                              converged=bool(converged[0]))
+                                  float(conc[0]), witness, converged=True)
+    inputs, _, values, converged = _best_products(u[None], split, starts, seed, coarse)
+    return UnitaryPowerResult(float(values[0]), None, inputs[0], converged=bool(converged[0]))
 
 
 @dataclass(frozen=True)
@@ -655,16 +652,14 @@ def bound_check(fam: HamiltonianFamily,
     concurrence, without SVDs, on a 2 x d or d x 2 split with 3 <= d <= 12;
     each unitary's starts stop at the bound log2(min(d_A, d_B)), where its
     power is the supremum to 4 eps, exactly as its call alone would),
-    the only use of ``seed``, ``coarse`` and ``starts``, which are then
-    checked as in unitary_entangling_power, before any work.
-    The left-hand side is the refined adiabatic_entangling_power,
-    a lower bound; ``holds`` is lhs <= rhs + 1e-6.
+    the only use of ``seed``, ``coarse`` and ``starts`` (checked first, on every
+    split, as in unitary_entangling_power).  The left-hand side is the refined
+    adiabatic_entangling_power, a lower bound; ``holds`` is lhs <= rhs + 1e-6.
     ``rhs_point`` is the first grid point whose power is within 4 eps of rhs.
     Both sides' grid chunks run on the grid pool (module docstring).
     """
+    _check_bank_size(coarse, starts, seed)
     exact = fam.split.dim_a == 2 and fam.split.dim_b == 2
-    if not exact:
-        _check_bank_size(coarse, starts, seed)
     lhs = adiabatic_entangling_power(fam, grid_per_axis, refine=True).value
     pts = grid_points(fam.bounds, grid_per_axis)
 

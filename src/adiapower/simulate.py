@@ -64,8 +64,9 @@ def _ramp(schedule: str) -> Callable[[np.ndarray], np.ndarray]:
 def waypoint_path(waypoints, duration: float, schedule: str = "linear") -> ParameterPath:
     """Piecewise-linear path through waypoints, equal time per segment.
 
-    Each segment is traversed with the schedule's ramp; s is clipped to
-    [0, 1].  A single waypoint gives a constant path; none is a ValueError.
+    Each segment follows the schedule's ramp (smoothstep: 10s^3 - 15s^4 + 6s^5,
+    at rest at each waypoint); s is clipped to [0, 1].  [a, b, a] is a zero-area
+    loop; a single waypoint gives a constant path; none is a ValueError.
     """
     pts = np.asarray(waypoints, dtype=float)
     if len(pts) == 0:
@@ -80,21 +81,6 @@ def waypoint_path(waypoints, duration: float, schedule: str = "linear") -> Param
         return start + ramp(x - seg)[..., None] * (pts[seg + 1] - start)
 
     return ParameterPath(duration, gamma)
-
-
-def line_path(start, end, duration: float, schedule: str = "linear") -> ParameterPath:
-    """Straight segment between two parameter points.
-
-    schedule 'smoothstep' uses the C^2 ramp 10s^3 - 15s^4 + 6s^5, which
-    starts and ends at rest.
-    """
-    return waypoint_path([start, end], duration, schedule)
-
-
-def retrace_loop(start, end, duration: float) -> ParameterPath:
-    """Zero-area loop: out along a segment and straight back."""
-    line = line_path(start, end, duration)
-    return ParameterPath(duration, lambda s: line.gamma(2.0 * np.minimum(s, 1.0 - s)))
 
 
 def circle_loop(theta0: float, field_norm: float, duration: float,
@@ -148,7 +134,6 @@ class AdiabaticRunRecord:
     instantaneous_fidelity: np.ndarray
     dynamical_phase: float
     geometric_phase: float
-    final_state: np.ndarray
     level: int
     adiabaticity: float                  # max |dH/dt| / gap^2 along the run
     norm_drift: float
@@ -235,7 +220,7 @@ def propagate(fam: HamiltonianFamily, level: int, path: ParameterPath,
     norm_drift = float(np.max(np.abs(np.linalg.norm(states, axis=1) - 1.0)))
     return AdiabaticRunRecord(np.linspace(0.0, path.duration, steps + 1), states, fidelity,
                               float(dynamical[level]), float(geometric[level]) if tracked else 0.0,
-                              states[-1], level, adiabaticity, norm_drift)
+                              level, adiabaticity, norm_drift)
 
 
 def propagate_unitary(fam: HamiltonianFamily, path: ParameterPath,
@@ -303,7 +288,6 @@ class GateSynthesisResult:
     gate: np.ndarray                     # reconstructed diagonal unitary
     propagator: np.ndarray               # full simulated evolution operator
     diagonal_residual: float             # worst off-diagonal leakage per basis state
-    duration: float
 
     def is_entangling(self) -> bool:
         return abs(self.nontriviality) > _ENTANGLING_TOL
@@ -351,4 +335,4 @@ def synthesize_controlled_phase(loop: ParameterPath,
     nontriv = float(_wrap(phases["01"] + phases["10"] - phases["00"] - phases["11"]))
     gate = (v_start * np.exp(1j * angles)) @ dagger(v_start)
     return GateSynthesisResult(labels, phases, dynamical, geometric, nontriv,
-                               gate, u_full, residual, loop.duration)
+                               gate, u_full, residual)

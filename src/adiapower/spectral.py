@@ -30,14 +30,8 @@ class SpectralResolution:
     """Distinct eigenvalues, ascending, with eigenvector columns grouped by level."""
 
     energies: np.ndarray          # (R,) distinct cluster eigenvalues
-    multiplicities: tuple         # R ranks
+    multiplicities: tuple         # R ranks: the degeneracy vector
     vectors: np.ndarray           # (D, D) eigenvector columns grouped by level
-
-    @property
-    def projectors(self) -> list:
-        """The R level projectors, formed from ``vectors`` on each access."""
-        cols = np.split(self.vectors, np.cumsum(self.multiplicities)[:-1], axis=1)
-        return [v @ v.conj().T for v in cols]
 
 
 @dataclass(frozen=True)
@@ -83,11 +77,6 @@ def spectral_resolution(h, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> Spectral
     return _resolution(vals, _fix_phases(vecs), float(thresh))
 
 
-def degeneracy_vector(res: SpectralResolution) -> tuple:
-    """Projector ranks ordered by ascending eigenvalue."""
-    return res.multiplicities
-
-
 def _resolve_pair(h0, h1, cluster_tol: float):
     """(s0, s1, decision): both spectral resolutions, each the same as
     spectral_resolution's, from one batched eigendecomposition of the pair,
@@ -100,7 +89,7 @@ def _resolve_pair(h0, h1, cluster_tol: float):
         raise NotHermitianError("matrix is not Hermitian within tolerance")
     vals, vecs, thresh = linalg.eig_clustered(np.array([h0, h1]), cluster_tol)
     s0, s1 = map(_resolution, vals, _fix_phases(vecs), thresh.tolist())
-    d0, d1 = degeneracy_vector(s0), degeneracy_vector(s1)
+    d0, d1 = s0.multiplicities, s1.multiplicities
     reason = (None if d0 == d1 else "degeneracy order mismatch" if sorted(d0) == sorted(d1)
               else "degeneracy multiset mismatch")
     return s0, s1, ConnectibilityDecision(reason is None, reason, d0, d1)

@@ -65,10 +65,10 @@ from adiapower.simulate import (
     ParameterPath,
     berry_phase,
     circle_loop,
-    line_path,
     pancharatnam_phase,
     propagate,
     synthesize_controlled_phase,
+    waypoint_path,
 )
 from adiapower.spectral import (
     build_connecting_family,
@@ -264,10 +264,10 @@ def test_criterion_08_adiabatic_scaling():
     infidelities = []
     drifts = []
     for t_total in (10.0, 20.0, 40.0, 80.0):
-        path = line_path([0, 0, 0], [np.pi / 16, 0, 0], duration=t_total,
-                         schedule="smoothstep")
+        path = waypoint_path([[0, 0, 0], [np.pi / 16, 0, 0]], duration=t_total,
+                             schedule="smoothstep")
         rec = propagate(fam, 2, path, steps=int(40 * t_total))
-        infidelities.append(1.0 - abs(np.vdot(target, rec.final_state)) ** 2)
+        infidelities.append(1.0 - abs(np.vdot(target, rec.states[-1])) ** 2)
         drifts.append(rec.norm_drift)
     elapsed = time.time() - t0
     ok = (np.all(np.diff(infidelities) < 0) and infidelities[-1] < 1e-4

@@ -19,7 +19,6 @@ EXPORTED = [
     "circle_loop",
     "concurrence_2q",
     "decompose_uad",
-    "degeneracy_vector",
     "eig_hermitian",
     "eigenstate_track",
     "entropy",
@@ -37,12 +36,10 @@ EXPORTED = [
     "is_adiabatically_connectible",
     "iso_spectral_family",
     "ket",
-    "line_path",
     "magic_basis",
     "min_gap_along",
     "propagate",
     "propagate_unitary",
-    "retrace_loop",
     "schmidt_spectrum",
     "spectral_resolution",
     "spin_half_field_family",

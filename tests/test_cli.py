@@ -67,6 +67,11 @@ def test_connectible_exit_codes(tmp_path, capsys):
     bad = write_json(tmp_path / "bad.json", pairs(np.array([[0, 1], [0, 0]])))
     assert main(["connectible", ha, bad]) == 1
 
+    capsys.readouterr()
+    two = write_json(tmp_path / "two.json", pairs(np.diag([0.0, 1])))
+    assert main(["connectible", two, ha]) == 1
+    assert capsys.readouterr() == ("", "error: operators have different dimensions\n")
+
 
 @pytest.mark.parametrize("h0, h1, stdout, code", [
     ([0.0, 0.5, 0.5, 2.0], [-1.0, 0.25, 0.25, 3.0],
@@ -432,7 +437,7 @@ def test_step_defaults_come_from_the_library():
     assert parser.parse_args(["gate"]).steps == simulate.DEFAULT_GATE_STEPS
 
 
-def test_sweep_json_output_and_state_parsing(specs, tmp_path):
+def test_sweep_json_output_and_state_parsing(specs, tmp_path, capsys):
     out_file = tmp_path / "sweep.json"
     amp = json.dumps([[0, 0], [1, 0], [0, 0], [0, 0]])
     assert main(["sweep", specs["example1"], "--input-state", amp,
@@ -444,6 +449,11 @@ def test_sweep_json_output_and_state_parsing(specs, tmp_path):
 
     assert main(["sweep", specs["example1"], "--input-state", "bogus",
                  "--grid", "5"]) == 1
+
+    capsys.readouterr()
+    assert main(["sweep", specs["example1"], "--input-state", "22", "--grid", "2"]) == 1
+    assert capsys.readouterr() == ("", "input error: basis label '22' out of range for split "
+                                       "BipartiteSplit(dim_a=2, dim_b=2)\n")
 
 
 @pytest.mark.parametrize("state", ["7", "123", "3"])
@@ -592,6 +602,11 @@ def test_invalid_specs_are_input_errors(tmp_path, capsys):
         "split": [1, 2],
     })
     assert main(["power", bad_matrix]) == 1
+    capsys.readouterr()
+    bad_generator = write_json(tmp_path / "g.json",
+                               custom_spec(generators=[pairs(np.triu(np.ones((4, 4))))]))
+    assert main(["power", bad_generator]) == 1
+    assert capsys.readouterr() == ("", "error: generator 0 is not Hermitian\n")
     good = {
         "kind": "custom",
         "base_hamiltonian": pairs(2 * tensor(SIGMA_Z, ID2) + tensor(ID2, SIGMA_Z)),
@@ -754,11 +769,13 @@ def test_a_matrix_or_amplitude_that_is_not_finite_is_an_input_error_naming_its_k
     cases = [(["connectible", listed, ok], f"{listed}: matrix"),
              (["connectible", ok, wrapped], f"{wrapped}: matrix"),
              (["sweep", specs["example1"], "--input-state", amplitudes], "input state")]
-    for key in ("base_hamiltonian", "generators"):
+    good_spec = custom_spec(base_point=[0.0])
+    for key in ("base_hamiltonian", "generators", "base_point"):
         spec = write_json(tmp_path / f"{key}.json",
-                          custom_spec(**{key: with_leaf(custom_spec()[key], leaf)}))
+                          custom_spec(**{key: with_leaf(good_spec[key], leaf)}))
         cases += [(["power", spec, "--grid", "3"], key),
-                  (["sweep", spec, "--input-state", "01"], key)]
+                  (["sweep", spec, "--input-state", "01"], key),
+                  (["evolve", spec, "--path", "[[0]]", "--out", str(tmp_path / "ev.json")], key)]
     for argv, key in cases:
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -32,10 +32,10 @@ from adiapower.simulate import (
     berry_phase,
     circle_loop,
     decompose_uad,
-    line_path,
     propagate,
     propagate_unitary,
     synthesize_controlled_phase,
+    waypoint_path,
 )
 from adiapower.spectral import build_connecting_family, spectra_along
 from helpers import recorded_shapes
@@ -87,6 +87,9 @@ COUNTS = [
     ("eigenstate_track", "level", "level", 0,
      lambda f, v: eigenstate_track(f.q, v, np.zeros((5, 3)))),
     ("propagate", "level", "level", 0, lambda f, v: propagate(f.q, v, f.path, 200)),
+    ("bound_check", "coarse", "coarse", 1, lambda f, v: bound_check(f.q, 3, coarse=v)),
+    ("bound_check", "starts", "starts", None, lambda f, v: bound_check(f.q, 3, starts=v)),
+    ("bound_check", "seed", "seed", 0, lambda f, v: bound_check(f.q, 3, seed=v)),
 ]
 
 CASES = [pytest.param(entry, bad, id=f"{entry[0]}-{entry[1]}-{i}-{bad!r}")
@@ -107,7 +110,7 @@ def test_a_bad_count_or_level_is_refused_by_name_before_any_eigensystem(monkeypa
                                                                          entry, bad):
     _, _, name, least, call = entry
     f = SimpleNamespace(q=example1_family(), q23=plane_2x3_family(),
-                        path=line_path([0, 0, 0], [0.1, 0, 0], duration=10.0),
+                        path=waypoint_path([[0, 0, 0], [0.1, 0, 0]], duration=10.0),
                         loop=circle_loop(np.pi / 3, 1.0, duration=10.0),
                         connecting=build_connecting_family(np.diag([0.0, 1.0]),
                                                            np.diag([0.0, 2.0])))

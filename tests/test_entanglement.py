@@ -66,6 +66,8 @@ def test_concurrence_values():
     # |a|^2 = 1/2 superposition of |01>, |10> is maximally entangled
     psi = (ket("01") + 1j * ket("10")) / np.sqrt(2)
     assert abs(concurrence_2q(psi) - 1.0) < 1e-12
+    with pytest.raises(DimensionMismatchError, match="needs a 4-dimensional state"):
+        concurrence_2q(np.ones(3))
 
 
 def test_concurrence_conventions_agree():

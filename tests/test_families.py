@@ -20,7 +20,7 @@ from adiapower.families import (
 )
 from adiapower.linalg import ket
 from adiapower.power import grid_points, has_product_base
-from adiapower.spectral import degeneracy_vector, spectral_resolution
+from adiapower.spectral import spectral_resolution
 
 
 # ---------------------------------------------------------------------------
@@ -50,7 +50,7 @@ def test_example0_nondegenerate_in_box():
     fam = example0_family()
     for lam in grid_points(fam.bounds, 5):
         r = spectral_resolution(fam.evaluate(lam))
-        assert degeneracy_vector(r) == (1, 1, 1, 1)
+        assert r.multiplicities == (1, 1, 1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -64,6 +64,8 @@ def test_example1_closed_form_invariants():
         cf = example1_closed_form(mu, mu_z)
         assert abs(abs(cf.a) ** 2 + abs(cf.b) ** 2 - 1.0) < 1e-12
         assert abs(cf.theta ** 2 - (16 * abs(mu) ** 2 + 4 * mu_z ** 2)) < 1e-10
+    cf = example1_closed_form(0, 0.0)                     # theta = 0: the identity
+    assert (cf.theta, cf.a, cf.b) == (0.0, 1.0, 0.0) and not cf.theta_vec.any()
 
 
 def test_example1_closed_form_matches_expm():

@@ -181,11 +181,19 @@ def test_values_derived_from_inputs_or_fixed_are_not_parameters():
     """Closure follows from gamma, the parameter count from the bounds, a
     connecting family's geodesic from its two endpoint resolutions, and the
     family power's starts, the gate's sample counts, base Hamiltonians and the
-    spin-1/2 field box are constants."""
+    spin-1/2 field box are constants.  No result field repeats another: a
+    run's final state is states[-1], a sweep's maximum is read from entropies."""
     assert [f.name for f in dataclasses.fields(simulate.ParameterPath)] == ["duration", "gamma"]
     assert [f.name for f in dataclasses.fields(power.HamiltonianFamily)] == [
         "bounds", "evaluate", "split", "iso_spectral_form"]
     assert [f.name for f in dataclasses.fields(spectral.ConnectingFamily)] == ["base", "end"]
+    assert [f.name for f in dataclasses.fields(spectral.SpectralResolution)] == [
+        "energies", "multiplicities", "vectors"]
+    assert [f.name for f in dataclasses.fields(power.SweepResult)] == [
+        "points", "entropies", "argmax_level"]
+    assert [f.name for f in dataclasses.fields(simulate.AdiabaticRunRecord)] == [
+        "times", "states", "instantaneous_fidelity", "dynamical_phase", "geometric_phase",
+        "level", "adiabaticity", "norm_drift"]
     assert list(inspect.signature(power.adiabatic_entangling_power).parameters) == [
         "fam", "grid_per_axis", "refine", "sample_points"]
     assert list(inspect.signature(simulate.synthesize_controlled_phase).parameters) == [
@@ -195,6 +203,17 @@ def test_values_derived_from_inputs_or_fixed_are_not_parameters():
     assert list(inspect.signature(families.example2_family).parameters) == [
         "lam1_fixed", "bounds"]
     assert list(inspect.signature(families.spin_half_field_family).parameters) == []
+
+
+def test_normalize_refuses_the_zero_vector():
+    with pytest.raises(ValueError, match="cannot normalize the zero vector"):
+        linalg.normalize(np.zeros(4))
+
+
+@pytest.mark.parametrize("dims", [(0, 2), (2, 0)])
+def test_a_split_refuses_a_dimension_below_one(dims):
+    with pytest.raises(DimensionMismatchError, match="local dimensions must be positive"):
+        BipartiteSplit(*dims)
 
 
 @pytest.mark.parametrize("dim", [2.0, 2.5, True, "2"])

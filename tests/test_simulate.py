@@ -38,12 +38,10 @@ from adiapower.simulate import (
     berry_phase,
     circle_loop,
     decompose_uad,
-    line_path,
     pancharatnam_phase,
     propagate,
     propagate_unitary,
     retrace_circle_loop,
-    retrace_loop,
     synthesize_controlled_phase,
     waypoint_path,
 )
@@ -78,9 +76,9 @@ def _segment_reference(waypoints, schedule, s):
 
 
 PATHS = {
-    **{f"line-{sched}": line_path(WAYPOINTS[0], WAYPOINTS[1], 1.0, sched)
+    **{f"line-{sched}": waypoint_path(WAYPOINTS[:2], 1.0, sched)
        for sched in ("linear", "smoothstep")},
-    "retrace": retrace_loop(WAYPOINTS[1], WAYPOINTS[2], 1.0),
+    "retrace": waypoint_path([WAYPOINTS[1], WAYPOINTS[2], WAYPOINTS[1]], 1.0),
     **{f"circle-{sched}": circle_loop(0.7, 1.3, 1.0, sched) for sched in ("linear", "smoothstep")},
     **{f"waypoints{n}-{sched}": waypoint_path(WAYPOINTS[:n], 1.0, sched)
        for n in (1, 2, 3, 4) for sched in ("linear", "smoothstep")},
@@ -140,22 +138,22 @@ def test_one_closure_rule_decides_path_closed_berry_phase_and_propagate(gap, clo
 
 def test_propagate_stationary_state():
     fam = example1_family()
-    path = line_path([0.2, 0.0, 0.5], [0.2, 0.0, 0.5], duration=7.0)
+    path = waypoint_path([[0.2, 0.0, 0.5], [0.2, 0.0, 0.5]], duration=7.0)
     energies, vecs = fam.eigensystem(path.gamma(0.0))
     rec = propagate(fam, 3, path, steps=300)
     expected = np.exp(-1j * energies[3] * 7.0) * vecs[:, 3]
-    assert np.linalg.norm(rec.final_state - expected) < 1e-8
+    assert np.linalg.norm(rec.states[-1] - expected) < 1e-8
     assert np.all(rec.instantaneous_fidelity > 1 - 1e-10)
 
 
 def test_propagate_adiabatic_endpoint():
     # |01> track driven to mu = pi/16: endpoint U(end)|01>, a = 1/sqrt(2)
     fam = example1_family()
-    path = line_path([0, 0, 0], [np.pi / 16, 0, 0], duration=60.0,
-                     schedule="smoothstep")
+    path = waypoint_path([[0, 0, 0], [np.pi / 16, 0, 0]], duration=60.0,
+                         schedule="smoothstep")
     rec = propagate(fam, 2, path, steps=2400)
     target = example1_unitary(np.pi / 16, 0.0) @ ket("01")
-    fidelity = abs(np.vdot(target, rec.final_state)) ** 2
+    fidelity = abs(np.vdot(target, rec.states[-1])) ** 2
     assert fidelity > 1 - 1e-4
     assert rec.norm_drift < 1e-10
     assert rec.level == 2
@@ -163,7 +161,7 @@ def test_propagate_adiabatic_endpoint():
 
 def test_propagate_diabatic_run_loses_fidelity():
     fam = example1_family()
-    path = line_path([0, 0, 0], [np.pi / 16, 0, 0], duration=0.6)
+    path = waypoint_path([[0, 0, 0], [np.pi / 16, 0, 0]], duration=0.6)
     rec = propagate(fam, 2, path, steps=200)
     assert rec.instantaneous_fidelity[-1] < 0.99
 
@@ -171,18 +169,18 @@ def test_propagate_diabatic_run_loses_fidelity():
 def test_propagate_generic_family_constant_path_matches_expm():
     fam = spin_half_field_family()
     b = [0.3, -0.4, 0.8]
-    path = line_path(b, b, duration=5.0)
+    path = waypoint_path([b, b], duration=5.0)
     _, vecs = fam.eigensystem(b)
     psi0 = vecs[:, 0]
     rec = propagate(fam, 0, path, steps=200)
     exact = scipy.linalg.expm(-1j * fam.evaluate(b) * 5.0) @ psi0
-    assert np.max(np.abs(rec.final_state - exact)) < 1e-10
+    assert np.max(np.abs(rec.states[-1] - exact)) < 1e-10
 
 
 def test_propagate_unitary_matches_expm_midpoint_steps():
     fam = example1_family()
-    path = line_path([0.0, 0.0, 0.0], [0.4, 0.1, 0.3], duration=6.0,
-                     schedule="smoothstep")
+    path = waypoint_path([[0.0, 0.0, 0.0], [0.4, 0.1, 0.3]], duration=6.0,
+                         schedule="smoothstep")
     steps = 150
     dt = path.duration / steps
     expected = np.eye(4, dtype=complex)
@@ -194,8 +192,8 @@ def test_propagate_unitary_matches_expm_midpoint_steps():
 
 
 @pytest.mark.parametrize("make_case", [
-    lambda: (example2_family(), line_path([0.3, 0.2], [1.0, 0.7], duration=20.0)),
-    lambda: (example0_family(), line_path([1.0, 0.1, 2.0], [1.4, 0.3, 2.4], duration=20.0)),
+    lambda: (example2_family(), waypoint_path([[0.3, 0.2], [1.0, 0.7]], duration=20.0)),
+    lambda: (example0_family(), waypoint_path([[1.0, 0.1, 2.0], [1.4, 0.3, 2.4]], duration=20.0)),
 ], ids=["iso-spectral-off-its-base-point", "generic"])
 def test_a_run_starts_from_its_levels_normalized_eigenvector_at_the_path_start(make_case):
     """The start is node 0 of the run's node chain; it must be bit for bit the
@@ -210,14 +208,14 @@ def test_a_run_starts_from_its_levels_normalized_eigenvector_at_the_path_start(m
 
 def test_propagate_input_checks():
     fam = example1_family()
-    path = line_path([0, 0, 0], [0.1, 0, 0], duration=10.0)
+    path = waypoint_path([[0, 0, 0], [0.1, 0, 0]], duration=10.0)
     with pytest.raises(ValueError):
         propagate(fam, 2, path, steps=50)
 
 
 def test_unknown_schedule_is_rejected():
     with pytest.raises(ValueError, match="smoothstp"):
-        line_path([0, 0, 0], [1, 0, 0], 1.0, schedule="smoothstp")
+        waypoint_path([[0, 0, 0], [1, 0, 0]], 1.0, schedule="smoothstp")
     with pytest.raises(ValueError, match="smoothstp"):
         circle_loop(np.pi / 3, 1.0, 1.0, schedule="smoothstp")
 
@@ -275,7 +273,7 @@ def test_closed_pancharatnam_phase_is_invariant_under_rephasing(seed, n, dim):
 
 def test_berry_phase_zero_area_loop():
     fam = spin_half_field_family()
-    loop = retrace_loop([0.0, 0.0, 1.0], [1.0, 0.0, 0.5], duration=1.0)
+    loop = waypoint_path([[0.0, 0.0, 1.0], [1.0, 0.0, 0.5], [0.0, 0.0, 1.0]], duration=1.0)
     assert abs(berry_phase(fam, 0, loop, samples=400)) < 1e-8
 
 
@@ -358,7 +356,7 @@ def test_a_sample_count_that_is_not_an_integer_is_refused_before_any_eigensystem
 
 def test_berry_phase_requires_closed_loop():
     fam = spin_half_field_family()
-    open_path = line_path([0, 0, 1], [1, 0, 0], duration=1.0)
+    open_path = waypoint_path([[0, 0, 1], [1, 0, 0]], duration=1.0)
     with pytest.raises(NotClosedError):
         berry_phase(fam, 0, open_path)
 
@@ -373,9 +371,15 @@ def test_berry_phase_example1_tracks_are_opposite():
     assert abs(g01) > 0.1
 
 
+def test_decompose_uad_needs_an_iso_spectral_family():
+    path = waypoint_path([[1.0, 0.1, 2.0], [1.4, 0.3, 2.4]], duration=20.0)
+    with pytest.raises(ValueError, match="decompose_uad needs an iso-spectral family"):
+        decompose_uad(example0_family(), path)
+
+
 def test_decompose_uad_constant_path():
     fam = example1_family()
-    path = line_path([0.1, 0.0, 0.3], [0.1, 0.0, 0.3], duration=5.0)
+    path = waypoint_path([[0.1, 0.0, 0.3], [0.1, 0.0, 0.3]], duration=5.0)
     for rep in decompose_uad(fam, path, steps=200):
         assert abs(rep.geometric) < 1e-10
         assert rep.residual < 1e-8
@@ -385,8 +389,8 @@ def test_decompose_uad_residual_decreases_with_duration():
     fam = example1_family()
     residuals = []
     for t_total in (60.0, 960.0):
-        path = line_path([0, 0, 0], [np.pi / 16, 0, 0], duration=t_total,
-                         schedule="smoothstep")
+        path = waypoint_path([[0, 0, 0], [np.pi / 16, 0, 0]], duration=t_total,
+                             schedule="smoothstep")
         reps = decompose_uad(fam, path, steps=int(2 * t_total))
         residuals.append(max(r.residual for r in reps))
     assert residuals[1] < residuals[0]
@@ -414,7 +418,7 @@ def random_iso_family(rng, split):
                                           (BipartiteSplit(2, 3), 1000)])
 def test_decompose_uad_propagates_once_and_matches_per_level_runs(monkeypatch, split, steps):
     fam = random_iso_family(np.random.default_rng(split.dim), split)
-    path = line_path([0.0, 0.0], [0.3, 0.2], duration=20.0, schedule="smoothstep")
+    path = waypoint_path([[0.0, 0.0], [0.3, 0.2]], duration=20.0, schedule="smoothstep")
     runs = [propagate(fam, j, path, steps) for j in range(fam.dim)]
     calls = recorded_shapes(monkeypatch, np.linalg, "eigh")
     reports = decompose_uad(fam, path, steps)
@@ -425,14 +429,14 @@ def test_decompose_uad_propagates_once_and_matches_per_level_runs(monkeypatch, s
         assert rep.geometric == rec.geometric_phase
         _, v_end = fam.eigensystem(path.gamma(1.0))
         predicted = v_end[:, rep.level] * np.exp(1j * (rep.dynamical + rep.geometric))
-        assert abs(rep.residual - np.linalg.norm(rec.final_state - predicted)) < 1e-12
+        assert abs(rep.residual - np.linalg.norm(rec.states[-1] - predicted)) < 1e-12
 
 
 @pytest.mark.parametrize("steps", [100, 101, 4001])
 @pytest.mark.parametrize("split", [BipartiteSplit(1, 2), BipartiteSplit(2, 2), BipartiteSplit(2, 3)])
 def test_pairwise_propagate_unitary_equals_the_sequential_product(split, steps):
     fam = random_iso_family(np.random.default_rng(split.dim), split)
-    path = line_path([0.0, 0.0], [0.3, 0.2], duration=20.0, schedule="smoothstep")
+    path = waypoint_path([[0.0, 0.0], [0.3, 0.2]], duration=20.0, schedule="smoothstep")
     expected = np.eye(fam.dim, dtype=complex)
     for step in _step_unitaries(fam, path, steps):
         expected = step @ expected
@@ -441,7 +445,7 @@ def test_pairwise_propagate_unitary_equals_the_sequential_product(split, steps):
 
 def test_step_consumers_reject_too_few_steps():
     fam = example1_family()
-    path = line_path([0, 0, 0], [0.1, 0, 0], duration=5.0)
+    path = waypoint_path([[0, 0, 0], [0.1, 0, 0]], duration=5.0)
     loop = circle_loop(np.pi / 3, 1.0, duration=5.0)
     for steps in (99, 0, -5):
         for run in (lambda: propagate(fam, 2, path, steps),
@@ -458,7 +462,7 @@ def test_a_step_count_that_is_not_an_integer_is_refused_before_any_eigensystem(m
                                                                                 consumer):
     fam = example1_family()
     monkeypatch.setattr(simulate, "example1_family", lambda: fam)
-    path = line_path([0, 0, 0], [0.1, 0, 0], duration=10.0)
+    path = waypoint_path([[0, 0, 0], [0.1, 0, 0]], duration=10.0)
     run = {"propagate": lambda steps: propagate(fam, 2, path, steps),
            "propagate_unitary": lambda steps: propagate_unitary(fam, path, steps),
            "decompose_uad": lambda steps: decompose_uad(fam, path, steps),
@@ -476,7 +480,7 @@ def test_a_step_count_that_is_not_an_integer_is_refused_before_any_eigensystem(m
 def test_step_consumers_reject_a_duration_that_is_not_positive():
     fam = example1_family()
     for duration in (0.0, -5.0, float("nan"), float("inf")):
-        path = line_path([0, 0, 0], [0.1, 0, 0], duration=duration)
+        path = waypoint_path([[0, 0, 0], [0.1, 0, 0]], duration=duration)
         loop = circle_loop(np.pi / 3, 1.0, duration=duration)
         for run in (lambda: propagate(fam, 2, path, 200),
                     lambda: propagate_unitary(fam, path, 200),
@@ -521,7 +525,7 @@ def test_loop_closure_and_constraint_are_judged_relative_to_the_loop_scale(field
 
 
 def test_gate_constraint_check():
-    bad = line_path([0.1, 0, 0.1], [0.3, 0, 0.1], duration=10.0)
+    bad = waypoint_path([[0.1, 0, 0.1], [0.3, 0, 0.1]], duration=10.0)
     loop = ParameterPath(10.0, lambda s: bad.gamma(np.where(np.asarray(s) <= 0.5,
                                                             2 * s, 2 - 2 * s)))
     with pytest.raises(ConstraintViolatedError):
@@ -572,10 +576,10 @@ def test_gate_phase_symmetries():
 
 STACKED_CASES = [
     lambda: (example1_family(),
-             line_path([0.0, 0.0, 0.0], [np.pi / 16, 0.0, 0.0], 20.0, "smoothstep")),
+             waypoint_path([[0.0, 0.0, 0.0], [np.pi / 16, 0.0, 0.0]], 20.0, "smoothstep")),
     lambda: (random_iso_family(np.random.default_rng(6), BipartiteSplit(2, 3)),
-             line_path([0.0, 0.0], [0.3, 0.2], 20.0, "smoothstep")),
-    lambda: (spin_half_field_family(), line_path([0.3, -0.4, 0.8], [-0.5, 0.2, 0.6], 5.0)),
+             waypoint_path([[0.0, 0.0], [0.3, 0.2]], 20.0, "smoothstep")),
+    lambda: (spin_half_field_family(), waypoint_path([[0.3, -0.4, 0.8], [-0.5, 0.2, 0.6]], 5.0)),
 ]
 
 
@@ -665,7 +669,7 @@ def test_berry_phase_and_decompose_uad_do_not_depend_on_the_pool(monkeypatch):
     cases = [(fam, loop, level) for fam, loop in (
         (example1_family(), circle_loop(1.0471975511965976, 1.0, 10.0)),
         (spin_half_field_family(), spin_half_cone(0.9))) for level in range(fam.dim)]
-    path = line_path([0.0, 0.0, 0.0], [0.19, 0.1, 0.3], 50.0)
+    path = waypoint_path([[0.0, 0.0, 0.0], [0.19, 0.1, 0.3]], 50.0)
 
     def run():
         phases = [berry_phase(fam, level, loop, samples)
