@@ -268,21 +268,10 @@ def _load_custom_spec(spec: dict):
     cluster_tol = _spec_numbers(spec, "cluster_tol").get("cluster_tol", DEFAULT_CLUSTER_TOL)
     if not linalg.is_hermitian(h_base):
         raise NotHermitianError("base_hamiltonian is not Hermitian")
-    for k, g in enumerate(gens):
-        if not linalg.is_hermitian(g):
-            raise NotHermitianError(f"generator {k} is not Hermitian")
     base_point = _number_array(spec["base_point"], "base_point", (len(gens),),
                                "one number per generator") \
         if "base_point" in spec else np.zeros(len(gens))
-
-    def unitary(lam):
-        lam = np.asarray(lam, dtype=float)
-        k = np.zeros(lam.shape[:-1] + h_base.shape, dtype=complex)
-        for j, g in enumerate(gens):
-            k = k + lam[..., j, None, None] * g
-        return linalg.expm_skew(k)
-
-    fam = iso_spectral_family(h_base, unitary, bounds, split, base_point, cluster_tol)
+    fam = iso_spectral_family(h_base, gens, bounds, split, base_point, cluster_tol)
     return fam, {**spec, "bounds": bounds.tolist(), "cluster_tol": cluster_tol}
 
 
@@ -350,7 +339,7 @@ def cmd_connectible(args) -> int:
                      f"degeneracy vector of H1: {degeneracy}\ndecision: connectible\n"
                      f"min gap along connecting family: {fmt(gap)}\n")
     if args.out:
-        ts, spectra, _ = spectra_along(fam, args.samples)
+        ts, spectra = spectra_along(fam, args.samples)
         config = {"h0_file": args.h0_file, "h1_file": args.h1_file,
                   "cluster_tol": args.cluster_tol, "samples": args.samples}
         _write_json(args.out, {

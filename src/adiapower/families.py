@@ -133,16 +133,11 @@ def example1_closed_form(mu: complex, mu_z: float) -> Example1ClosedForm:
 
 def example1_family(p: Example1Params = Example1Params(),
                     bounds=EXAMPLE1_BOUNDS) -> HamiltonianFamily:
-    """Iso-spectral family U(mu, mu_z) H_base U^dag, parameters (Re mu, Im mu, mu_z)."""
-
-    def unitary(lam):
-        lam = np.asarray(lam, dtype=float)
-        mu = np.empty(lam.shape[:-1], dtype=complex)
-        mu.real, mu.imag = lam[..., 0], lam[..., 1]
-        return example1_unitary(mu, lam[..., 2])
-
-    return iso_spectral_family(p.base_hamiltonian(), unitary, bounds, SPLIT_2Q,
-                               base_point=np.zeros(3))
+    """Iso-spectral family U(mu, mu_z) H_base U^dag, parameters (Re mu, Im mu, mu_z):
+    U = exp(iK) with K = Re mu (PM + MP) + Im mu i(PM - MP) + mu_z (ZI - IZ)."""
+    return iso_spectral_family(p.base_hamiltonian(),
+                               np.stack([_PM + _MP, 1j * (_PM - _MP), _ZI_MINUS_IZ]),
+                               bounds, SPLIT_2Q, base_point=np.zeros(3))
 
 
 @dataclass(frozen=True)
@@ -216,13 +211,9 @@ def example2_family(lam1_fixed: float = 1.0,
     """
     if not np.isfinite(lam1_fixed):
         raise ValueError(f"lam1_fixed must be finite, got {lam1_fixed!r}")
-
-    def unitary(lam):
-        lam = np.asarray(lam, dtype=float)
-        return linalg.expm_skew(example2_generator(lam1_fixed, lam[..., 0], lam[..., 1]))
-
-    return iso_spectral_family(Example1Params(2.0, 1.0).base_hamiltonian(), unitary, bounds,
-                               SPLIT_2Q, base_point=np.array([np.pi / 4.0, np.pi / 4.0]))
+    return iso_spectral_family(Example1Params(2.0, 1.0).base_hamiltonian(), np.stack([_YY, _XX]),
+                               bounds, SPLIT_2Q, base_point=np.array([np.pi / 4.0, np.pi / 4.0]),
+                               k0=lam1_fixed * _ZZ)
 
 
 @dataclass(frozen=True)

@@ -23,8 +23,8 @@ is its node 0, ``propagate_unitary``, ``decompose_uad``, ``berry_phase`` and
 ``synthesize_controlled_phase``) run their SWEEP_CHUNK-point chunks on every
 CPU the process may use, in the one thread pool made when this module is
 imported; its threads start on the first stack, and every stack runs on it,
-however many chunks it has.  So a family's ``evaluate`` and an iso-spectral
-``unitary`` must be safe to call concurrently (pure numpy is); every result
+however many chunks it has.  So a family's ``evaluate`` must be safe to call
+concurrently (pure numpy is, as an iso-spectral family's is); every result
 is bit-identical to a run on one thread.  The family polish and the
 product-input ascent evaluate one small stack per iteration (about a hundred
 points), which a hand-off to the pool would slow, so they stay on the thread
@@ -43,7 +43,7 @@ import numpy as np
 from scipy.optimize import minimize  # unused here; perfbench traces this binding
 
 from . import entanglement, linalg
-from .errors import DegeneracyError, DimensionMismatchError, NotUnitaryError
+from .errors import DegeneracyError, DimensionMismatchError, NotHermitianError, NotUnitaryError
 from .linalg import DEFAULT_CLUSTER_TOL, BipartiteSplit
 
 DEFAULT_GRID = 41
@@ -56,7 +56,8 @@ SWEEP_CHUNK = 1024
 
 @dataclass(frozen=True)
 class IsoSpectralForm:
-    """Realization H(lam) = U(lam) H0 U(lam)^dag of an iso-spectral family.
+    """Realization H(lam) = U(lam) H0 U(lam)^dag of an iso-spectral family, with
+    U(lam) = exp(i(K0 + sum_j lam_j G_j)).
 
     ``unitary`` broadcasts over leading axes: points of shape (..., p) give
     unitaries of shape (..., D, D), each equal to the unitary of that point
@@ -65,8 +66,17 @@ class IsoSpectralForm:
 
     base_energies: np.ndarray            # ascending, distinct
     base_vectors: np.ndarray             # orthonormal columns, one per level
-    unitary: Callable[[np.ndarray], np.ndarray]
+    k0: np.ndarray                       # (D, D) Hermitian K0
+    generators: np.ndarray               # (p, D, D) Hermitian G_j, one per parameter
     base_point: np.ndarray               # parameter point whose eigenvectors are products
+
+    def unitary(self, lam) -> np.ndarray:
+        """exp(i(K0 + sum_j lam_j G_j)) at a point (p,) or a stack of points (..., p)."""
+        lam = np.asarray(lam, dtype=float)
+        k = self.k0
+        for j, g in enumerate(self.generators):
+            k = k + lam[..., j, None, None] * g
+        return linalg.expm_skew(k)
 
 
 @dataclass(frozen=True)
@@ -89,13 +99,7 @@ class HamiltonianFamily:
     iso_spectral_form: IsoSpectralForm | None = None
 
     def __post_init__(self):
-        bounds = np.array(self.bounds, dtype=float)
-        bounds.setflags(write=False)
-        if bounds.ndim != 2 or bounds.shape[1] != 2 or not np.all(np.isfinite(bounds)) \
-                or np.any(bounds[:, 0] > bounds[:, 1]):
-            raise ValueError(f"bounds must be finite [lo, hi] rows with lo <= hi, "
-                             f"got {bounds.tolist()}")
-        object.__setattr__(self, "bounds", bounds)
+        object.__setattr__(self, "bounds", _box(self.bounds))
 
     @property
     def parameter_dim(self) -> int:
@@ -128,6 +132,16 @@ class HamiltonianFamily:
             raise ValueError(f"level {level} is out of range 0..{self.dim - 1}")
 
 
+def _box(bounds) -> np.ndarray:
+    """bounds as a read-only float copy; ValueError unless finite (p, 2) rows with lo <= hi."""
+    box = np.array(bounds, dtype=float)
+    box.setflags(write=False)
+    if box.ndim != 2 or box.shape[1] != 2 or not np.all(np.isfinite(box)) \
+            or np.any(box[:, 0] > box[:, 1]):
+        raise ValueError(f"bounds must be finite [lo, hi] rows with lo <= hi, got {box.tolist()}")
+    return box
+
+
 def _check_gaps(vals, thresholds, points):
     """DegeneracyError at the first point (..., p) whose energies (..., D) have a
     gap below its threshold (...) from linalg.eig_clustered; the message gives
@@ -142,30 +156,42 @@ def _check_gaps(vals, thresholds, points):
                               point=point)
 
 
-def iso_spectral_family(h_base, unitary: Callable[[np.ndarray], np.ndarray],
-                        bounds, split: BipartiteSplit, base_point,
-                        cluster_tol: float = DEFAULT_CLUSTER_TOL) -> HamiltonianFamily:
-    """Family H(lam) = U(lam) H_base U(lam)^dag over a parameter box.
+def iso_spectral_family(h_base, generators, bounds, split: BipartiteSplit, base_point,
+                        cluster_tol: float = DEFAULT_CLUSTER_TOL, k0=None) -> HamiltonianFamily:
+    """Family H(lam) = U(lam) H_base U(lam)^dag with U(lam) = exp(i(K0 + sum_j lam_j G_j))
+    over a parameter box.
 
-    H_base is diagonalized once and must be nondegenerate (DegeneracyError
-    otherwise, gaps judged by cluster_tol); ``eigensystem`` then returns the
-    exact pair (E0, U(lam) V0) and ``evaluate`` rebuilds H(lam) from U(lam).
-    ``unitary`` maps points (..., p) to unitaries (..., D, D) and is called
-    concurrently, as ``evaluate`` is (see the module docstring).  base_point,
-    the parameter point whose eigenvectors are products, and cluster_tol must
-    be finite, cluster_tol positive (ValueError otherwise, before any eigh).
+    ``bounds`` passes the family's box check; then ``generators`` must be a
+    (len(bounds), D, D) stack and ``k0`` (D, D), zero when None, with D the
+    split's dimension (ValueError naming the argument), each matrix Hermitian
+    (NotHermitianError naming it).  H_base is diagonalized once and
+    must be nondegenerate (DegeneracyError otherwise, gaps judged by
+    cluster_tol); ``eigensystem`` then returns the exact pair (E0, U(lam) V0)
+    and ``evaluate`` rebuilds H(lam) from U(lam).  base_point, the parameter
+    point whose eigenvectors are products, and cluster_tol must be finite,
+    cluster_tol positive (ValueError otherwise).  Every check runs before any eigh.
     """
-    base_point = np.asarray(base_point, dtype=float)
+    bounds, base_point = _box(bounds), np.asarray(base_point, dtype=float)
     if not np.isfinite(base_point).all():
         raise ValueError("base_point must hold only finite numbers")
+    d = split.dim
+    gens = np.array(generators, dtype=complex)
+    k0 = np.zeros((d, d), dtype=complex) if k0 is None else np.array(k0, dtype=complex)
+    if gens.shape != (len(bounds), d, d):
+        raise ValueError(f"generators must have shape ({len(bounds)}, {d}, {d}), got {gens.shape}")
+    if k0.shape != (d, d):
+        raise ValueError(f"k0 must have shape ({d}, {d}), got {k0.shape}")
+    for name, g in (("k0", k0), *((f"generator {k}", g) for k, g in enumerate(gens))):
+        if not linalg.is_hermitian(g):
+            raise NotHermitianError(f"{name} is not Hermitian")
     energies, vectors, threshold = linalg.eig_clustered(h_base, cluster_tol)
     _check_gaps(energies, threshold, base_point)
+    iso = IsoSpectralForm(energies, vectors, k0, gens, base_point)
 
     def evaluate(lam):
-        u = unitary(lam)
+        u = iso.unitary(lam)
         return u @ h_base @ linalg.dagger(u)
 
-    iso = IsoSpectralForm(energies, vectors, unitary, base_point)
     return HamiltonianFamily(bounds, evaluate, split, iso)
 
 
@@ -603,20 +629,16 @@ class BoundReport:
 def family_unitaries(fam: HamiltonianFamily, points) -> np.ndarray:
     """(n, D, D) unitaries U(lam) mapping the base-point eigenbasis to the one at lam.
 
-    Iso-spectral families supply the whole stack with one call of their
-    unitary.  Generic families use V(lam) V(lam0)^dag with lam0 = bounds[:, 0]
+    The points must be an (n, parameter_dim) array with n >= 1 (ValueError
+    otherwise).  Iso-spectral families supply the whole stack with one call of
+    their unitary.  Generic families use V(lam) V(lam0)^dag with lam0 = bounds[:, 0]
     (the first grid point), from one eigensystem call, so chunks of points
     give the unitaries of the whole stack; the column phases are LAPACK's.
     """
-    points = np.asarray(points, dtype=float)
+    points = _point_stack(fam, points, "points")
     iso = fam.iso_spectral_form
     if iso is not None:
-        us = np.asarray(iso.unitary(points))
-        expected = (len(points), fam.dim, fam.dim)
-        if us.shape != expected:
-            raise ValueError(f"family unitary returned shape {us.shape} for "
-                             f"{len(points)} points, expected {expected}")
-        return us
+        return iso.unitary(points)
     _, vecs = fam.eigensystem(np.concatenate([fam.bounds[None, :, 0], points]))
     return vecs[1:] @ linalg.dagger(vecs[0])
 
@@ -665,8 +687,6 @@ def bound_check(fam: HamiltonianFamily,
 
     def unitary_powers(chunk):
         us = family_unitaries(fam, chunk)
-        if not linalg.is_unitary(us):
-            raise NotUnitaryError("a family unitary is not unitary")
         if exact:
             return entanglement.entropy_from_concurrence(entanglement.product_sup_concurrence(us))
         return _best_products(us, fam.split, starts, seed, coarse)[2]

@@ -162,20 +162,18 @@ def build_connecting_family(h0, h1,
 
 
 def spectra_along(fam: ConnectingFamily, samples: int = DEFAULT_SAMPLES):
-    """(t, (samples, D) ascending eigenvalues of H(t), min level gap) over t = linspace(0, 1).
+    """(t, (samples, D) ascending eigenvalues of H(t)) over t = linspace(0, 1).
 
     The spectrum of H(t) is eps(t) by construction, each level repeated by its
-    multiplicity.  Every level gap is linear in t, so the minimum gap is the
-    smaller of the two endpoint gaps (inf for a single level).  ``samples``
-    is checked by linalg.check_count, at least 2.
+    multiplicity.  ``samples`` is checked by linalg.check_count, at least 2.
     """
     linalg.check_count(samples, "samples", 2)
     ts = np.linspace(0.0, 1.0, samples)
-    spectra = np.repeat(fam.eigenvalues_at(ts), fam.base.multiplicities, axis=-1)
-    return ts, spectra, min_gap_along(fam)
+    return ts, np.repeat(fam.eigenvalues_at(ts), fam.base.multiplicities, axis=-1)
 
 
 def min_gap_along(fam: ConnectingFamily) -> float:
-    """Minimum gap between consecutive distinct levels of H(t) over t in [0, 1]."""
+    """Minimum gap between consecutive distinct levels of H(t) over t in [0, 1]: every
+    level gap is linear in t, so the smaller of the two endpoint gaps (inf for a single level)."""
     ends = fam.base.energies.tolist(), fam.end.energies.tolist()
     return min((b - a for e in ends for a, b in zip(e, e[1:])), default=np.inf)

@@ -45,20 +45,20 @@ from adiapower.families import (
     spin_half_field_family,
 )
 from adiapower.linalg import (
+    ID2,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
     BipartiteSplit,
-    eig_hermitian,
     expm_skew,
     ket,
+    tensor,
 )
 from adiapower.power import (
-    HamiltonianFamily,
-    IsoSpectralForm,
     adiabatic_entangling_power,
     bound_check,
     entropy_sweep,
+    iso_spectral_family,
     unitary_entangling_power,
 )
 from adiapower.simulate import (
@@ -205,23 +205,17 @@ def test_criterion_06_right_bilocal_equality():
     k = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     u_fixed = expm_skew((k + k.conj().T) / 2)
 
-    h0 = Example1Params(2.0, 1.0).base_hamiltonian()
-    energies, vectors = eig_hermitian(h0)
+    # u_fixed (u1 x u2) with u1 x u2 = exp(i sum_j lam_j G_j) over the six local
+    # Paulis G_j; u_fixed exp(iK) H0 exp(-iK) u_fixed^dag is exp(iK') H0' exp(-iK')
+    # with K' and H0' conjugated by u_fixed.
+    def dress(m):
+        return u_fixed @ m @ u_fixed.conj().T
 
-    def unitary(lam):
-        lam = np.asarray(lam)[..., None, None]       # points (..., 6) give (..., 4, 4)
-        u1, u2 = (expm_skew(lam[..., j, :, :] * SIGMA_X + lam[..., j + 1, :, :] * SIGMA_Y
-                            + lam[..., j + 2, :, :] * SIGMA_Z) for j in (0, 3))
-        # u1 x u2 at each point, with the products np.kron (linalg.tensor) takes
-        kron = u1[..., :, None, :, None] * u2[..., None, :, None, :]
-        return u_fixed @ kron.reshape(u1.shape[:-2] + (4, 4))
-
-    def evaluate(lam):
-        u = unitary(lam)
-        return u @ h0 @ u.conj().swapaxes(-1, -2)
-
-    fam = HamiltonianFamily(np.array([[-np.pi, np.pi]] * 6), evaluate, SPLIT_2Q,
-                            IsoSpectralForm(energies, vectors, unitary, np.zeros(6)))
+    local = [tensor(s, ID2) for s in (SIGMA_X, SIGMA_Y, SIGMA_Z)] + \
+        [tensor(ID2, s) for s in (SIGMA_X, SIGMA_Y, SIGMA_Z)]
+    fam = iso_spectral_family(dress(Example1Params(2.0, 1.0).base_hamiltonian()),
+                              np.stack([dress(g) for g in local]), [[-np.pi, np.pi]] * 6,
+                              SPLIT_2Q, np.zeros(6))
     pts = rng.uniform(-np.pi, np.pi, (1000, 6))
     est = adiabatic_entangling_power(fam, refine=True, sample_points=pts)
     ep = unitary_entangling_power(u_fixed, SPLIT_2Q, starts=8, coarse=1024)

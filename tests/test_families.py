@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -19,8 +21,11 @@ from adiapower.families import (
     spin_half_field_family,
 )
 from adiapower.linalg import ket
-from adiapower.power import grid_points, has_product_base
+from adiapower.power import family_unitaries, grid_points, has_product_base
 from adiapower.spectral import spectral_resolution
+
+# Coordinates of both signs, signed zeros and subnormal-scale magnitudes included.
+SIGNED = [-1.3, -1e-300, -0.0, 0.0, 1e-300, 0.4, 2.1]
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +131,15 @@ def test_example1_family_is_isospectral_with_product_base():
         lam = rng.uniform(fam.bounds[:, 0], fam.bounds[:, 1])
         vals = np.linalg.eigvalsh(fam.evaluate(lam))
         assert np.allclose(vals, base_vals, atol=1e-10)
+
+
+def test_example1_family_unitaries_are_example1_unitary_bit_for_bit():
+    """The generator form exp(i(Re mu G1 + Im mu G2 + mu_z G3)) reproduces the
+    closed generator's bytes, on which the stored figure data rest."""
+    pts = np.array(list(product(SIGNED, repeat=3)))
+    re, im, mu_z = pts.T
+    for fam in (example1_family(), example1_family(Example1Params(0.7, -0.3))):
+        assert family_unitaries(fam, pts).tobytes() == example1_unitary(re + 1j * im, mu_z).tobytes()
 
 
 def test_example1_max_condition():
@@ -247,6 +261,15 @@ def test_example2_product_sup_concurrence():
                                      coarse=512)
         assert abs(r.concurrence - sup) < 1e-6
     assert exceeds > 0  # three-point-supported circles do occur
+
+
+def test_example2_family_unitaries_are_example2_unitary_bit_for_bit():
+    """K0 = lam1 ZZ plus the generators YY and XX reproduce example2_unitary's bytes."""
+    pts = np.array(list(product(SIGNED, repeat=2)))
+    for l1 in (1.0, 0.7, 0.0, -0.0, -2.2):
+        us = family_unitaries(example2_family(l1), pts)
+        assert us.tobytes() == np.stack(
+            [example2_unitary(Example2Params(l1, l2, l3)) for l2, l3 in pts]).tobytes()
 
 
 def test_example2_family_product_base():

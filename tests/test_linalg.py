@@ -186,6 +186,8 @@ def test_values_derived_from_inputs_or_fixed_are_not_parameters():
     assert [f.name for f in dataclasses.fields(simulate.ParameterPath)] == ["duration", "gamma"]
     assert [f.name for f in dataclasses.fields(power.HamiltonianFamily)] == [
         "bounds", "evaluate", "split", "iso_spectral_form"]
+    assert [f.name for f in dataclasses.fields(power.IsoSpectralForm)] == [
+        "base_energies", "base_vectors", "k0", "generators", "base_point"]
     assert [f.name for f in dataclasses.fields(spectral.ConnectingFamily)] == ["base", "end"]
     assert [f.name for f in dataclasses.fields(spectral.SpectralResolution)] == [
         "energies", "multiplicities", "vectors"]

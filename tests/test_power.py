@@ -22,7 +22,12 @@ from adiapower.entanglement import (
     product_sup_witness,
     qubit_concurrence,
 )
-from adiapower.errors import DegeneracyError, DimensionMismatchError, NotUnitaryError
+from adiapower.errors import (
+    DegeneracyError,
+    DimensionMismatchError,
+    NotHermitianError,
+    NotUnitaryError,
+)
 from adiapower.families import (
     SPLIT_2Q,
     Example2Params,
@@ -47,7 +52,6 @@ from adiapower.linalg import (
 )
 from adiapower.power import (
     HamiltonianFamily,
-    IsoSpectralForm,
     adiabatic_entangling_power,
     bound_check,
     eigenstate_track,
@@ -71,6 +75,20 @@ def haar_unitary(rng, n):
 
 def pairs(m):
     return [[[z.real, z.imag] for z in row] for row in np.asarray(m, dtype=complex)]
+
+
+def dressed(fam, w):
+    """The iso-spectral fam with every Hamiltonian conjugated by the unitary w:
+    w exp(iK) H0 exp(-iK) w^dag is exp(iK') H0' exp(-iK') with K' = w K w^dag
+    and H0' = w H0 w^dag."""
+    iso = fam.iso_spectral_form
+
+    def dress(m):
+        return w @ m @ w.conj().T
+
+    h_base = (iso.base_vectors * iso.base_energies) @ iso.base_vectors.conj().T
+    return iso_spectral_family(dress(h_base), dress(iso.generators), fam.bounds, fam.split,
+                               iso.base_point, k0=dress(iso.k0))
 
 
 def custom_family():
@@ -229,18 +247,7 @@ def test_power_left_bilocal_invariance():
     w = tensor(expm_skew((k1 + k1.conj().T) / 2), expm_skew((k2 + k2.conj().T) / 2))
 
     base = example1_family()
-    iso = base.iso_spectral_form
-
-    def unitary(lam):
-        return w @ iso.unitary(lam)
-
-    def evaluate(lam):
-        u = unitary(lam)
-        return u @ (iso.base_vectors * iso.base_energies) @ iso.base_vectors.conj().T @ u.conj().T
-
-    shifted = HamiltonianFamily(
-        base.bounds, evaluate, base.split,
-        IsoSpectralForm(iso.base_energies, iso.base_vectors, unitary, iso.base_point))
+    shifted = dressed(base, w)
     assert has_product_base(shifted)
     v0 = adiabatic_entangling_power(base, grid_per_axis=11).value
     v1 = adiabatic_entangling_power(shifted, grid_per_axis=11).value
@@ -251,15 +258,11 @@ def test_power_left_bilocal_invariance():
 @given(st.sampled_from([example1_family, example2_family]), st.integers(0, 2 ** 32 - 1))
 def test_local_unitary_dressing_leaves_the_family_power_unchanged(make_family, seed):
     base = make_family()
-    iso = base.iso_spectral_form
     rng = np.random.default_rng(seed)
-    local = tensor(haar_unitary(rng, 2), haar_unitary(rng, 2))
-    h_base = (iso.base_vectors * iso.base_energies) @ iso.base_vectors.conj().T
-    dressed = iso_spectral_family(h_base, lambda lam: local @ iso.unitary(lam), base.bounds,
-                                  base.split, iso.base_point)
+    conjugated = dressed(base, tensor(haar_unitary(rng, 2), haar_unitary(rng, 2)))
     for refine, tol in ((False, 1e-12), (True, 1e-9)):
         v0 = adiabatic_entangling_power(base, 11, refine).value
-        v1 = adiabatic_entangling_power(dressed, 11, refine).value
+        v1 = adiabatic_entangling_power(conjugated, 11, refine).value
         assert abs(v0 - v1) <= tol
 
 
@@ -270,9 +273,8 @@ def test_product_base_certificate_allows_base_entropy_up_to_1e9_bits(bits, certi
     v = np.eye(4, dtype=complex)
     v[[0, 0, 3, 3], [0, 3, 0, 3]] = np.cos(angle), -np.sin(angle), np.sin(angle), np.cos(angle)
     xx = tensor(SIGMA_X, SIGMA_X)
-    fam = iso_spectral_family((v * np.arange(4.0)) @ v.conj().T,
-                              lambda lam: expm_skew(np.asarray(lam)[..., :1, None] * xx),
-                              [[0.0, 1.0]], SPLIT_2Q, [0.0])
+    fam = iso_spectral_family((v * np.arange(4.0)) @ v.conj().T, [xx], [[0.0, 1.0]],
+                              SPLIT_2Q, [0.0])
     assert has_product_base(fam) is certified
 
 
@@ -301,25 +303,39 @@ def test_family_unitaries_stack_equals_per_point_unitaries(make_family):
     assert np.array_equal(chunked, us)
 
 
-def test_family_unitaries_rejects_a_unitary_of_the_wrong_shape():
-    fam = iso_spectral_family(tensor(SIGMA_Z, ID2) + 0.5 * tensor(ID2, SIGMA_Z),
-                              lambda lam: np.eye(4, dtype=complex), [[0.0, 1.0]],
-                              SPLIT_2Q, [0.0])
-    with pytest.raises(ValueError, match="shape"):
-        family_unitaries(fam, [[0.0], [0.5], [1.0]])
+@pytest.mark.parametrize("make_family", [example1_family, example0_family])
+def test_family_unitaries_refuses_a_points_stack_of_the_wrong_width(make_family):
+    fam = make_family()
+    for points in ([[0.0, 0.5]], np.zeros((2, 4)), np.zeros(3), np.zeros((0, 3))):
+        with pytest.raises(ValueError, match=r"points must have shape \(n, 3\) with n >= 1"):
+            family_unitaries(fam, points)
+
+
+def test_iso_spectral_family_refuses_bad_generators_before_any_eigh(monkeypatch):
+    eigh_shapes = recorded_shapes(monkeypatch, np.linalg, "eigh")
+    h_base = tensor(SIGMA_Z, ID2) + 0.5 * tensor(ID2, SIGMA_Z)
+    xx, upper = tensor(SIGMA_X, SIGMA_X), np.triu(np.ones((4, 4)))
+    for generators, k0, error, message in [
+            ([xx, upper], None, NotHermitianError, "generator 1 is not Hermitian"),
+            ([xx, xx], upper, NotHermitianError, "k0 is not Hermitian"),
+            ([xx], None, ValueError, r"generators must have shape \(2, 4, 4\), got \(1, 4, 4\)"),
+            ([xx, xx, xx], None, ValueError, r"generators must have shape \(2, 4, 4\)"),
+            ([np.eye(2)] * 2, None, ValueError, r"got \(2, 2, 2\)"),
+            ([xx, xx], np.eye(2), ValueError, r"k0 must have shape \(4, 4\), got \(2, 2\)")]:
+        with pytest.raises(error, match=message):
+            iso_spectral_family(h_base, generators, [[0.0, 1.0]] * 2, SPLIT_2Q, [0.0, 0.0], k0=k0)
+    assert eigh_shapes == []
 
 
 def test_iso_spectral_family_rejects_a_degenerate_base():
-    def unitary(lam):
-        return expm_skew(np.asarray(lam)[..., :1, None] * tensor(SIGMA_X, SIGMA_X))
-
+    generators = [tensor(SIGMA_X, SIGMA_X)]
     with pytest.raises(DegeneracyError) as exc:
-        iso_spectral_family(tensor(SIGMA_Z, ID2), unitary, [[0.0, 1.0]], SPLIT_2Q, [0.0])
+        iso_spectral_family(tensor(SIGMA_Z, ID2), generators, [[0.0, 1.0]], SPLIT_2Q, [0.0])
     assert np.array_equal(exc.value.point, [0.0])
     close = np.diag([0.0, 1e-3, 1.0, 2.0]).astype(complex)
-    iso_spectral_family(close, unitary, [[0.0, 1.0]], SPLIT_2Q, [0.0])
+    iso_spectral_family(close, generators, [[0.0, 1.0]], SPLIT_2Q, [0.0])
     with pytest.raises(DegeneracyError):
-        iso_spectral_family(close, unitary, [[0.0, 1.0]], SPLIT_2Q, [0.0],
+        iso_spectral_family(close, generators, [[0.0, 1.0]], SPLIT_2Q, [0.0],
                             cluster_tol=1e-2)
 
 
@@ -702,15 +718,6 @@ def test_two_qubit_unitary_power_draws_no_product_bank_and_runs_no_ascent(monkey
     r = unitary_entangling_power(u, SPLIT_2Q)
     assert r.converged is True
     assert abs(r.concurrence - product_sup_concurrence(u)) <= 1e-12
-
-
-def test_bound_check_rejects_a_family_unitary_that_is_not_unitary():
-    fam = example2_family()
-    iso = fam.iso_spectral_form
-    scaled = IsoSpectralForm(iso.base_energies, iso.base_vectors,
-                             lambda lam: 1.01 * iso.unitary(lam), iso.base_point)
-    with pytest.raises(NotUnitaryError):
-        bound_check(HamiltonianFamily(fam.bounds, fam.evaluate, fam.split, scaled), 5)
 
 
 def test_two_qubit_bound_check_is_exact_where_the_sampled_bound_fell_short():
@@ -1104,7 +1111,7 @@ def test_a_family_keeps_a_read_only_copy_of_its_box(make, default):
 @pytest.mark.parametrize("cluster_tol", [np.nan, np.inf, 0.0, -1.0])
 def test_cluster_tol_must_be_positive_and_finite(cluster_tol):
     with pytest.raises(ValueError, match="cluster_tol must be positive and finite"):
-        iso_spectral_family(np.diag([0.0, 1e-3, 1.0, 2.0]), lambda lam: np.eye(4),
+        iso_spectral_family(np.diag([0.0, 1e-3, 1.0, 2.0]), np.zeros((1, 4, 4)),
                             [[0.0, 1.0]], SPLIT_2Q, [0.0], cluster_tol)
 
 

@@ -22,7 +22,7 @@ from adiapower.families import (
     example2_family,
     spin_half_field_family,
 )
-from adiapower.linalg import BipartiteSplit, expm_skew, ket, normalize
+from adiapower.linalg import BipartiteSplit, ket, normalize
 from adiapower.power import (
     adiabatic_entangling_power,
     bound_check,
@@ -406,12 +406,7 @@ def random_iso_family(rng, split):
         return (x + x.conj().T) / 2
 
     h, g1, g2 = herm(), herm(), herm()
-
-    def unitary(lam):
-        lam = np.asarray(lam, dtype=float)
-        return expm_skew(lam[..., 0, None, None] * g1 + lam[..., 1, None, None] * g2)
-
-    return iso_spectral_family(h, unitary, [[0, 1], [0, 1]], split, [0.0, 0.0])
+    return iso_spectral_family(h, [g1, g2], [[0, 1], [0, 1]], split, [0.0, 0.0])
 
 
 @pytest.mark.parametrize("split, steps", [(BipartiteSplit(1, 2), 150), (BipartiteSplit(2, 2), 300),

@@ -208,11 +208,12 @@ def test_spectra_along_reads_the_spectrum_and_gap_from_the_construction(degenera
     for _ in range(5):
         h0, h1 = degenerate_hermitian(rng, degeneracy), degenerate_hermitian(rng, degeneracy)
         fam = build_connecting_family(h0, h1)
-        ts, spectra, gap = spectra_along(fam, 41)
+        ts, spectra = spectra_along(fam, 41)
+        gap = min_gap_along(fam)
         sampled = np.linalg.eigvalsh(fam.sample(ts))
         assert np.abs(spectra - sampled).max() <= 1e-12 * max(1.0, np.abs(sampled).max())
         ends = [np.diff(spectral_resolution(h).energies).min() for h in (h0, h1)]
-        assert gap == min(ends) == min_gap_along(fam)
+        assert gap == min(ends)
         assert (sampled[:, edges] - sampled[:, edges - 1]).min() >= gap - 1e-12
 
 
