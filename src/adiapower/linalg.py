@@ -4,6 +4,9 @@ Index convention (used everywhere in the package): a bipartite system with
 local dimensions (dim_a, dim_b) is flattened row-major, subsystem A first,
 i.e. composite index = i_a * dim_b + i_b.  ``tensor`` realizes exactly this
 ordering via the Kronecker product.
+
+numpy is the only run-time import: ``eig_unitary`` imports ``scipy.linalg``
+on its first call, so importing this module loads no scipy.
 """
 
 from __future__ import annotations
@@ -11,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionMismatchError, NotHermitianError, NotUnitaryError
 
@@ -147,7 +149,12 @@ def expm_skew(k) -> np.ndarray:
 
 
 def eig_unitary(u):
-    """Eigenphases in (-pi, pi] and orthonormal eigenvectors of a unitary, from one Schur form."""
+    """Eigenphases in (-pi, pi] and orthonormal eigenvectors of a unitary, from one Schur form.
+
+    Imports ``scipy.linalg`` on its first call; no CLI subcommand reaches it.
+    """
+    import scipy.linalg
+
     u = _as_complex(u)
     if u.ndim != 2 or not is_unitary(u):
         raise NotUnitaryError("matrix is not unitary within tolerance")

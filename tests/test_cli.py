@@ -982,6 +982,41 @@ def test_start_up_starts_no_thread(start):
     assert proc.stdout.splitlines()[-1] == "0"
 
 
+def test_every_subcommand_runs_without_scipy(tmp_path):
+    """Only eig_unitary's Schur form (not reached by the CLI) and the forwarding
+    power.minimize import scipy, each on its first call."""
+    proc = _run_python("-c", f"""
+import json, os, sys
+import numpy as np
+import adiapower
+import adiapower.cli as cli
+from adiapower import power
+from adiapower.spectral import build_connecting_family
+os.chdir({str(tmp_path)!r})
+with open("e1.json", "w") as f:
+    json.dump({{"kind": "builtin:example1"}}, f)
+h0, h1 = np.diag([0.0, 1, 2, 3]), np.array(
+    [[1.0, 0.5, 0, 0], [0.5, 1, 0, 0], [0, 0, 0, 0.2], [0, 0, 0.2, 2]])
+for name, h in (("h0", h0), ("h1", h1)):
+    with open(name + ".json", "w") as f:
+        json.dump([[[z, 0.0] for z in row] for row in h.tolist()], f)
+for argv in (["sweep", "e1.json", "--input-state", "01", "--grid", "3", "--out", "s.csv"],
+             ["power", "e1.json", "--grid", "3", "--refine", "--out", "p.csv"],
+             ["evolve", "e1.json", "--path", "[[0,0,0],[0.2,0,0]]", "--steps", "100",
+              "--out", "e.json"],
+             ["gate", "--loop", "circle", "1.0", "1.0", "--steps", "100", "--out", "g.json"],
+             ["connectible", "h0.json", "h1.json", "--out", "c.json"]):
+    assert cli.main(argv) == 0, argv
+print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
+g = build_connecting_family(h0, h1).generator
+print(np.allclose(g, g.conj().T), "scipy.linalg" in sys.modules)
+res = power.minimize(lambda x: (x[0] - 1.5) ** 2, [0.0], method="Nelder-Mead")
+print(bool(res.success), isinstance(res.nfev, int), abs(res.x[0] - 1.5) < 1e-3)
+""")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-3:] == ["[]", "True True", "True True True"]
+
+
 def test_the_grid_pool_is_made_at_import_and_runs_a_one_chunk_grid():
     proc = _run_python("-c", """
 import threading
