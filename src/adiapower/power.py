@@ -7,7 +7,9 @@ product witness (entanglement.product_sup_witness), in both
 bounds with witnesses: over family parameters from a dense grid, over
 product inputs on other splits from a random product-state bank, each
 refined by one batched multi-start Newton ascent (``_ascend``) in the
-parameter box or over the unit factor vectors.  On a 2 x d or d x 2 split
+parameter box or over the unit factor vectors.  That bank is drawn once per
+(split, coarse, seed) per process and shared read-only by every later call
+and grid chunk (``_random_product_bank``).  On a 2 x d or d x 2 split
 (3 <= d <= 12) the product-input ascent climbs the concurrence
 (entanglement.qubit_concurrence), which takes no SVD; the reported values
 are entropies.  The product-input ascent of a unitary ends once one of its
@@ -36,7 +38,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -414,8 +416,9 @@ _ASCENT_ITERATIONS = 300
 _ASCENT_GAIN = 4.0 * np.finfo(float).eps
 # Largest qudit beside a qubit whose product inputs are scored by the
 # concurrence: its d(d-1)/2 minors beat one batched SVD up to here, and lose
-# beyond (per unitary_entangling_power call on a 2-vCPU Xeon with OpenBLAS:
-# 2 x 12 73-93 ms against the SVD's 121-128 ms, 2 x 16 286-293 against 230-232).
+# beyond (medians of 9 unitary_entangling_power calls with the bank already
+# drawn, on a 2-vCPU Xeon with OpenBLAS: 2 x 12 35 ms against the SVD's 45 ms,
+# 2 x 16 130 against 92; timings taken when each call drew its bank agreed).
 _MINORS_MAX_DIM = 12
 
 
@@ -431,12 +434,21 @@ def _check_bank_size(coarse: int, starts: int, seed: int) -> None:
     linalg.check_count(seed, "seed", 0)
 
 
-def _random_product_bank(rng, split: BipartiteSplit, count: int) -> np.ndarray:
+@lru_cache(maxsize=4)
+def _random_product_bank(seed: int, split: BipartiteSplit, count: int) -> tuple:
+    """Product states (count, D) and their unit factors (count, d_A), (count, d_B),
+    drawn from np.random.default_rng(seed) once per (seed, split, count) per
+    process and shared by every later call, so all three arrays are read-only.
+    The cache keeps the 4 most recently used banks."""
+    rng = np.random.default_rng(seed)
     a = rng.standard_normal((count, split.dim_a)) + 1j * rng.standard_normal((count, split.dim_a))
     b = rng.standard_normal((count, split.dim_b)) + 1j * rng.standard_normal((count, split.dim_b))
     a /= np.linalg.norm(a, axis=1, keepdims=True)
     b /= np.linalg.norm(b, axis=1, keepdims=True)
-    return product_state(a, b), a, b
+    bank = product_state(a, b), a, b
+    for x in bank:
+        x.flags.writeable = False
+    return bank
 
 
 def _tangent_basis(x: np.ndarray) -> np.ndarray:
@@ -572,7 +584,7 @@ def _best_products(us, split: BipartiteSplit, starts: int, seed: int, coarse: in
     minors = small == 2 and large <= _MINORS_MAX_DIM
     score = partial(entanglement.qubit_concurrence if minors else entanglement.entropy, split=split)
     ceiling = 1.0 if minors else float(np.log2(small))
-    bank, fa, fb = _random_product_bank(np.random.default_rng(seed), split, coarse)
+    bank, fa, fb = _random_product_bank(seed, split, coarse)
     transposed = np.swapaxes(us, -1, -2)
     top = np.argsort(score(bank @ transposed), axis=-1)[:, ::-1][:, :max(starts, 1)]
     m, k = top.shape

@@ -720,6 +720,55 @@ def test_two_qubit_unitary_power_draws_no_product_bank_and_runs_no_ascent(monkey
     assert abs(r.concurrence - product_sup_concurrence(u)) <= 1e-12
 
 
+@pytest.mark.parametrize("seed, dims, count", [(0, (2, 3), 512), (7, (3, 3), 64), (2, (1, 4), 5)])
+def test_the_product_bank_is_its_seeds_draw_made_once_and_read_only(seed, dims, count):
+    split = BipartiteSplit(*dims)
+    power._random_product_bank.cache_clear()
+    bank = power._random_product_bank(seed, split, count)
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((count, dims[0])) + 1j * rng.standard_normal((count, dims[0]))
+    b = rng.standard_normal((count, dims[1])) + 1j * rng.standard_normal((count, dims[1]))
+    a /= np.linalg.norm(a, axis=1, keepdims=True)
+    b /= np.linalg.norm(b, axis=1, keepdims=True)
+    for x, fresh in zip(bank, (power.product_state(a, b), a, b)):
+        assert x.shape == fresh.shape and x.tobytes() == fresh.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            x *= 2.0
+    again = power._random_product_bank(seed, split, count)
+    assert all(x is y for x, y in zip(again, bank))
+    info = power._random_product_bank.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+
+
+@pytest.mark.parametrize("seed", [0, 9])
+@pytest.mark.parametrize("dims", [(2, 3), (3, 2), (3, 3)])
+def test_unitary_power_is_the_same_from_a_cold_and_a_warm_bank(seed, dims):
+    split = BipartiteSplit(*dims)
+    u = haar_unitary(np.random.default_rng(40 + seed), split.dim)
+    runs = []
+    for _ in range(2):
+        power._random_product_bank.cache_clear()
+        cold = unitary_entangling_power(u, split, seed=seed)
+        warm = unitary_entangling_power(u, split, seed=seed)
+        runs += [cold, warm]
+        assert power._random_product_bank.cache_info().hits == 1
+    for r in runs[1:]:
+        assert r.value == runs[0].value and r.converged is runs[0].converged
+        assert r.input_state.tobytes() == runs[0].input_state.tobytes()
+
+
+def test_bound_check_chunks_share_one_bank_and_match_a_cold_run():
+    fam = plane_2x3_family()
+    grid = int(np.ceil(power.SWEEP_CHUNK ** (1.0 / fam.parameter_dim))) + 1
+    assert grid ** fam.parameter_dim > power.SWEEP_CHUNK       # more than one chunk
+    power._random_product_bank.cache_clear()
+    cold = bound_check(fam, grid_per_axis=grid, seed=3, coarse=64, starts=2)
+    assert power._random_product_bank.cache_info().currsize == 1
+    warm = bound_check(fam, grid_per_axis=grid, seed=3, coarse=64, starts=2)
+    assert warm.lhs == cold.lhs and warm.rhs == cold.rhs and warm.holds is cold.holds
+    assert warm.rhs_point.tobytes() == cold.rhs_point.tobytes()
+
+
 def test_two_qubit_bound_check_is_exact_where_the_sampled_bound_fell_short():
     # a random-bank and polish rhs gave 0.999994 < lhs = 1 here
     rep = bound_check(example2_family(1.101), grid_per_axis=21, seed=11)
